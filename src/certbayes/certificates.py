@@ -1,14 +1,30 @@
 """PAC-Bayes generalization certificates for the Bayes and robust posteriors.
 
 Each certificate is a high-probability upper bound on a posterior's expected
-(possibly adversarial) test risk, computed from the training data plus the
-population quantities in :class:`DataDistributionSpec`. All bounds share the
-same anatomy: data terms built from log-determinants and quadratic forms of
-``k*I + a*Gram`` matrices, a log(1/beta)/n confidence term, and a sub-gamma
-tail term s^2 / (2 (1 - c)) evaluated at tilt t = 1.
+(possibly adversarial) test risk, from the training data plus the population
+quantities in :class:`DataDistributionSpec`. All five are one formula,
 
-The d x d and n x n formulations of every data term are algebraically equal;
-:func:`_gram_terms` picks whichever is smaller to factorize.
+    s/(2n) [log det U_d + (m/k) Y'U_n^{-1}Y / sigma^2]
+    - v/(2n) [log det V_d + 2k Y'V_n^{-1}Y / sigma^2]
+    + log(1/beta)/n + s_sq/(2 (1 - c)) + d g sigma_p^2 / (sigma^2 - 2 n g sigma_p^2),
+
+with r = sigma_p^2/sigma^2, U = k I + m r G, V = k I + r G, and G = X'X in
+the d x d form (subscript d) or XX' in the n x n form (subscript n). U is
+I + r G (k = m = 1) or k I + 2 r G (k = 2 n delta_train^2 r + 1, m = 2); c and
+s_sq are the sub-gamma constants at t = 1 of :func:`cgf_standard` or of
+:func:`cgf_adversarial` at delta_test. ``_THEOREMS`` holds one row each:
+
+    theorem           CGF          U          s  v  mismatch gap g
+    BayesStd          standard     I + rG     1  0  -
+    BayesAdv          adversarial  I + rG     2  0  delta_test^2
+    RobustStd         standard     kI + 2rG   2  1  -
+    RobustAdvMatched  adversarial  kI + 2rG   1  0  - (needs delta_test == delta_train)
+    RobustAdvGeneral  adversarial  kI + 2rG   2  0  delta_test^2 - delta_train^2
+
+:func:`validate_preconditions` reads the same rows: beta in (0, 1], n, d >= 1,
+c < 1, matched budgets, and sigma^2 - 2 n g sigma_p^2 > 0 (automatic for
+RobustAdvGeneral when g <= 0). The d x d and n x n forms of every data term
+are equal; :func:`_gram_terms` factorizes the smaller.
 """
 
 from __future__ import annotations
@@ -77,11 +93,25 @@ class CgfConstants:
         return self.s_sq * self.t / (2.0 * (1.0 - self.c * self.t))
 
 
-def _check_t(t: float, c: float) -> None:
+def _scale(kind: CgfKind, noise, prior, dist, delta_test: float) -> tuple[float, str]:
+    """Sub-gamma scale c of the NLL flavor, with its formula for diagnostics."""
+    if kind is CgfKind.STANDARD:
+        c = prior.sigma_p_sq * dist.sigma_x_sq / noise.sigma_sq
+        return c, "sigma_p_sq*sigma_x_sq/sigma_sq"
+    c = 2.0 * prior.sigma_p_sq * (dist.sigma_x_sq + delta_test ** 2) / noise.sigma_sq
+    return c, "2*sigma_p_sq*(sigma_x_sq + delta_test^2)/sigma_sq"
+
+
+def _cgf(kind: CgfKind, noise, prior, dist, d: int, delta_test: float, t: float):
+    """Sub-gamma constants of either flavor; s^2 doubles for the adversarial NLL."""
+    c, _ = _scale(kind, noise, prior, dist, delta_test)
     if not (0.0 < t and t * c < 1.0):
         raise CgfRangeViolation(
             f"tilt t must lie in (0, 1/c) = (0, {1.0 / c:g}), got t={t}"
         )
+    factor = 1.0 if kind is CgfKind.STANDARD else 2.0
+    bracket = c * d - c * t + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq
+    return CgfConstants(c=c, s_sq=factor * bracket / t, t=t, kind=kind)
 
 
 def cgf_standard(
@@ -96,10 +126,7 @@ def cgf_standard(
     c = sigma_p^2 sigma_x^2 / sigma^2,
     s^2 = (1/t) (c d - c t + 1 + sigma_x^2 ||theta*||^2 / sigma^2).
     """
-    c = prior.sigma_p_sq * dist.sigma_x_sq / noise.sigma_sq
-    _check_t(t, c)
-    s_sq = (c * d - c * t + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq) / t
-    return CgfConstants(c=c, s_sq=s_sq, t=t, kind=CgfKind.STANDARD)
+    return _cgf(CgfKind.STANDARD, noise, prior, dist, d, 0.0, t)
 
 
 def cgf_adversarial(
@@ -117,14 +144,7 @@ def cgf_adversarial(
     """
     if delta_test < 0:
         raise ValueError(f"delta_test must be >= 0, got {delta_test}")
-    c = 2.0 * prior.sigma_p_sq * (dist.sigma_x_sq + delta_test ** 2) / noise.sigma_sq
-    _check_t(t, c)
-    s_sq = (
-        2.0
-        * (c * d - c * t + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq)
-        / t
-    )
-    return CgfConstants(c=c, s_sq=s_sq, t=t, kind=CgfKind.ADVERSARIAL)
+    return _cgf(CgfKind.ADVERSARIAL, noise, prior, dist, d, delta_test, t)
 
 
 def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
@@ -187,18 +207,53 @@ def neg_log_z_robust_upper(
     return 0.5 * logdet_d + k * quad_n / noise.sigma_sq
 
 
+class _Gap(enum.Enum):
+    """Budget gap g of the mismatch term, named as the diagnostics render it."""
+
+    TEST = "delta_test^2"
+    TEST_MINUS_TRAIN = "(delta_test^2 - delta_train^2)"
+
+    def size(self, budget: PerturbationBudget) -> float:
+        train_sq = budget.delta_train ** 2 if self is _Gap.TEST_MINUS_TRAIN else 0.0
+        return budget.delta_test ** 2 - train_sq
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """One certificate's row of the bound in the module docstring."""
+
+    kind: CgfKind  # CGF flavor; the adversarial one is taken at delta_test
+    robust_u: bool  # U = k I + 2 r G with k from delta_train, else U = I + r G
+    scale: float  # s, the multiplier on the U data terms
+    minus_v: bool = False  # subtract the V = k I + r G data terms
+    gap: Optional[_Gap] = None  # budget gap feeding the mismatch term
+    matched: bool = False  # requires delta_test == delta_train
+
+
+_STD, _ADV = CgfKind.STANDARD, CgfKind.ADVERSARIAL
+_THEOREMS = {
+    TheoremId.BAYES_STD: _Theorem(_STD, robust_u=False, scale=1.0),
+    TheoremId.BAYES_ADV: _Theorem(_ADV, robust_u=False, scale=2.0, gap=_Gap.TEST),
+    TheoremId.ROBUST_STD: _Theorem(_STD, robust_u=True, scale=2.0, minus_v=True),
+    TheoremId.ROBUST_ADV_MATCHED: _Theorem(_ADV, robust_u=True, scale=1.0, matched=True),
+    TheoremId.ROBUST_ADV_GENERAL: _Theorem(
+        _ADV, robust_u=True, scale=2.0, gap=_Gap.TEST_MINUS_TRAIN
+    ),
+}
+_NO_BUDGET = PerturbationBudget(delta_train=0.0, delta_test=0.0)
+
+
 @dataclass(frozen=True)
 class PreconditionCheck:
     name: str
     ok: bool
     detail: str
 
+    def __post_init__(self):
+        object.__setattr__(self, "ok", bool(self.ok))
+
     def render(self) -> str:
         return f"{self.name}: {self.detail} [{'pass' if self.ok else 'FAIL'}]"
-
-
-def _check(name: str, ok: bool, detail: str) -> PreconditionCheck:
-    return PreconditionCheck(name=name, ok=bool(ok), detail=detail)
 
 
 def validate_preconditions(
@@ -214,112 +269,70 @@ def validate_preconditions(
     """Evaluate every hypothesis of the requested certificate.
 
     Returns one check per condition with the inequality rendered numerically;
-    certificate operations refuse to emit a bound when any check fails.
+    certificate operations refuse to emit a bound when any check fails. A
+    missing budget counts as delta_train = delta_test = 0.
     """
-    s2, p2, x2 = noise.sigma_sq, prior.sigma_p_sq, dist.sigma_x_sq
+    row = _THEOREMS[theorem_id]
+    budget = _NO_BUDGET if budget is None else budget
+    dt, d_train = budget.delta_test, budget.delta_train
     checks = [
-        _check("beta_in_range", 0.0 < beta <= 1.0, f"0 < beta={beta:g} <= 1"),
-        _check("shape_positive", n >= 1 and d >= 1, f"n={n} >= 1 and d={d} >= 1"),
+        PreconditionCheck("beta_in_range", 0.0 < beta <= 1.0, f"0 < beta={beta:g} <= 1"),
+        PreconditionCheck("shape_positive", n >= 1 and d >= 1, f"n={n} >= 1 and d={d} >= 1"),
     ]
-
-    def standard_scale():
-        c = p2 * x2 / s2
-        checks.append(
-            _check(
-                "cgf_scale_lt_one",
-                c < 1.0,
-                f"sigma_p_sq*sigma_x_sq/sigma_sq = {c:g} < 1",
-            )
-        )
-
-    def adversarial_scale(dt: float):
-        c = 2.0 * p2 * (x2 + dt ** 2) / s2
-        checks.append(
-            _check(
-                "cgf_scale_lt_one",
-                c < 1.0,
-                f"2*sigma_p_sq*(sigma_x_sq + delta_test^2)/sigma_sq = {c:g} < 1",
-            )
-        )
-
-    if theorem_id in (TheoremId.BAYES_STD, TheoremId.ROBUST_STD):
-        standard_scale()
-    elif theorem_id is TheoremId.BAYES_ADV:
-        dt = budget.delta_test if budget is not None else 0.0
-        adversarial_scale(dt)
-        denom = s2 - 2.0 * n * dt ** 2 * p2
-        checks.append(
-            _check(
-                "denominator_positive",
-                denom > 0.0,
-                f"sigma_sq - 2*n*delta_test^2*sigma_p_sq = {denom:g} > 0",
-            )
-        )
-    elif theorem_id is TheoremId.ROBUST_ADV_MATCHED:
-        dt = budget.delta_test if budget is not None else 0.0
-        d_train = budget.delta_train if budget is not None else 0.0
-        checks.append(
-            _check(
-                "matched_budget",
-                dt == d_train,
-                f"delta_test={dt:g} == delta_train={d_train:g}",
-            )
-        )
-        adversarial_scale(dt)
-    elif theorem_id is TheoremId.ROBUST_ADV_GENERAL:
-        dt = budget.delta_test if budget is not None else 0.0
-        d_train = budget.delta_train if budget is not None else 0.0
-        adversarial_scale(dt)
-        gap = dt ** 2 - d_train ** 2
-        if gap > 0.0:
-            denom = s2 - 2.0 * n * gap * p2
-            checks.append(
-                _check(
-                    "denominator_positive",
-                    denom > 0.0,
-                    "sigma_sq - 2*n*(delta_test^2 - delta_train^2)*sigma_p_sq"
-                    f" = {denom:g} > 0",
-                )
-            )
+    if row.matched:
+        detail = f"delta_test={dt:g} == delta_train={d_train:g}"
+        checks.append(PreconditionCheck("matched_budget", dt == d_train, detail))
+    c, formula = _scale(row.kind, noise, prior, dist, dt)
+    checks.append(PreconditionCheck("cgf_scale_lt_one", c < 1.0, f"{formula} = {c:g} < 1"))
+    if row.gap is not None:
+        gap = row.gap.size(budget)
+        if row.gap is _Gap.TEST_MINUS_TRAIN and gap <= 0.0:
+            ok = True
+            detail = "auto-pass: delta_test <= delta_train makes the extra term nonpositive"
         else:
-            checks.append(
-                _check(
-                    "denominator_positive",
-                    True,
-                    "auto-pass: delta_test <= delta_train makes the extra term"
-                    " nonpositive",
-                )
-            )
+            denom = noise.sigma_sq - 2.0 * n * gap * prior.sigma_p_sq
+            ok = denom > 0.0
+            detail = f"sigma_sq - 2*n*{row.gap.value}*sigma_p_sq = {denom:g} > 0"
+        checks.append(PreconditionCheck("denominator_positive", ok, detail))
     return checks
 
 
-def _require(checks: list[PreconditionCheck]) -> tuple[str, ...]:
-    failed = [c for c in checks if not c.ok]
+def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, beta: float):
+    """Check a certificate's hypotheses, then evaluate its row of the bound."""
+    row = _THEOREMS[theorem_id]
+    n, d = data.n, data.d
+    checks = validate_preconditions(theorem_id, noise, prior, dist, budget, n, d, beta)
+    failed = [check for check in checks if not check.ok]
+    if any(check.name == "matched_budget" for check in failed):
+        raise BudgetMismatch(
+            f"matched-budget certificate needs delta_test == delta_train, got "
+            f"{budget.delta_test:g} != {budget.delta_train:g}"
+        )
+    diagnostics = tuple(check.render() for check in checks)
     if failed:
         raise PreconditionViolated(
             "certificate preconditions violated: "
-            + "; ".join(c.render() for c in failed),
-            diagnostics=tuple(c.render() for c in checks),
+            + "; ".join(check.render() for check in failed),
+            diagnostics=diagnostics,
         )
-    return tuple(c.render() for c in checks)
 
-
-def _report(
-    theorem_id: TheoremId,
-    bound: float,
-    cgf: CgfConstants,
-    beta: float,
-    diagnostics: tuple[str, ...],
-) -> CertificateReport:
+    cgf = _cgf(row.kind, noise, prior, dist, d, budget.delta_test, t=1.0)
+    sigma_sq, sigma_p_sq = noise.sigma_sq, prior.sigma_p_sq
+    r = sigma_p_sq / sigma_sq
+    k = _k_delta(data, noise, prior, budget.delta_train) if row.robust_u else 1.0
+    m = 2.0 if row.robust_u else 1.0
+    logdet_u, quad_u = _gram_terms(data, k, m * r)
+    bound = row.scale * (logdet_u + m / k * quad_u / sigma_sq) / (2.0 * n)
+    if row.minus_v:
+        logdet_v, quad_v = _gram_terms(data, k, r)
+        bound -= (logdet_v + 2.0 * k * quad_v / sigma_sq) / (2.0 * n)
+    bound += math.log(1.0 / beta) / n + cgf.tail
+    if row.gap is not None:
+        gap = row.gap.size(budget)
+        bound += d * gap * sigma_p_sq / (sigma_sq - 2.0 * n * gap * sigma_p_sq)
     return CertificateReport(
-        bound_value=float(bound),
-        cgf_c=cgf.c,
-        cgf_s_sq=cgf.s_sq,
-        t=cgf.t,
-        beta=beta,
-        theorem_id=theorem_id,
-        precondition_ok=True,
-        diagnostics=diagnostics,
+        bound_value=float(bound), cgf_c=cgf.c, cgf_s_sq=cgf.s_sq, t=cgf.t,
+        beta=beta, theorem_id=theorem_id, diagnostics=diagnostics,
     )
 
 
@@ -330,26 +343,8 @@ def cert_bayes_standard(
     dist: DataDistributionSpec,
     beta: float = DEFAULT_BETA,
 ) -> CertificateReport:
-    """Certificate on the Bayes posterior's standard test risk.
-
-    log det(W_d) / (2n) + Y'W_n^{-1}Y / (2 n sigma^2) + log(1/beta)/n + tail,
-    with W_d = I + (sigma_p^2/sigma^2) X'X and standard constants at t = 1.
-    """
-    diags = _require(
-        validate_preconditions(
-            TheoremId.BAYES_STD, noise, prior, dist, None, data.n, data.d, beta
-        )
-    )
-    cgf = cgf_standard(noise, prior, dist, data.d, t=1.0)
-    logdet_d, quad_n = _gram_terms(data, 1.0, prior.sigma_p_sq / noise.sigma_sq)
-    n = data.n
-    bound = (
-        0.5 * logdet_d / n
-        + 0.5 * quad_n / (n * noise.sigma_sq)
-        + math.log(1.0 / beta) / n
-        + cgf.tail
-    )
-    return _report(TheoremId.BAYES_STD, bound, cgf, beta, diags)
+    """Certificate on the Bayes posterior's standard test risk (row BayesStd)."""
+    return _certify(TheoremId.BAYES_STD, data, noise, prior, dist, _NO_BUDGET, beta)
 
 
 def cert_bayes_adversarial(
@@ -360,35 +355,9 @@ def cert_bayes_adversarial(
     budget: PerturbationBudget,
     beta: float = DEFAULT_BETA,
 ) -> CertificateReport:
-    """Certificate on the Bayes posterior's adversarial test risk at delta_test.
-
-    Doubles the standard data terms and adds the mismatch term
-    d delta_test^2 sigma_p^2 / (sigma^2 - 2 n delta_test^2 sigma_p^2);
-    adversarial constants at t = 1.
-    """
-    diags = _require(
-        validate_preconditions(
-            TheoremId.BAYES_ADV, noise, prior, dist, budget, data.n, data.d, beta
-        )
-    )
-    dt = budget.delta_test
-    cgf = cgf_adversarial(noise, prior, dist, data.d, dt, t=1.0)
-    logdet_d, quad_n = _gram_terms(data, 1.0, prior.sigma_p_sq / noise.sigma_sq)
-    n = data.n
-    extra = (
-        data.d
-        * dt ** 2
-        * prior.sigma_p_sq
-        / (noise.sigma_sq - 2.0 * n * dt ** 2 * prior.sigma_p_sq)
-    )
-    bound = (
-        logdet_d / n
-        + quad_n / (n * noise.sigma_sq)
-        + math.log(1.0 / beta) / n
-        + cgf.tail
-        + extra
-    )
-    return _report(TheoremId.BAYES_ADV, bound, cgf, beta, diags)
+    """Certificate on the Bayes posterior's adversarial test risk at delta_test
+    (row BayesAdv)."""
+    return _certify(TheoremId.BAYES_ADV, data, noise, prior, dist, budget, beta)
 
 
 def cert_robust_standard(
@@ -399,36 +368,9 @@ def cert_robust_standard(
     budget: PerturbationBudget,
     beta: float = DEFAULT_BETA,
 ) -> CertificateReport:
-    """Certificate on the robust posterior's standard test risk.
-
-    Combines the robust-normalizer envelope (U matrices, doubled) with the
-    exact Bayes normalizer taken at the inflated ridge (V matrices), using
-    standard constants at t = 1:
-
-    log det(U_d)/n + 2 Y'U_n^{-1}Y / (n k sigma^2)
-    - log det(V_d)/(2n) - k Y'V_n^{-1}Y / (n sigma^2)
-    + log(1/beta)/n + tail.
-    """
-    diags = _require(
-        validate_preconditions(
-            TheoremId.ROBUST_STD, noise, prior, dist, budget, data.n, data.d, beta
-        )
-    )
-    cgf = cgf_standard(noise, prior, dist, data.d, t=1.0)
-    k = _k_delta(data, noise, prior, budget.delta_train)
-    ratio = prior.sigma_p_sq / noise.sigma_sq
-    logdet_u, quad_u = _gram_terms(data, k, 2.0 * ratio)
-    logdet_v, quad_v = _gram_terms(data, k, ratio)
-    n = data.n
-    bound = (
-        logdet_u / n
-        + 2.0 * quad_u / (n * k * noise.sigma_sq)
-        - 0.5 * logdet_v / n
-        - k * quad_v / (n * noise.sigma_sq)
-        + math.log(1.0 / beta) / n
-        + cgf.tail
-    )
-    return _report(TheoremId.ROBUST_STD, bound, cgf, beta, diags)
+    """Certificate on the robust posterior's standard test risk (row RobustStd):
+    the robust-normalizer envelope (U) less the Bayes normalizer at ridge k (V)."""
+    return _certify(TheoremId.ROBUST_STD, data, noise, prior, dist, budget, beta)
 
 
 def cert_robust_adversarial_matched(
@@ -439,40 +381,9 @@ def cert_robust_adversarial_matched(
     budget: PerturbationBudget,
     beta: float = DEFAULT_BETA,
 ) -> CertificateReport:
-    """Certificate on the robust posterior's adversarial risk when delta_test
-    equals delta_train.
-
-    log det(U_d)/(2n) + Y'U_n^{-1}Y / (n k sigma^2) + log(1/beta)/n + tail,
-    adversarial constants at t = 1.
-    """
-    if budget.delta_test != budget.delta_train:
-        raise BudgetMismatch(
-            f"matched-budget certificate needs delta_test == delta_train, got "
-            f"{budget.delta_test:g} != {budget.delta_train:g}"
-        )
-    diags = _require(
-        validate_preconditions(
-            TheoremId.ROBUST_ADV_MATCHED,
-            noise,
-            prior,
-            dist,
-            budget,
-            data.n,
-            data.d,
-            beta,
-        )
-    )
-    cgf = cgf_adversarial(noise, prior, dist, data.d, budget.delta_test, t=1.0)
-    k = _k_delta(data, noise, prior, budget.delta_train)
-    logdet_u, quad_u = _gram_terms(data, k, 2.0 * prior.sigma_p_sq / noise.sigma_sq)
-    n = data.n
-    bound = (
-        0.5 * logdet_u / n
-        + quad_u / (n * k * noise.sigma_sq)
-        + math.log(1.0 / beta) / n
-        + cgf.tail
-    )
-    return _report(TheoremId.ROBUST_ADV_MATCHED, bound, cgf, beta, diags)
+    """Certificate on the robust posterior's adversarial risk at delta_test ==
+    delta_train (row RobustAdvMatched); raises :class:`BudgetMismatch` otherwise."""
+    return _certify(TheoremId.ROBUST_ADV_MATCHED, data, noise, prior, dist, budget, beta)
 
 
 def cert_robust_adversarial_general(
@@ -483,41 +394,6 @@ def cert_robust_adversarial_general(
     budget: PerturbationBudget,
     beta: float = DEFAULT_BETA,
 ) -> CertificateReport:
-    """Certificate on the robust posterior's adversarial risk for any delta_test.
-
-    Doubles the matched-budget data terms and adds the budget-mismatch term
-    (delta_test^2 - delta_train^2) sigma_p^2 d
-    / (sigma^2 - 2 n (delta_test^2 - delta_train^2) sigma_p^2);
-    adversarial constants at t = 1.
-    """
-    diags = _require(
-        validate_preconditions(
-            TheoremId.ROBUST_ADV_GENERAL,
-            noise,
-            prior,
-            dist,
-            budget,
-            data.n,
-            data.d,
-            beta,
-        )
-    )
-    cgf = cgf_adversarial(noise, prior, dist, data.d, budget.delta_test, t=1.0)
-    k = _k_delta(data, noise, prior, budget.delta_train)
-    logdet_u, quad_u = _gram_terms(data, k, 2.0 * prior.sigma_p_sq / noise.sigma_sq)
-    n = data.n
-    gap = budget.delta_test ** 2 - budget.delta_train ** 2
-    extra = (
-        gap
-        * prior.sigma_p_sq
-        * data.d
-        / (noise.sigma_sq - 2.0 * n * gap * prior.sigma_p_sq)
-    )
-    bound = (
-        logdet_u / n
-        + 2.0 * quad_u / (n * k * noise.sigma_sq)
-        + math.log(1.0 / beta) / n
-        + cgf.tail
-        + extra
-    )
-    return _report(TheoremId.ROBUST_ADV_GENERAL, bound, cgf, beta, diags)
+    """Certificate on the robust posterior's adversarial risk for any delta_test
+    (row RobustAdvGeneral)."""
+    return _certify(TheoremId.ROBUST_ADV_GENERAL, data, noise, prior, dist, budget, beta)

@@ -144,12 +144,8 @@ def _parse_theorems(spec: str) -> list[str]:
     return names
 
 
-def _parse_float_list(spec: str) -> list[float]:
-    return [float(s) for s in str(spec).split(",") if str(s).strip()]
-
-
-def _parse_int_list(spec: str) -> list[int]:
-    return [int(s) for s in str(spec).split(",") if str(s).strip()]
+def _parse_list(spec, kind) -> list:
+    return [kind(s) for s in str(spec).split(",") if str(s).strip()]
 
 
 def _write_json(payload: dict, out: Optional[str]) -> None:
@@ -159,6 +155,66 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _synthetic_spec(resolved: dict, n, seed) -> SyntheticSpec:
+    """The synthetic-data spec of a resolved config, at n rows and seed."""
+    return SyntheticSpec(
+        n=int(n),
+        d=int(resolved["d"]),
+        sigma_x_sq=float(resolved["sigma_x_sq"]),
+        sigma_sq=float(resolved["sigma_sq"]),
+        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
+        seed=int(seed),
+    )
+
+
+def _certificate_inputs(resolved: dict):
+    """(noise, prior, distribution spec, budget, beta) of a resolved config."""
+    return (
+        NoiseModel(float(resolved["sigma_sq"])),
+        IsotropicPrior(float(resolved["sigma_p_sq"])),
+        DataDistributionSpec(
+            sigma_x_sq=float(resolved["sigma_x_sq"]),
+            theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
+        ),
+        PerturbationBudget(
+            delta_train=float(resolved["delta"]),
+            delta_test=float(resolved["delta_hat"]),
+        ),
+        float(resolved["beta"]),
+    )
+
+
+def _certificate(name: str, data: Dataset, noise, prior, dist, budget, beta):
+    """Run one named certificate; bayes-std takes no perturbation budget."""
+    fn = THEOREM_CHOICES[name]
+    if name == "bayes-std":
+        return fn(data, noise, prior, dist, beta)
+    return fn(data, noise, prior, dist, budget, beta)
+
+
+def _robust_hmc(train: Dataset, noise, prior, delta: float, seed: int, resolved: dict):
+    """HMC draws from the robust posterior fitted at training radius delta."""
+    return hmc_sample(
+        lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
+        lambda th: robust_log_density_grad(th, train, noise, prior, delta),
+        train.d,
+        HmcConfig(
+            n_samples=int(resolved["hmc_samples"]),
+            n_warmup=int(resolved["hmc_warmup"]),
+            leapfrog_steps=int(resolved["leapfrog"]),
+            seed=seed,
+        ),
+    )
+
+
+def _risk(posterior, test: Dataset, noise, delta_hat: float, seed: int, resolved: dict):
+    """Expected test risk at delta_hat; an exact posterior is sampled (seeded)
+    as many times as HMC draws."""
+    return expected_risk(
+        posterior, test, noise, delta_hat, n_draws=int(resolved["hmc_samples"]), seed=seed
+    )
 
 
 # --------------------------------------------------------------------------
@@ -180,15 +236,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     )
     if resolved["n"] is None or resolved["d"] is None or resolved["out"] is None:
         raise ValueError("gen-data requires --n, --d and --out")
-    spec = SyntheticSpec(
-        n=int(resolved["n"]),
-        d=int(resolved["d"]),
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        sigma_sq=float(resolved["sigma_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-        seed=int(resolved["seed"]),
+    data, theta_star = generate_synthetic(
+        _synthetic_spec(resolved, resolved["n"], resolved["seed"])
     )
-    data, theta_star = generate_synthetic(spec)
     save_csv(data, resolved["out"])
     sidecar = {
         "config": _public_config(resolved),
@@ -212,15 +262,9 @@ def _load_or_generate(resolved: dict) -> tuple[Dataset, str, str]:
         return data, _digest_file(resolved["data"]), "plug-in, not certified"
     if resolved.get("n") is None or resolved.get("d") is None:
         raise ValueError("provide --data or a synthetic spec (--n and --d)")
-    spec = SyntheticSpec(
-        n=int(resolved["n"]),
-        d=int(resolved["d"]),
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        sigma_sq=float(resolved["sigma_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-        seed=int(resolved["seed"]),
+    data, _ = generate_synthetic(
+        _synthetic_spec(resolved, resolved["n"], resolved["seed"])
     )
-    data, _ = generate_synthetic(spec)
     digest = _digest_text(json.dumps(_public_config(resolved), sort_keys=True))
     return data, digest, "synthetic"
 
@@ -249,24 +293,11 @@ def cmd_certify(args: argparse.Namespace) -> int:
         if resolved[required] is None:
             raise ValueError(f"certify requires --{required.replace('_', '-')}")
     data, digest, source = _load_or_generate(resolved)
-    noise = NoiseModel(float(resolved["sigma_sq"]))
-    prior = IsotropicPrior(float(resolved["sigma_p_sq"]))
-    dist = DataDistributionSpec(
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-    )
-    budget = PerturbationBudget(
-        delta_train=float(resolved["delta"]), delta_test=float(resolved["delta_hat"])
-    )
-    beta = float(resolved["beta"])
-    reports = []
-    for name in _parse_theorems(str(resolved["theorem"])):
-        fn = THEOREM_CHOICES[name]
-        if name == "bayes-std":
-            report = fn(data, noise, prior, dist, beta)
-        else:
-            report = fn(data, noise, prior, dist, budget, beta)
-        reports.append(report.to_dict())
+    inputs = _certificate_inputs(resolved)
+    reports = [
+        _certificate(name, data, *inputs).to_dict()
+        for name in _parse_theorems(str(resolved["theorem"]))
+    ]
     _write_json(
         {
             "config": _public_config(resolved),
@@ -291,37 +322,18 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
     prior = IsotropicPrior(float(resolved["sigma_p_sq"]))
     delta = float(resolved["delta"])
     eval_deltas = [0.0] + [
-        dh for dh in _parse_float_list(resolved["delta_hat"]) if dh != 0.0
+        dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0
     ]
 
     exact = bayes_posterior(train, noise, prior)
-    hmc = hmc_sample(
-        lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
-        lambda th: robust_log_density_grad(th, train, noise, prior, delta),
-        train.d,
-        HmcConfig(
-            n_samples=int(resolved["hmc_samples"]),
-            n_warmup=int(resolved["hmc_warmup"]),
-            leapfrog_steps=int(resolved["leapfrog"]),
-            seed=seed,
-        ),
-    )
+    hmc = _robust_hmc(train, noise, prior, delta, seed, resolved)
     metrics = []
     for dh in eval_deltas:
-        bayes_risk = expected_risk(
-            exact, test, noise, dh, n_draws=int(resolved["hmc_samples"]), seed=seed
-        )
-        robust_risk = expected_risk(hmc, test, noise, dh)
-        metrics.append(
-            {
-                "delta_hat": dh,
-                "bayes": {"value": bayes_risk.value, "std_error": bayes_risk.std_error},
-                "robust": {
-                    "value": robust_risk.value,
-                    "std_error": robust_risk.std_error,
-                },
-            }
-        )
+        entry = {"delta_hat": dh}
+        for which, posterior in (("bayes", exact), ("robust", hmc)):
+            risk = _risk(posterior, test, noise, dh, seed, resolved)
+            entry[which] = {"value": risk.value, "std_error": risk.std_error}
+        metrics.append(entry)
     return {
         "seed": seed,
         "n_train": train.n,
@@ -417,69 +429,28 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     second seed would score the fit against a different truth.
     """
     (n, seed, resolved) = payload
-    gen_spec = SyntheticSpec(
-        n=n + int(resolved["n_test"]),
-        d=int(resolved["d"]),
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        sigma_sq=float(resolved["sigma_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-        seed=seed,
+    full, _ = generate_synthetic(
+        _synthetic_spec(resolved, n + int(resolved["n_test"]), seed)
     )
-    full, _ = generate_synthetic(gen_spec)
     train = validate_dataset(full.X[:n], full.Y[:n])
     test = validate_dataset(full.X[n:], full.Y[n:])
-    noise = NoiseModel(float(resolved["sigma_sq"]))
-    prior = IsotropicPrior(float(resolved["sigma_p_sq"]))
-    dist = DataDistributionSpec(
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-    )
-    budget = PerturbationBudget(
-        delta_train=float(resolved["delta"]), delta_test=float(resolved["delta_hat"])
-    )
-    beta = float(resolved["beta"])
+    noise, prior, dist, budget, beta = _certificate_inputs(resolved)
     theorems = _parse_theorems(str(resolved["theorem"]))
 
     exact = bayes_posterior(train, noise, prior)
-    needs_robust = any(name.startswith("robust") for name in theorems)
     hmc = None
-    if needs_robust:
-        hmc = hmc_sample(
-            lambda th: robust_log_density_unnorm(
-                th, train, noise, prior, budget.delta_train
-            ),
-            lambda th: robust_log_density_grad(
-                th, train, noise, prior, budget.delta_train
-            ),
-            train.d,
-            HmcConfig(
-                n_samples=int(resolved["hmc_samples"]),
-                n_warmup=int(resolved["hmc_warmup"]),
-                leapfrog_steps=int(resolved["leapfrog"]),
-                seed=seed,
-            ),
-        )
+    if any(name.startswith("robust") for name in theorems):
+        hmc = _robust_hmc(train, noise, prior, budget.delta_train, seed, resolved)
 
     rows = []
     risk_cache: dict = {}
     for name in theorems:
-        fn = THEOREM_CHOICES[name]
-        if name == "bayes-std":
-            report = fn(train, noise, prior, dist, beta)
-        else:
-            report = fn(train, noise, prior, dist, budget, beta)
-        posterior_kind = "bayes" if name.startswith("bayes") else "robust"
+        report = _certificate(name, train, noise, prior, dist, budget, beta)
+        bayes = name.startswith("bayes")
         dh = 0.0 if name.endswith("-std") else budget.delta_test
-        key = (posterior_kind, dh)
-        if key not in risk_cache:
-            if posterior_kind == "bayes":
-                risk_cache[key] = expected_risk(
-                    exact, test, noise, dh,
-                    n_draws=int(resolved["hmc_samples"]), seed=seed,
-                )
-            else:
-                risk_cache[key] = expected_risk(hmc, test, noise, dh)
-        risk = risk_cache[key]
+        if (bayes, dh) not in risk_cache:
+            risk_cache[bayes, dh] = _risk(exact if bayes else hmc, test, noise, dh, seed, resolved)
+        risk = risk_cache[bayes, dh]
         rows.append(
             {
                 "n": n,
@@ -529,12 +500,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = int(resolved["seed"])
     cells = [
         (n, base + rep, resolved)
-        for n in _parse_int_list(resolved["n_grid"])
+        for n in _parse_list(resolved["n_grid"], int)
         for rep in range(int(resolved["seeds"]))
     ]
-    jobs = int(resolved["jobs"])
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # A process pool starts all its workers at the first submit; never start
+    # more than there are cells.
+    workers = min(int(resolved["jobs"]), len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
     else:
         results = [_sweep_cell(cell) for cell in cells]

@@ -263,8 +263,9 @@ class TheoremId(enum.Enum):
 class CertificateReport:
     """A computed certificate: the bound, its tail constants, and diagnostics.
 
-    Instances are only produced when every precondition passed, so
-    precondition_ok is True and the diagnostics record the checks performed.
+    Instances are only produced when every precondition passed, so the
+    diagnostics record passing checks and ``to_dict`` reports
+    ``precondition_ok: true``.
     """
 
     bound_value: float
@@ -273,19 +274,17 @@ class CertificateReport:
     t: float
     beta: float
     theorem_id: TheoremId
-    precondition_ok: bool
     diagnostics: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.precondition_ok:
-            if not (0.0 < self.cgf_c < 1.0):
-                raise ValueError(
-                    f"cgf_c must lie in (0,1) for a valid report, got {self.cgf_c}"
-                )
-            if not math.isfinite(self.bound_value):
-                raise ValueError(f"bound_value must be finite, got {self.bound_value}")
+        if not (0.0 < self.cgf_c < 1.0):
+            raise ValueError(
+                f"cgf_c must lie in (0,1) for a valid report, got {self.cgf_c}"
+            )
+        if not math.isfinite(self.bound_value):
+            raise ValueError(f"bound_value must be finite, got {self.bound_value}")
 
     def to_dict(self) -> dict:
         return {
@@ -295,6 +294,6 @@ class CertificateReport:
             "s_sq": self.cgf_s_sq,
             "t": self.t,
             "beta": self.beta,
-            "precondition_ok": self.precondition_ok,
+            "precondition_ok": True,
             "preconditions": list(self.diagnostics),
         }

@@ -6,6 +6,7 @@ work. One subprocess test confirms the console-script wiring: it builds the
 pyproject.toml and runs it by name, so it needs no install.
 """
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -251,6 +252,48 @@ def test_sweep_csv_shape_and_determinism(tmp_path):
     assert all(np.isfinite(float(r[3])) for r in rows)
 
 
+def test_sweep_jobs_never_exceed_cells(tmp_path, monkeypatch):
+    """--jobs asks the pool for at most one worker per (n, seed) cell, runs a
+    single cell in-process, and leaves the rows unchanged. The pool is a fake
+    that maps in-process, so no worker is ever started."""
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    args = [
+        "sweep", "--n-test", "50", "--d", "2", "--sigma-p-sq", "0.25",
+        "--seeds", "1", "--theorem", "bayes-std",
+    ]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert cli.main(args + ["--n-grid", "10,20", "--out", str(serial)]) == 0
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert cli.main(args + ["--n-grid", "10,20", "--jobs", "8", "--out", str(pooled)]) == 0
+    assert asked == [2]
+
+    def config_and_rows(path):
+        first, *rows = path.read_text().splitlines()
+        config = json.loads(first[len("# config: "):first.index(" inputs_digest: ")])
+        return {k: v for k, v in config.items() if k != "jobs"}, rows
+
+    assert config_and_rows(pooled) == config_and_rows(serial)
+
+    one = tmp_path / "one.csv"
+    assert cli.main(args + ["--n-grid", "10", "--jobs", "8", "--out", str(one)]) == 0
+    assert asked == [2], "a single cell must run without a pool"
+    assert len(one.read_text().splitlines()) == 3
+
+
 def test_sweep_requires_out(capsys):
     rc = cli.main(["sweep", "--sigma-p-sq", "0.25"])
     assert rc == 1
@@ -286,16 +329,23 @@ def _write_launcher(bin_dir, ep):
     script.chmod(0o755)
 
 
-def test_console_script_runs(tmp_path):
-    ep = _console_script_entry_point()
-    bin_dir = tmp_path / "bin"
-    _write_launcher(bin_dir, ep)
+def _child_env():
+    """os.environ with the imported package's root first on PYTHONPATH, so a
+    child process imports the same certbayes without an install."""
     env = dict(os.environ)
-    env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
     package_root = str(Path(certbayes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [package_root, env.get("PYTHONPATH")] if p
     )
+    return env
+
+
+def test_console_script_runs(tmp_path):
+    ep = _console_script_entry_point()
+    bin_dir = tmp_path / "bin"
+    _write_launcher(bin_dir, ep)
+    env = _child_env()
+    env["PATH"] = os.pathsep.join([str(bin_dir), env.get("PATH", "")])
 
     def run(*args):
         return subprocess.run(
@@ -319,6 +369,7 @@ def test_module_invocation_help():
         [sys.executable, "-m", "certbayes.cli", "--help"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout and "sweep" in proc.stdout

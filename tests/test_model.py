@@ -156,7 +156,6 @@ def test_certificate_report_invariants():
         t=1.0,
         beta=0.05,
         theorem_id=TheoremId.BAYES_STD,
-        precondition_ok=True,
         diagnostics=("c < 1 [pass]",),
     )
     d = ok.to_dict()
@@ -172,7 +171,6 @@ def test_certificate_report_invariants():
             t=1.0,
             beta=0.05,
             theorem_id=TheoremId.BAYES_STD,
-            precondition_ok=True,
         )
     with pytest.raises(ValueError):
         CertificateReport(
@@ -182,7 +180,6 @@ def test_certificate_report_invariants():
             t=1.0,
             beta=0.05,
             theorem_id=TheoremId.BAYES_STD,
-            precondition_ok=True,
         )
     with pytest.raises(ValueError):
         CertificateReport(
@@ -192,5 +189,4 @@ def test_certificate_report_invariants():
             t=1.0,
             beta=0.0,
             theorem_id=TheoremId.BAYES_STD,
-            precondition_ok=True,
         )
