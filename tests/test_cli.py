@@ -182,6 +182,66 @@ def test_config_file_unknown_key_exits_1(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def _every_option(tmp_path):
+    """case -> (command, a value for every option the command takes but out).
+
+    The values carry the JSON types that argparse gives the flags, so a
+    config file holding them must resolve to exactly what the flags do.
+    """
+    data = _gen(tmp_path, "data.csv", n=60, d=2)
+    train = _gen(tmp_path, "train.csv", n=30, d=2, extra=("--seed", "1"))
+    test = _gen(tmp_path, "test.csv", n=30, d=2, extra=("--seed", "2"))
+    constants = {
+        "sigma_sq": 0.5, "sigma_p_sq": 0.05, "sigma_x_sq": 1.0,
+        "theta_star_norm_sq": 0.5, "delta": 0.1, "delta_hat": 0.1, "beta": 0.1,
+    }
+    hmc = {"hmc_samples": 50, "hmc_warmup": 50, "leapfrog": 4}
+    return {
+        "gen-data": ("gen-data", {
+            "n": 40, "d": 2, "sigma_x_sq": 2.0, "sigma_sq": 0.5,
+            "theta_star_norm_sq": 0.5, "seed": 3,
+        }),
+        "certify": ("certify", {
+            "data": str(data), "target": "y", "n": 30, "d": 3, "seed": 3,
+            **constants, "theorem": "all",
+        }),
+        "fit-eval": ("fit-eval", {
+            "data": str(data), "train": str(train), "test": str(test),
+            "target": "y", "sigma_sq": 0.5, "sigma_p_sq": 0.25, "delta": 0.1,
+            "delta_hat": "0,0.1", "seed": 3, "seeds": 2, "train_fraction": 0.6,
+            "standardize": False, **hmc,
+        }),
+        "sweep": ("sweep", {
+            "n_grid": "10,20", "d": 2, "n_test": 50, **constants, "theorem": "all",
+            "seed": 3, "seeds": 1, **hmc, "jobs": 1,
+        }),
+    }
+
+
+@pytest.mark.parametrize("case", ["gen-data", "certify", "fit-eval", "sweep"])
+def test_config_file_matches_flags(case, tmp_path):
+    """One run with every option as a flag and one with the same values in a
+    --config file write byte-identical outputs."""
+    command, values = _every_option(tmp_path)[case]
+    flags = []
+    for name, value in values.items():
+        if value is False:
+            flags.append(f"--no-{name}")
+        else:
+            flags += ["--" + name.replace("_", "-"), str(value)]
+    suffix = ".csv" if command in ("gen-data", "sweep") else ".json"
+    by_flags, by_config = tmp_path / f"flags{suffix}", tmp_path / f"config{suffix}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**values, "out": str(by_config)}))
+
+    assert cli.main([command, *flags, "--out", str(by_flags)]) == 0
+    assert cli.main([command, "--config", str(cfg)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    if command == "gen-data":
+        sidecar = Path(f"{by_config}.json").read_bytes()
+        assert sidecar == Path(f"{by_flags}.json").read_bytes()
+
+
 # --- fit-eval -----------------------------------------------------------------------
 
 
