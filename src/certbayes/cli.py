@@ -10,10 +10,13 @@ sweep      certificates and empirical risks over a grid of training sizes
 Exit codes: 0 success, 1 usage or IO error, 2 certificate precondition
 violation, 3 sampler divergence.
 
-Flags override --config (a JSON object whose keys are flag names with
-dashes replaced by underscores); every output embeds the resolved
-configuration and a digest of its inputs. CERTBAYES_SEED sets the default
-base seed.
+Flags override --config, a JSON object keyed by flag names with dashes
+replaced by underscores, which overrides the defaults. Config values are
+typed like the flags: an int option takes a JSON integer, a float option any
+JSON number, ``standardize`` true or false, and ``target`` a header name or a
+0-based column index; ``null`` leaves a key unset. Every output embeds the
+resolved configuration, minus --out, and a digest of its inputs.
+CERTBAYES_SEED sets the default base seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import hashlib
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -100,30 +103,6 @@ def _digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge precedence: explicit flag > config file entry > built-in default."""
-    file_config = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_config = json.load(fh)
-        unknown = set(file_config) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"unknown config keys {sorted(unknown)}; expected a subset of "
-                f"{sorted(defaults)}"
-            )
-    resolved = {}
-    for name, default in defaults.items():
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            resolved[name] = flag_value
-        elif name in file_config:
-            resolved[name] = file_config[name]
-        else:
-            resolved[name] = default
-    return resolved
-
-
 def _public_config(resolved: dict) -> dict:
     """Resolved config minus the output path, for embedding in outputs:
     it describes what was computed, not where it was written, so reruns
@@ -144,8 +123,8 @@ def _parse_theorems(spec: str) -> list[str]:
     return names
 
 
-def _parse_list(spec, kind) -> list:
-    return [kind(s) for s in str(spec).split(",") if str(s).strip()]
+def _parse_list(spec: str, kind) -> list:
+    return [kind(s) for s in spec.split(",") if s.strip()]
 
 
 def _write_json(payload: dict, out: Optional[str]) -> None:
@@ -157,32 +136,31 @@ def _write_json(payload: dict, out: Optional[str]) -> None:
         print(text)
 
 
-def _synthetic_spec(resolved: dict, n, seed) -> SyntheticSpec:
+def _synthetic_spec(resolved: dict, n: int, seed: int) -> SyntheticSpec:
     """The synthetic-data spec of a resolved config, at n rows and seed."""
     return SyntheticSpec(
-        n=int(n),
-        d=int(resolved["d"]),
-        sigma_x_sq=float(resolved["sigma_x_sq"]),
-        sigma_sq=float(resolved["sigma_sq"]),
-        theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
-        seed=int(seed),
+        n=n,
+        d=resolved["d"],
+        sigma_x_sq=resolved["sigma_x_sq"],
+        sigma_sq=resolved["sigma_sq"],
+        theta_star_norm_sq=resolved["theta_star_norm_sq"],
+        seed=seed,
     )
 
 
 def _certificate_inputs(resolved: dict):
     """(noise, prior, distribution spec, budget, beta) of a resolved config."""
     return (
-        NoiseModel(float(resolved["sigma_sq"])),
-        IsotropicPrior(float(resolved["sigma_p_sq"])),
+        NoiseModel(resolved["sigma_sq"]),
+        IsotropicPrior(resolved["sigma_p_sq"]),
         DataDistributionSpec(
-            sigma_x_sq=float(resolved["sigma_x_sq"]),
-            theta_star_norm_sq=float(resolved["theta_star_norm_sq"]),
+            sigma_x_sq=resolved["sigma_x_sq"],
+            theta_star_norm_sq=resolved["theta_star_norm_sq"],
         ),
         PerturbationBudget(
-            delta_train=float(resolved["delta"]),
-            delta_test=float(resolved["delta_hat"]),
+            delta_train=resolved["delta"], delta_test=resolved["delta_hat"]
         ),
-        float(resolved["beta"]),
+        resolved["beta"],
     )
 
 
@@ -201,9 +179,9 @@ def _robust_hmc(train: Dataset, noise, prior, delta: float, seed: int, resolved:
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
         train.d,
         HmcConfig(
-            n_samples=int(resolved["hmc_samples"]),
-            n_warmup=int(resolved["hmc_warmup"]),
-            leapfrog_steps=int(resolved["leapfrog"]),
+            n_samples=resolved["hmc_samples"],
+            n_warmup=resolved["hmc_warmup"],
+            leapfrog_steps=resolved["leapfrog"],
             seed=seed,
         ),
     )
@@ -213,7 +191,7 @@ def _risk(posterior, test: Dataset, noise, delta_hat: float, seed: int, resolved
     """Expected test risk at delta_hat; an exact posterior is sampled (seeded)
     as many times as HMC draws."""
     return expected_risk(
-        posterior, test, noise, delta_hat, n_draws=int(resolved["hmc_samples"]), seed=seed
+        posterior, test, noise, delta_hat, n_draws=resolved["hmc_samples"], seed=seed
     )
 
 
@@ -221,21 +199,7 @@ def _risk(posterior, test: Dataset, noise, delta_hat: float, seed: int, resolved
 # gen-data
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "n": None,
-            "d": None,
-            "sigma_x_sq": 1.0,
-            "sigma_sq": 1.0,
-            "theta_star_norm_sq": 1.0,
-            "seed": _env_seed(),
-            "out": None,
-        },
-    )
-    if resolved["n"] is None or resolved["d"] is None or resolved["out"] is None:
-        raise ValueError("gen-data requires --n, --d and --out")
+def cmd_gen_data(resolved: dict) -> int:
     data, theta_star = generate_synthetic(
         _synthetic_spec(resolved, resolved["n"], resolved["seed"])
     )
@@ -245,9 +209,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         "theta_star": list(theta_star),
         "inputs_digest": _digest_file(resolved["out"]),
     }
-    with open(str(resolved["out"]) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(sidecar, resolved["out"] + ".json")
     return 0
 
 
@@ -257,10 +219,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def _load_or_generate(resolved: dict) -> tuple[Dataset, str, str]:
     """Returns (dataset, inputs digest, distribution-spec source label)."""
-    if resolved.get("data"):
+    if resolved["data"]:
         data = load_csv(resolved["data"], resolved["target"])
         return data, _digest_file(resolved["data"]), "plug-in, not certified"
-    if resolved.get("n") is None or resolved.get("d") is None:
+    if resolved["n"] is None or resolved["d"] is None:
         raise ValueError("provide --data or a synthetic spec (--n and --d)")
     data, _ = generate_synthetic(
         _synthetic_spec(resolved, resolved["n"], resolved["seed"])
@@ -269,34 +231,12 @@ def _load_or_generate(resolved: dict) -> tuple[Dataset, str, str]:
     return data, digest, "synthetic"
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None,
-            "target": "y",
-            "n": None,
-            "d": None,
-            "seed": _env_seed(),
-            "sigma_sq": 1.0,
-            "sigma_p_sq": None,
-            "sigma_x_sq": None,
-            "theta_star_norm_sq": None,
-            "delta": 0.0,
-            "delta_hat": 0.0,
-            "beta": certs.DEFAULT_BETA,
-            "theorem": "all",
-            "out": None,
-        },
-    )
-    for required in ("sigma_p_sq", "sigma_x_sq", "theta_star_norm_sq"):
-        if resolved[required] is None:
-            raise ValueError(f"certify requires --{required.replace('_', '-')}")
+def cmd_certify(resolved: dict) -> int:
     data, digest, source = _load_or_generate(resolved)
     inputs = _certificate_inputs(resolved)
     reports = [
         _certificate(name, data, *inputs).to_dict()
-        for name in _parse_theorems(str(resolved["theorem"]))
+        for name in _parse_theorems(resolved["theorem"])
     ]
     _write_json(
         {
@@ -318,15 +258,14 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
     """Fit both posteriors on one train/test pair and evaluate every radius."""
     if resolved["standardize"]:
         train, test, _ = standardize_fit_transform(train, test)
-    noise = NoiseModel(float(resolved["sigma_sq"]))
-    prior = IsotropicPrior(float(resolved["sigma_p_sq"]))
-    delta = float(resolved["delta"])
+    noise = NoiseModel(resolved["sigma_sq"])
+    prior = IsotropicPrior(resolved["sigma_p_sq"])
     eval_deltas = [0.0] + [
         dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0
     ]
 
     exact = bayes_posterior(train, noise, prior)
-    hmc = _robust_hmc(train, noise, prior, delta, seed, resolved)
+    hmc = _robust_hmc(train, noise, prior, resolved["delta"], seed, resolved)
     metrics = []
     for dh in eval_deltas:
         entry = {"delta_hat": dh}
@@ -343,31 +282,7 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
     }
 
 
-def cmd_fit_eval(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "data": None,
-            "target": "y",
-            "train": None,
-            "test": None,
-            "sigma_sq": 1.0,
-            "sigma_p_sq": None,
-            "delta": 0.0,
-            "delta_hat": "0",
-            "seed": _env_seed(),
-            "seeds": 1,
-            "train_fraction": 0.7,
-            "standardize": True,
-            "hmc_samples": 4000,
-            "hmc_warmup": 2000,
-            "leapfrog": 32,
-            "out": None,
-        },
-    )
-    if resolved["sigma_p_sq"] is None:
-        raise ValueError("fit-eval requires --sigma-p-sq")
-
+def cmd_fit_eval(resolved: dict) -> int:
     runs = []
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
@@ -375,35 +290,30 @@ def cmd_fit_eval(args: argparse.Namespace) -> int:
         train = load_csv(resolved["train"], resolved["target"])
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
-        runs.append(_fit_eval_run(train, test, int(resolved["seed"]), resolved))
+        runs.append(_fit_eval_run(train, test, resolved["seed"], resolved))
     else:
         if not resolved["data"]:
             raise ValueError("fit-eval requires --data or --train/--test")
         data = load_csv(resolved["data"], resolved["target"])
         digest = _digest_file(resolved["data"])
-        base = int(resolved["seed"])
-        for rep in range(int(resolved["seeds"])):
-            seed = base + rep
+        for rep in range(resolved["seeds"]):
+            seed = resolved["seed"] + rep
             train, test = split(
-                data,
-                SplitSpec(
-                    train_fraction=float(resolved["train_fraction"]), seed=seed
-                ),
+                data, SplitSpec(train_fraction=resolved["train_fraction"], seed=seed)
             )
             runs.append(_fit_eval_run(train, test, seed, resolved))
 
     # Across-seed mean and standard deviation per (posterior, delta_hat).
     summary = []
-    if runs:
-        for slot, entry in enumerate(runs[0]["metrics"]):
-            row = {"delta_hat": entry["delta_hat"]}
-            for which in ("bayes", "robust"):
-                vals = np.array([r["metrics"][slot][which]["value"] for r in runs])
-                row[which] = {
-                    "mean": float(vals.mean()),
-                    "sd": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-                }
-            summary.append(row)
+    for slot, entry in enumerate(runs[0]["metrics"]):
+        row = {"delta_hat": entry["delta_hat"]}
+        for which in ("bayes", "robust"):
+            vals = np.array([r["metrics"][slot][which]["value"] for r in runs])
+            row[which] = {
+                "mean": float(vals.mean()),
+                "sd": float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+            }
+        summary.append(row)
 
     _write_json(
         {
@@ -430,12 +340,12 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     """
     (n, seed, resolved) = payload
     full, _ = generate_synthetic(
-        _synthetic_spec(resolved, n + int(resolved["n_test"]), seed)
+        _synthetic_spec(resolved, n + resolved["n_test"], seed)
     )
     train = validate_dataset(full.X[:n], full.Y[:n])
     test = validate_dataset(full.X[n:], full.Y[n:])
     noise, prior, dist, budget, beta = _certificate_inputs(resolved)
-    theorems = _parse_theorems(str(resolved["theorem"]))
+    theorems = _parse_theorems(resolved["theorem"])
 
     exact = bayes_posterior(train, noise, prior)
     hmc = None
@@ -467,45 +377,17 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     return rows
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    resolved = _resolve(
-        args,
-        {
-            "n_grid": "10,100,1000,10000",
-            "d": 5,
-            "n_test": 10000,
-            "sigma_sq": 1.0,
-            "sigma_p_sq": None,
-            "sigma_x_sq": 1.0,
-            "theta_star_norm_sq": 1.0,
-            "delta": 0.0,
-            "delta_hat": 0.0,
-            "beta": certs.DEFAULT_BETA,
-            "theorem": _PLOTTED_DEFAULT,
-            "seed": _env_seed(),
-            "seeds": 5,
-            "hmc_samples": 2000,
-            "hmc_warmup": 1000,
-            "leapfrog": 16,
-            "jobs": 1,
-            "out": None,
-        },
-    )
-    if resolved["sigma_p_sq"] is None:
-        raise ValueError("sweep requires --sigma-p-sq")
-    if resolved["out"] is None:
-        raise ValueError("sweep requires --out")
-    _parse_theorems(str(resolved["theorem"]))  # validate early
+def cmd_sweep(resolved: dict) -> int:
+    _parse_theorems(resolved["theorem"])  # validate early
 
-    base = int(resolved["seed"])
     cells = [
-        (n, base + rep, resolved)
+        (n, resolved["seed"] + rep, resolved)
         for n in _parse_list(resolved["n_grid"], int)
-        for rep in range(int(resolved["seeds"]))
+        for rep in range(resolved["seeds"])
     ]
     # A process pool starts all its workers at the first submit; never start
     # more than there are cells.
-    workers = min(int(resolved["jobs"]), len(cells))
+    workers = min(resolved["jobs"], len(cells))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_cell, cells))
@@ -531,93 +413,160 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser
+# options: each declared once, in _OPTIONS (type, help) and _COMMANDS (the
+# defaults of each command); the parser and _resolve are built from them.
+
+_REQUIRED = object()  # a default: the command cannot run without the value
+
+
+class _Option(NamedTuple):
+    """An option's value type (int, float, str or bool) and help. A bool
+    option is the flag --no-<name>, which sets it false. A config file may
+    give ``kind``, a type in ``also``, or a JSON integer for a float."""
+
+    kind: type
+    help: str
+    also: tuple = ()
+    minimum: Optional[int] = None
+
+
+class _Command(NamedTuple):
+    handler: Callable[[dict], int]
+    help: str
+    defaults: dict  # option name -> default, _REQUIRED, or a function giving it
+
+
+_OPTIONS = {
+    "seed": _Option(int, "base seed (default CERTBAYES_SEED)"),
+    "out": _Option(str, "output path"),
+    "data": _Option(str, "CSV dataset path"),
+    "target": _Option(
+        str, "target column header name (a config file may give a 0-based index)",
+        also=(int,),
+    ),
+    "train": _Option(str, "pre-split training CSV"),
+    "test": _Option(str, "pre-split test CSV"),
+    "n": _Option(int, "synthetic rows"),
+    "d": _Option(int, "synthetic features"),
+    "n_grid": _Option(str, "comma list of training sizes"),
+    "n_test": _Option(int, "synthetic test rows per (n, seed) cell"),
+    "sigma_sq": _Option(float, "noise variance"),
+    "sigma_p_sq": _Option(float, "prior variance"),
+    "sigma_x_sq": _Option(float, "feature variance"),
+    "theta_star_norm_sq": _Option(float, "squared norm of the true parameter"),
+    "delta": _Option(float, "training perturbation radius"),
+    "delta_hat": _Option(float, "test perturbation radius"),
+    ("fit-eval", "delta_hat"): _Option(str, "comma list of evaluation radii"),
+    "beta": _Option(float, "confidence level of the certificates"),
+    "theorem": _Option(str, "comma list or 'all'"),
+    "seeds": _Option(int, "number of seeds: splits, or repetitions per n", minimum=1),
+    "train_fraction": _Option(float, "share of rows in each training split"),
+    "standardize": _Option(bool, "skip zero-mean unit-variance standardization"),
+    "hmc_samples": _Option(int, "HMC draws kept"),
+    "hmc_warmup": _Option(int, "HMC warmup iterations"),
+    "leapfrog": _Option(int, "leapfrog steps per HMC iteration"),
+    "jobs": _Option(int, "parallel (n, seed) cells"),
+}
+
+_COMMANDS = {
+    "gen-data": _Command(cmd_gen_data, "generate a synthetic dataset", {
+        "n": _REQUIRED, "d": _REQUIRED,
+        "sigma_x_sq": 1.0, "sigma_sq": 1.0, "theta_star_norm_sq": 1.0,
+        "seed": _env_seed, "out": _REQUIRED,
+    }),
+    "certify": _Command(cmd_certify, "compute generalization certificates", {
+        "data": None, "target": "y", "n": None, "d": None, "seed": _env_seed,
+        "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED,
+        "sigma_x_sq": _REQUIRED, "theta_star_norm_sq": _REQUIRED,
+        "delta": 0.0, "delta_hat": 0.0, "beta": certs.DEFAULT_BETA,
+        "theorem": "all", "out": None,
+    }),
+    "fit-eval": _Command(cmd_fit_eval, "fit posteriors and evaluate risks", {
+        "data": None, "target": "y", "train": None, "test": None,
+        "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED, "delta": 0.0, "delta_hat": "0",
+        "seed": _env_seed, "seeds": 1, "train_fraction": 0.7, "standardize": True,
+        "hmc_samples": 4000, "hmc_warmup": 2000, "leapfrog": 32, "out": None,
+    }),
+    "sweep": _Command(cmd_sweep, "bounds and risks over training sizes", {
+        "n_grid": "10,100,1000,10000", "d": 5, "n_test": 10000,
+        "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED,
+        "sigma_x_sq": 1.0, "theta_star_norm_sq": 1.0,
+        "delta": 0.0, "delta_hat": 0.0, "beta": certs.DEFAULT_BETA,
+        "theorem": _PLOTTED_DEFAULT, "seed": _env_seed, "seeds": 5,
+        "hmc_samples": 2000, "hmc_warmup": 1000, "leapfrog": 16, "jobs": 1,
+        "out": _REQUIRED,
+    }),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _options(command: str):
+    """(name, default, table row) of each of a command's options; a
+    (command, name) row overrides the shared one."""
+    for name, default in _COMMANDS[command].defaults.items():
+        yield name, default, _OPTIONS.get((command, name)) or _OPTIONS[name]
+
+
+def _config_value(name: str, value, option: _Option):
+    """A config-file value as its option's type; None means unset."""
+    if value is None or type(value) in (option.kind, *option.also):
+        return value
+    if option.kind is float and type(value) is int:
+        return float(value)
+    expected = " or ".join(kind.__name__ for kind in (option.kind, *option.also))
+    raise ValueError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
+
+
+def _resolve(args: argparse.Namespace, command: str) -> dict:
+    """The command's options by precedence: flag > config file > default.
+
+    Raises ValueError for a config file that is not a JSON object, an
+    unknown config key, a config value of the wrong type, a value below its
+    option's minimum, and a required option left unset.
+    """
+    defaults = _COMMANDS[command].defaults
+    file_config = {}
+    if args.config:
+        with open(args.config, encoding="utf-8") as fh:
+            file_config = json.load(fh)
+        if not isinstance(file_config, dict):
+            raise ValueError(f"config file must hold a JSON object, got {json.dumps(file_config)}")
+        unknown = set(file_config) - set(defaults)
+        if unknown:
+            raise ValueError(
+                f"unknown config keys {sorted(unknown)}; expected a subset of "
+                f"{sorted(defaults)}"
+            )
+    resolved = {}
+    for name, default, option in _options(command):
+        value = getattr(args, name)
+        if value is None:
+            value = _config_value(name, file_config.get(name), option)
+        if value is None:
+            value = default() if callable(default) else default
+        if value is _REQUIRED:
+            raise ValueError(f"{command} requires {_flag(name)}")
+        if option.minimum is not None and value < option.minimum:
+            raise ValueError(f"{_flag(name)} must be at least {option.minimum}, got {value}")
+        resolved[name] = value
+    return resolved
 
 
 def build_parser() -> _Parser:
+    """The argparse parser of every command, built from ``_COMMANDS``."""
     parser = _Parser(prog="certbayes", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON config file; flags take precedence")
-        p.add_argument("--seed", type=int, help="base seed (default CERTBAYES_SEED)")
-        p.add_argument("--out", help="output path")
-
-    p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    add_common(p_gen)
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--d", type=int)
-    p_gen.add_argument("--sigma-x-sq", type=float, dest="sigma_x_sq")
-    p_gen.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-    p_gen.add_argument(
-        "--theta-star-norm-sq", type=float, dest="theta_star_norm_sq"
-    )
-    p_gen.set_defaults(func=cmd_gen_data)
-
-    p_cert = sub.add_parser("certify", help="compute generalization certificates")
-    add_common(p_cert)
-    p_cert.add_argument("--data", help="CSV dataset path")
-    p_cert.add_argument("--target", help="target column name or index")
-    p_cert.add_argument("--n", type=int, help="synthetic rows (when no --data)")
-    p_cert.add_argument("--d", type=int, help="synthetic features (when no --data)")
-    p_cert.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-    p_cert.add_argument("--sigma-p-sq", type=float, dest="sigma_p_sq")
-    p_cert.add_argument("--sigma-x-sq", type=float, dest="sigma_x_sq")
-    p_cert.add_argument("--theta-star-norm-sq", type=float, dest="theta_star_norm_sq")
-    p_cert.add_argument("--delta", type=float)
-    p_cert.add_argument("--delta-hat", type=float, dest="delta_hat")
-    p_cert.add_argument("--beta", type=float)
-    p_cert.add_argument("--theorem", help="comma list or 'all'")
-    p_cert.set_defaults(func=cmd_certify)
-
-    p_fit = sub.add_parser("fit-eval", help="fit posteriors and evaluate risks")
-    add_common(p_fit)
-    p_fit.add_argument("--data", help="CSV dataset to split per seed")
-    p_fit.add_argument("--train", help="pre-split training CSV")
-    p_fit.add_argument("--test", help="pre-split test CSV")
-    p_fit.add_argument("--target", help="target column name or index")
-    p_fit.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-    p_fit.add_argument("--sigma-p-sq", type=float, dest="sigma_p_sq")
-    p_fit.add_argument("--delta", type=float, help="training perturbation radius")
-    p_fit.add_argument(
-        "--delta-hat", dest="delta_hat", help="comma list of evaluation radii"
-    )
-    p_fit.add_argument("--seeds", type=int, help="number of split seeds")
-    p_fit.add_argument(
-        "--train-fraction", type=float, dest="train_fraction"
-    )
-    p_fit.add_argument(
-        "--no-standardize",
-        action="store_false",
-        dest="standardize",
-        default=None,
-        help="skip zero-mean unit-variance standardization",
-    )
-    p_fit.add_argument("--hmc-samples", type=int, dest="hmc_samples")
-    p_fit.add_argument("--hmc-warmup", type=int, dest="hmc_warmup")
-    p_fit.add_argument("--leapfrog", type=int)
-    p_fit.set_defaults(func=cmd_fit_eval)
-
-    p_sweep = sub.add_parser("sweep", help="bounds and risks over training sizes")
-    add_common(p_sweep)
-    p_sweep.add_argument("--n-grid", dest="n_grid", help="comma list of sizes")
-    p_sweep.add_argument("--d", type=int)
-    p_sweep.add_argument("--n-test", type=int, dest="n_test")
-    p_sweep.add_argument("--sigma-sq", type=float, dest="sigma_sq")
-    p_sweep.add_argument("--sigma-p-sq", type=float, dest="sigma_p_sq")
-    p_sweep.add_argument("--sigma-x-sq", type=float, dest="sigma_x_sq")
-    p_sweep.add_argument("--theta-star-norm-sq", type=float, dest="theta_star_norm_sq")
-    p_sweep.add_argument("--delta", type=float)
-    p_sweep.add_argument("--delta-hat", type=float, dest="delta_hat")
-    p_sweep.add_argument("--beta", type=float)
-    p_sweep.add_argument("--theorem", help="comma list or 'all'")
-    p_sweep.add_argument("--seeds", type=int, help="seed repetitions per n")
-    p_sweep.add_argument("--hmc-samples", type=int, dest="hmc_samples")
-    p_sweep.add_argument("--hmc-warmup", type=int, dest="hmc_warmup")
-    p_sweep.add_argument("--leapfrog", type=int)
-    p_sweep.add_argument("--jobs", type=int, help="parallel (n, seed) cells")
-    p_sweep.set_defaults(func=cmd_sweep)
-
+        for name, _, option in _options(command):
+            flag, how = _flag(name), {"type": option.kind}
+            if option.kind is bool:
+                flag, how = _flag("no_" + name), {"action": "store_false", "default": None}
+            p.add_argument(flag, dest=name, help=option.help, **how)
     return parser
 
 
@@ -628,14 +577,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command].handler(_resolve(args, args.command))
     except (PreconditionViolated, CgfRangeViolation, BudgetMismatch) as exc:
         print(f"certbayes: precondition violation: {exc}", file=sys.stderr)
         return 2
     except (DivergentTrajectory, NonFiniteDensity) as exc:
         print(f"certbayes: sampler failure: {exc}", file=sys.stderr)
         return 3
-    except (CertBayesError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (CertBayesError, OSError, ValueError, OverflowError) as exc:
         print(f"certbayes: error: {exc}", file=sys.stderr)
         return 1
 

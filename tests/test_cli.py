@@ -22,6 +22,14 @@ from certbayes import cli
 from certbayes.errors import DivergentTrajectory
 
 
+AUTO_MPG = str(Path(__file__).resolve().parents[1] / "data" / "auto_mpg.csv")
+# A fit-eval on auto-mpg with a short sampler run.
+FIT_EVAL = [
+    "fit-eval", "--data", AUTO_MPG, "--target", "mpg", "--sigma-p-sq", "0.05",
+    "--hmc-warmup", "10", "--leapfrog", "2",
+]
+
+
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("CERTBAYES_SEED", raising=False)
@@ -215,10 +223,18 @@ def _every_option(tmp_path):
             "n_grid": "10,20", "d": 2, "n_test": 50, **constants, "theorem": "all",
             "seed": 3, "seeds": 1, **hmc, "jobs": 1,
         }),
+        # A config file may write a whole-valued float as a JSON integer.
+        "certify, floats as JSON integers": ("certify", {
+            "n": 30, "d": 3, "seed": 3, "sigma_sq": 1, "sigma_p_sq": 0.05,
+            "sigma_x_sq": 1, "theta_star_norm_sq": 1, "delta": 0, "delta_hat": 0,
+            "beta": 1, "theorem": "all",
+        }),
     }
 
 
-@pytest.mark.parametrize("case", ["gen-data", "certify", "fit-eval", "sweep"])
+@pytest.mark.parametrize("case", [
+    "gen-data", "certify", "fit-eval", "sweep", "certify, floats as JSON integers",
+])
 def test_config_file_matches_flags(case, tmp_path):
     """One run with every option as a flag and one with the same values in a
     --config file write byte-identical outputs."""
@@ -240,6 +256,49 @@ def test_config_file_matches_flags(case, tmp_path):
     if command == "gen-data":
         sidecar = Path(f"{by_config}.json").read_bytes()
         assert sidecar == Path(f"{by_flags}.json").read_bytes()
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"hmc_samples": 20.9}, FIT_EVAL, "'hmc_samples'"),
+    ({"standardize": "false"}, FIT_EVAL, "'standardize'"),
+    ({"d": [5]}, ["gen-data", "--n", "5"], "'d'"),
+    (5, ["gen-data", "--n", "5", "--d", "2"], "JSON object"),
+    ({"sigma_sq": 10**400}, ["gen-data", "--n", "5", "--d", "2"], "too large"),
+], ids=["float-for-int", "string-for-bool", "list-for-int", "not-an-object", "huge"])
+def test_config_value_of_wrong_type_exits_1(config, argv, named, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certbayes: error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_config_null_means_unset(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 5, "d": 2, "sigma_sq": None}))
+    by_config = tmp_path / "config.csv"
+    assert cli.main(["gen-data", "--config", str(cfg), "--out", str(by_config)]) == 0
+    by_flags = _gen(tmp_path, "flags.csv", n=5, d=2)
+    assert by_config.read_bytes() == by_flags.read_bytes()
+    assert Path(f"{by_config}.json").read_bytes() == Path(f"{by_flags}.json").read_bytes()
+
+
+def test_config_target_may_be_a_column_index(tmp_path):
+    """--target takes a header name; a config file may also give an index."""
+    data = _gen(tmp_path, "d.csv", n=30, d=2)  # columns x1, x2, y
+    argv = [
+        "certify", "--data", str(data), "--sigma-p-sq", "0.05", "--sigma-x-sq", "1",
+        "--theta-star-norm-sq", "0.5",
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": 2}))
+    by_index, by_name = tmp_path / "index.json", tmp_path / "name.json"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(by_index)]) == 0
+    assert cli.main([*argv, "--target", "y", "--out", str(by_name)]) == 0
+    reports = [json.loads(p.read_text())["reports"] for p in (by_index, by_name)]
+    assert reports[0] == reports[1]
 
 
 # --- fit-eval -----------------------------------------------------------------------
@@ -352,6 +411,15 @@ def test_sweep_jobs_never_exceed_cells(tmp_path, monkeypatch):
     assert cli.main(args + ["--n-grid", "10", "--jobs", "8", "--out", str(one)]) == 0
     assert asked == [2], "a single cell must run without a pool"
     assert len(one.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [FIT_EVAL, ["sweep", "--sigma-p-sq", "0.25"]], ids=["fit-eval", "sweep"]
+)
+def test_seeds_below_one_exits_1(argv, tmp_path, capsys):
+    rc = cli.main([*argv, "--seeds", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "--seeds must be at least 1" in capsys.readouterr().err
 
 
 def test_sweep_requires_out(capsys):
