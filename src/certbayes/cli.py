@@ -15,7 +15,7 @@ replaced by underscores, which overrides the defaults. Config values are
 typed like the flags: an int option takes a JSON integer, a float option any
 JSON number, ``standardize`` true or false, and ``target`` a header name or a
 0-based column index; ``null`` leaves a key unset. Every output embeds the
-resolved configuration, minus --out, and a digest of its inputs.
+resolved configuration, minus --out and --jobs, and a digest of its inputs.
 CERTBAYES_SEED sets the default base seed.
 """
 
@@ -104,10 +104,10 @@ def _digest_text(text: str) -> str:
 
 
 def _public_config(resolved: dict) -> dict:
-    """Resolved config minus the output path, for embedding in outputs:
-    it describes what was computed, not where it was written, so reruns
-    to different paths stay byte-identical."""
-    return {k: v for k, v in resolved.items() if k != "out"}
+    """Resolved config minus the options not embedded (the output path and
+    the worker count), for embedding in outputs: it describes what was
+    computed, not where or how, so such reruns stay byte-identical."""
+    return {k: v for k, v in resolved.items() if _OPTIONS[k].embed}
 
 
 def _parse_theorems(spec: str) -> list[str]:
@@ -428,6 +428,7 @@ class _Option(NamedTuple):
     help: str
     also: tuple = ()
     minimum: Optional[int] = None
+    embed: bool = True  # False: outputs leave the value out of their config
 
 
 class _Command(NamedTuple):
@@ -438,7 +439,7 @@ class _Command(NamedTuple):
 
 _OPTIONS = {
     "seed": _Option(int, "base seed (default CERTBAYES_SEED)"),
-    "out": _Option(str, "output path"),
+    "out": _Option(str, "output path", embed=False),
     "data": _Option(str, "CSV dataset path"),
     "target": _Option(
         str, "target column header name (a config file may give a 0-based index)",
@@ -465,7 +466,7 @@ _OPTIONS = {
     "hmc_samples": _Option(int, "HMC draws kept"),
     "hmc_warmup": _Option(int, "HMC warmup iterations"),
     "leapfrog": _Option(int, "leapfrog steps per HMC iteration"),
-    "jobs": _Option(int, "parallel (n, seed) cells"),
+    "jobs": _Option(int, "parallel (n, seed) cells", embed=False),
 }
 
 _COMMANDS = {

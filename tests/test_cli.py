@@ -399,13 +399,7 @@ def test_sweep_jobs_never_exceed_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert cli.main(args + ["--n-grid", "10,20", "--jobs", "8", "--out", str(pooled)]) == 0
     assert asked == [2]
-
-    def config_and_rows(path):
-        first, *rows = path.read_text().splitlines()
-        config = json.loads(first[len("# config: "):first.index(" inputs_digest: ")])
-        return {k: v for k, v in config.items() if k != "jobs"}, rows
-
-    assert config_and_rows(pooled) == config_and_rows(serial)
+    assert pooled.read_bytes() == serial.read_bytes()
 
     one = tmp_path / "one.csv"
     assert cli.main(args + ["--n-grid", "10", "--jobs", "8", "--out", str(one)]) == 0
