@@ -564,10 +564,10 @@ def build_parser() -> _Parser:
         p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", help="JSON config file; flags take precedence")
         for name, _, option in _options(command):
-            flag, how = _flag(name), {"type": option.kind}
+            flag, kwargs = _flag(name), {"type": option.kind}
             if option.kind is bool:
-                flag, how = _flag("no_" + name), {"action": "store_false", "default": None}
-            p.add_argument(flag, dest=name, help=option.help, **how)
+                flag, kwargs = _flag("no_" + name), {"action": "store_false", "default": None}
+            p.add_argument(flag, dest=name, help=option.help, **kwargs)
     return parser
 
 
