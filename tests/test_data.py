@@ -12,7 +12,10 @@ from certbayes import (
     validate_dataset,
 )
 from certbayes.errors import (
+    CertBayesError,
+    Empty,
     MissingTarget,
+    NonFiniteEntry,
     NonNumericColumn,
     ParseError,
     TooFewRows,
@@ -120,6 +123,49 @@ def test_save_load_round_trip(tmp_path):
     back = load_csv(p, "y")
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.Y, ds.Y)
+
+
+
+# Edge files, each with what load_csv gives for it: the dataset as (X, Y), or
+# the exception type with its row and column. The cell-by-cell parser gave
+# these before load_csv had a NumPy fast path, and the fast path must too.
+_EDGE_FILES = {
+    "blank_line_middle": ("a,y\n1,2\n\n3,4\n", (ParseError, 3, None)),
+    "blank_line_end": ("a,y\n1,2\n3,4\n\n", (ParseError, 4, None)),
+    "whitespace_line": ("a,y\n1,2\n  \n3,4\n", (ParseError, 3, None)),
+    "whitespace_line_one_column": ("y\n1\n  \n2\n", (ParseError, 3, 1)),
+    "comment_line": ("a,y\n1,2\n# note\n3,4\n", (ParseError, 3, None)),
+    "comment_cell": ("a,y\n1,2\n#3,4\n", (ParseError, 3, 1)),
+    "quoted_cell": ('a,y\n1,"2"\n3,4\n', ([[1.0], [3.0]], [2.0, 4.0])),
+    "quoted_header": ('"a,b",y\n1,2\n', ([[1.0]], [2.0])),
+    "trailing_comma": ("a,y\n1,2,\n3,4\n", (ParseError, 2, None)),
+    "trailing_comma_everywhere": ("a,y,\n1,2,\n3,4,\n", (NonNumericColumn, None, None)),
+    "empty_cell": ("a,y\n1,2\n,4\n", (ParseError, 3, 1)),
+    "header_only": ("a,y\n", (Empty, None, None)),
+    "underscore_digits": ("a,y\n1_0,2\n", ([[10.0]], [2.0])),
+    "spaces_around_numbers": ("a,y\n 1 , 2\t\n", ([[1.0]], [2.0])),
+    "infinite_cell": ("a,y\n1,inf\n", (NonFiniteEntry, None, None)),
+    "lf": ("a,y\n1,2\n3,4", ([[1.0], [3.0]], [2.0, 4.0])),
+    "crlf": ("a,y\r\n1,2\r\n3,4\r\n", ([[1.0], [3.0]], [2.0, 4.0])),
+    "cr": ("a,y\r1,2\r3,4\r", ([[1.0], [3.0]], [2.0, 4.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_FILES))
+def test_load_csv_edge_files(name, tmp_path):
+    text, want = _EDGE_FILES[name]
+    p = tmp_path / "edge.csv"
+    p.write_bytes(text.encode("utf-8"))
+    if isinstance(want[0], type):
+        with pytest.raises(CertBayesError) as info:
+            load_csv(p, "y")
+        got = (type(info.value), getattr(info.value, "row", None),
+               getattr(info.value, "column", None))
+        assert got == want
+    else:
+        ds = load_csv(p, "y")
+        assert ds.X.tobytes() == np.array(want[0]).tobytes()
+        assert ds.Y.tobytes() == np.array(want[1]).tobytes()
 
 
 # --- standardization ----------------------------------------------------------------

@@ -2,10 +2,12 @@
 was refactored.
 
 Each case runs ``cli.main(argv)`` in-process from the repository root and
-compares its exit code, stdout, stderr and (for ``sweep``) the written CSV
-with ``tests/golden/<case>.json``. Every float is compared at 1e-12 relative
-(1e-12 absolute where the recorded value is zero); every other value, and
-any output that is not JSON or CSV, must match exactly.
+compares its exit code, stdout, stderr and (for ``sweep`` and ``gen-data``)
+the written CSV with ``tests/golden/<case>.json``. Every float is compared at
+1e-12 relative (1e-12 absolute where the recorded value is zero); every other
+value, and any output that is not JSON or CSV, must match exactly. The
+``gen-data`` CSV, line ends included, and its JSON sidecar must match byte for
+byte, because the sidecar's digest is the SHA-256 of those bytes.
 
 The recordings are the gate for refactors that must not change results.
 Regenerate them only for an intended change of output:
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from certbayes import cli
+from certbayes import SyntheticSpec, cli, generate_synthetic, load_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,7 +38,8 @@ _CONSTANTS = [
 _MATCHED = [*_CONSTANTS, "--delta", "0.01", "--delta-hat", "0.01"]
 _HMC = ["--hmc-samples", "50", "--hmc-warmup", "50", "--leapfrog", "4"]
 
-# name -> argv; a case whose command is ``sweep`` also gets ``--out <file>``.
+# name -> argv; a case whose command is in _WRITES_OUT also gets ``--out <file>``.
+_WRITES_OUT = ("sweep", "gen-data")
 CASES = {
     "certify_all_n300_d5": ["certify", "--n", "300", "--d", "5", *_MATCHED, "--theorem", "all"],
     "certify_all_n200_d2000": [
@@ -72,6 +75,10 @@ CASES = {
         "fit-eval", "--data", "data/auto_mpg.csv", "--target", "mpg",
         "--sigma-p-sq", "0.05", *_HMC,
     ],
+    "gen_data_n200_d3": [
+        "gen-data", "--n", "200", "--d", "3", "--sigma-sq", "0.1111111111111111",
+        "--sigma-x-sq", "1.0", "--theta-star-norm-sq", "0.5", "--seed", "0",
+    ],
     "sweep_all": [
         "sweep", "--n-grid", "10,20", "--d", "2", "--n-test", "50", "--seeds", "1",
         "--sigma-p-sq", "0.25", "--delta", "0.1", "--delta-hat", "0.1", *_HMC,
@@ -82,17 +89,21 @@ CASES = {
 
 def _run(argv: list, out_dir: Path) -> dict:
     """Run one case; returns what the golden file records."""
-    out = out_dir / "out.csv" if argv[0] == "sweep" else None
+    out = out_dir / "out.csv" if argv[0] in _WRITES_OUT else None
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main(argv + (["--out", str(out)] if out else []))
-    return {
+    record = {
         "argv": argv,
         "exit_code": code,
         "stdout": stdout.getvalue(),
         "stderr": stderr.getvalue(),
         "out": out.read_text(encoding="utf-8") if out else None,
     }
+    if argv[0] == "gen-data":
+        record["out"] = out.read_bytes().decode("utf-8")
+        record["sidecar"] = Path(f"{out}.json").read_bytes().decode("utf-8")
+    return record
 
 
 def _scalar(cell: str):
@@ -154,6 +165,20 @@ def test_cli_output_matches_golden(name, tmp_path):
         for m in _mismatches(_parsed(got[key]), _parsed(want[key]), key)
     ]
     assert not problems, "\n".join(problems[:20])
+    assert got.get("sidecar") == want.get("sidecar")
+
+
+def test_golden_gen_data_csv_loads_bit_for_bit(tmp_path):
+    want = json.loads((GOLDEN / "gen_data_n200_d3.json").read_text(encoding="utf-8"))
+    path = tmp_path / "golden.csv"
+    path.write_bytes(want["out"].encode("utf-8"))
+    data, _ = generate_synthetic(
+        SyntheticSpec(n=200, d=3, sigma_x_sq=1.0, sigma_sq=0.1111111111111111,
+                      theta_star_norm_sq=0.5, seed=0)
+    )
+    loaded = load_csv(path, "y")
+    assert loaded.X.tobytes() == data.X.tobytes()
+    assert loaded.Y.tobytes() == data.Y.tobytes()
 
 
 def _write_all() -> None:
