@@ -4,12 +4,26 @@ CSV format: comma delimiter, one header row, '.' decimal point, UTF-8, no
 quoting of numerics. Numbers are written with enough digits ('%.17g') that a
 write/read round trip is bit-identical for finite doubles. Rows with missing
 fields are rejected rather than imputed.
+
+save_csv writes the header through csv.writer and formats the rows in blocks
+of _SAVE_BLOCK_ROWS, each with one '%' on a row template; every line, the
+header's too, ends in CRLF, as csv.writer ends lines.
+
+load_csv reads the header with csv.reader and parses the remaining lines with
+np.loadtxt. It keeps that result only when loadtxt raised and warned nothing
+and gave one row per line, each as wide as the header. Otherwise (a blank or
+'#' line, a quoted cell, '1_0', a header-only file, a field longer than the
+csv module's limit, or one of the separators U+001C to U+001F, which loadtxt
+strips and float() does not) it parses the lines again with csv.reader and
+float(), cell by cell. That parser alone raises ParseError and
+NonNumericColumn, with their rows and columns.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -104,43 +118,39 @@ def _parse_cell(text: str) -> Optional[float]:
         return None
 
 
-def load_csv(path, target_column: Union[str, int]) -> Dataset:
-    """Load a delimited numeric table; features are all non-target columns in
-    file order.
+# float() rejects these separators inside a cell; np.loadtxt strips them as
+# white space.
+_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
 
-    target_column may be a header name or a 0-based column index.
 
-    Raises
-    ------
-    MissingTarget
-        if the named column is absent (or the index out of range).
-    NonNumericColumn
-        if a column fails to parse in every row.
-    ParseError
-        for a malformed cell or row, with 1-based row/column location.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _parse_fast(lines: list, width: int) -> Optional[np.ndarray]:
+    """The body lines as a (len(lines), width) array, or None unless
+    np.loadtxt parsed every line into exactly the cells that csv.reader and
+    float() would give."""
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None  # csv.reader raises on such a field
+    body = "".join(lines)
+    if any(ch in body for ch in _LOADTXT_ONLY_SPACES):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: file is empty", row=1) from None
-        rows = list(reader)
-
-    header = [h.strip() for h in header]
-    if isinstance(target_column, int):
-        if not 0 <= target_column < len(header):
-            raise MissingTarget(
-                f"target index {target_column} out of range for {len(header)} columns"
+            values = np.loadtxt(
+                lines, delimiter=",", comments=None, quotechar=None, ndmin=2
             )
-        target_idx = target_column
-    else:
-        if target_column not in header:
-            raise MissingTarget(
-                f"target column {target_column!r} not in header {header}"
-            )
-        target_idx = header.index(target_column)
+        except (ValueError, Warning):
+            return None
+    # loadtxt skips blank lines, which csv.reader gives as rows of no fields.
+    return values if values.shape == (len(lines), width) else None
 
+
+def _parse_rows(rows: list, header: list) -> np.ndarray:
+    """The csv.reader rows as an array, parsed cell by cell with float().
+
+    Raises ParseError for a short or long row or a non-numeric cell (the
+    first, with its 1-based row and column), NonNumericColumn if that cell's
+    column fails in every row.
+    """
     values = np.empty((len(rows), len(header)))
     bad_cell = None  # (row_1based, col_1based)
     for i, row in enumerate(rows):
@@ -173,10 +183,57 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
             row=bad_cell[0],
             column=bad_cell[1],
         )
+    return values
 
+
+def load_csv(path, target_column: Union[str, int]) -> Dataset:
+    """Load a delimited numeric table; features are all non-target columns in
+    file order.
+
+    target_column may be a header name or a 0-based column index.
+
+    Raises
+    ------
+    MissingTarget
+        if the named column is absent (or the index out of range).
+    NonNumericColumn
+        if a column fails to parse in every row.
+    ParseError
+        for a malformed cell or row, with 1-based row/column location.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: file is empty", row=1) from None
+        lines = fh.readlines()
+    values = _parse_fast(lines, len(header))
+    rows = list(csv.reader(lines)) if values is None else None
+
+    header = [h.strip() for h in header]
+    if isinstance(target_column, int):
+        if not 0 <= target_column < len(header):
+            raise MissingTarget(
+                f"target index {target_column} out of range for {len(header)} columns"
+            )
+        target_idx = target_column
+    else:
+        if target_column not in header:
+            raise MissingTarget(
+                f"target column {target_column!r} not in header {header}"
+            )
+        target_idx = header.index(target_column)
+
+    if values is None:
+        values = _parse_rows(rows, header)
     y = values[:, target_idx]
     x = np.delete(values, target_idx, axis=1)
     return validate_dataset(x, y)
+
+
+# Rows formatted per write in save_csv.
+_SAVE_BLOCK_ROWS = 4096
 
 
 def save_csv(
@@ -192,13 +249,14 @@ def save_csv(
         raise ValueError(
             f"{len(feature_names)} feature names for {data.d} feature columns"
         )
+    # The rows as csv.writer would write them: no numeral needs quoting.
+    row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(feature_names) + [target_name])
-        for i in range(data.n):
-            writer.writerow(
-                ["%.17g" % v for v in data.X[i]] + ["%.17g" % data.Y[i]]
-            )
+        csv.writer(fh).writerow(list(feature_names) + [target_name])
+        for start in range(0, data.n, _SAVE_BLOCK_ROWS):
+            stop = start + _SAVE_BLOCK_ROWS
+            block = np.column_stack((data.X[start:stop], data.Y[start:stop]))
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 @dataclass(frozen=True)

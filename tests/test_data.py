@@ -1,5 +1,13 @@
+import csv
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certbayes import (
     SplitSpec,
@@ -11,6 +19,7 @@ from certbayes import (
     standardize_fit_transform,
     validate_dataset,
 )
+from certbayes import data_pipeline
 from certbayes.errors import (
     CertBayesError,
     Empty,
@@ -142,6 +151,7 @@ _EDGE_FILES = {
     "trailing_comma_everywhere": ("a,y,\n1,2,\n3,4,\n", (NonNumericColumn, None, None)),
     "empty_cell": ("a,y\n1,2\n,4\n", (ParseError, 3, 1)),
     "header_only": ("a,y\n", (Empty, None, None)),
+    "header_only_one_column": ("y\n", (Empty, None, None)),
     "underscore_digits": ("a,y\n1_0,2\n", ([[10.0]], [2.0])),
     "spaces_around_numbers": ("a,y\n 1 , 2\t\n", ([[1.0]], [2.0])),
     "infinite_cell": ("a,y\n1,inf\n", (NonFiniteEntry, None, None)),
@@ -156,16 +166,107 @@ def test_load_csv_edge_files(name, tmp_path):
     text, want = _EDGE_FILES[name]
     p = tmp_path / "edge.csv"
     p.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load_csv(p, "y")
+        except CertBayesError as exc:
+            got = (type(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+        else:
+            got = (ds.X.tobytes(), ds.Y.tobytes())
     if isinstance(want[0], type):
-        with pytest.raises(CertBayesError) as info:
-            load_csv(p, "y")
-        got = (type(info.value), getattr(info.value, "row", None),
-               getattr(info.value, "column", None))
         assert got == want
     else:
-        ds = load_csv(p, "y")
-        assert ds.X.tobytes() == np.array(want[0]).tobytes()
-        assert ds.Y.tobytes() == np.array(want[1]).tobytes()
+        assert got == (np.array(want[0]).tobytes(), np.array(want[1]).tobytes())
+    assert not caught, [str(w.message) for w in caught]
+
+
+
+def test_load_csv_field_over_csv_limit_raises_csv_error(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("a,y\n1," + "0" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(csv.Error):
+        load_csv(p, "y")
+
+
+def _outcome(path):
+    """What load_csv gives for a file: the arrays' bytes, or the exception."""
+    try:
+        ds = load_csv(path, "y")
+    except Exception as exc:  # any exception, so both parsers are compared on it
+        return (type(exc), str(exc), getattr(exc, "row", None),
+                getattr(exc, "column", None))
+    return ds.X.shape, ds.X.tobytes(), ds.Y.tobytes()
+
+
+def _fast_and_cell_outcomes(text: str):
+    """load_csv's outcome on the text, and its outcome with the NumPy fast
+    path turned off, so that the cell-by-cell parser reads every file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(path)
+        with mock.patch.object(data_pipeline, "_parse_fast", return_value=None):
+            cells = _outcome(path)
+    return fast, cells
+
+
+_EXTREMES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -7.0, 2.0 ** 53 + 2.0,
+]
+_VALUES = st.one_of(
+    st.sampled_from(_EXTREMES),
+    st.integers(-(10 ** 17), 10 ** 17).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 4))
+def test_save_load_round_trip_bit_exact_both_parsers(data, n, d):
+    table = np.array(data.draw(st.lists(_VALUES, min_size=n * (d + 1), max_size=n * (d + 1))))
+    table = table.reshape(n, d + 1)
+    ds = validate_dataset(table[:, :d], table[:, d])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.csv"
+        save_csv(ds, path)
+        text = path.read_bytes().decode("utf-8")
+    fast, cells = _fast_and_cell_outcomes(text)
+    assert fast == cells == (ds.X.shape, ds.X.tobytes(), ds.Y.tobytes())
+
+
+# Cells that float() and np.loadtxt may read differently: padding, signs,
+# underscores, quotes, comment marks, non-ASCII digits and the separators
+# \x1c-\x1f, which only np.loadtxt strips.
+_ODD_CELL = st.one_of(
+    st.sampled_from(["1_0", '"2"', "#3", " 4 ", "\t5", "\x1c6", "7\x1f", "\xa08",
+                     "\u0669", "1e400", "nan", "-inf", "", "+.5", "5.", "0x1"]),
+    st.text(alphabet="0123456789.eE+-_ \"#\x0c\x1d", max_size=5),
+)
+_NUMERAL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10 ** 20), 10 ** 20).map(str),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), width=st.integers(1, 3), final_end=st.sampled_from(["", "\n"]))
+def test_load_csv_fast_path_matches_cell_parser(data, width, final_end):
+    row = st.one_of(
+        st.lists(_NUMERAL, min_size=width, max_size=width),
+        st.lists(st.one_of(_NUMERAL, _ODD_CELL), min_size=width, max_size=width),
+        st.lists(st.one_of(_NUMERAL, _ODD_CELL), max_size=width + 1),
+    )
+    rows = data.draw(st.lists(row, max_size=5))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(rows), max_size=len(rows)))
+    header = ",".join([f"x{j}" for j in range(width - 1)] + ["y"])
+    body = "".join(",".join(cells) + end for cells, end in zip(rows, ends))
+    if rows:
+        body = body[: -len(ends[-1])] + final_end
+    fast, cells = _fast_and_cell_outcomes(header + "\n" + body)
+    assert fast == cells
 
 
 # --- standardization ----------------------------------------------------------------
