@@ -287,6 +287,8 @@ def cmd_fit_eval(resolved: dict) -> int:
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
             raise ValueError("--train and --test must be given together")
+        if resolved["data"]:
+            raise ValueError("fit-eval takes --data or --train/--test, not both")
         train = load_csv(resolved["train"], resolved["target"])
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
@@ -380,9 +382,12 @@ def _sweep_cell(payload: tuple) -> list[dict]:
 def cmd_sweep(resolved: dict) -> int:
     _parse_theorems(resolved["theorem"])  # validate early
 
+    sizes = _parse_list(resolved["n_grid"], int)
+    if not sizes:
+        raise ValueError(f"--n-grid lists no training sizes: {resolved['n_grid']!r}")
     cells = [
         (n, resolved["seed"] + rep, resolved)
-        for n in _parse_list(resolved["n_grid"], int)
+        for n in sizes
         for rep in range(resolved["seeds"])
     ]
     # A process pool starts all its workers at the first submit; never start

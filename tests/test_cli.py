@@ -214,10 +214,16 @@ def _every_option(tmp_path):
             **constants, "theorem": "all",
         }),
         "fit-eval": ("fit-eval", {
-            "data": str(data), "train": str(train), "test": str(test),
+            "train": str(train), "test": str(test),
             "target": "y", "sigma_sq": 0.5, "sigma_p_sq": 0.25, "delta": 0.1,
             "delta_hat": "0,0.1", "seed": 3, "seeds": 2, "train_fraction": 0.6,
             "standardize": False, **hmc,
+        }),
+        # --data and --train/--test exclude each other.
+        "fit-eval, split from --data": ("fit-eval", {
+            "data": str(data), "target": "y", "sigma_sq": 0.5, "sigma_p_sq": 0.25,
+            "delta": 0.1, "delta_hat": "0,0.1", "seed": 3, "seeds": 2,
+            "train_fraction": 0.6, "standardize": False, **hmc,
         }),
         "sweep": ("sweep", {
             "n_grid": "10,20", "d": 2, "n_test": 50, **constants, "theorem": "all",
@@ -233,7 +239,8 @@ def _every_option(tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "gen-data", "certify", "fit-eval", "sweep", "certify, floats as JSON integers",
+    "gen-data", "certify", "fit-eval", "fit-eval, split from --data", "sweep",
+    "certify, floats as JSON integers",
 ])
 def test_config_file_matches_flags(case, tmp_path):
     """One run with every option as a flag and one with the same values in a
@@ -414,6 +421,28 @@ def test_seeds_below_one_exits_1(argv, tmp_path, capsys):
     rc = cli.main([*argv, "--seeds", "0", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "--seeds must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_empty_n_grid_exits_1(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    rc = cli.main(["sweep", "--sigma-p-sq", "0.25", "--n-grid", ",", "--out", str(out)])
+    assert rc == 1
+    assert "certbayes: error: --n-grid lists no training sizes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_eval_data_with_train_and_test_exits_1(tmp_path, capsys):
+    train, test = _gen(tmp_path, "tr.csv", n=20), _gen(tmp_path, "te.csv", n=20)
+    out = tmp_path / "fe.json"
+    rc = cli.main([
+        "fit-eval", "--train", str(train), "--test", str(test), "--data", AUTO_MPG,
+        "--sigma-p-sq", "0.25", "--hmc-samples", "20", "--hmc-warmup", "10",
+        "--leapfrog", "2", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "certbayes: error: fit-eval takes --data or --train/--test, not both" in err
+    assert not out.exists()
 
 
 def test_sweep_requires_out(capsys):
