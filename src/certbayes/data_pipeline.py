@@ -209,6 +209,7 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
             raise ParseError(f"{path}: file is empty", row=1) from None
         lines = fh.readlines()
     values = _parse_fast(lines, len(header))
+    # csv.reader's own errors come before MissingTarget, as they always have.
     rows = list(csv.reader(lines)) if values is None else None
 
     header = [h.strip() for h in header]
