@@ -100,7 +100,7 @@ def _run(argv: list, out_dir: Path) -> dict:
         "stderr": stderr.getvalue(),
         "out": out.read_text(encoding="utf-8") if out else None,
     }
-    if argv[0] == "gen-data":
+    if argv[0] == "gen-data":  # read_text would turn its CRLF line ends into LF
         record["out"] = out.read_bytes().decode("utf-8")
         record["sidecar"] = Path(f"{out}.json").read_bytes().decode("utf-8")
     return record
