@@ -15,7 +15,8 @@ replaced by underscores, which overrides the defaults. Config values are
 typed like the flags: an int option takes a JSON integer, a float option any
 JSON number, ``standardize`` true or false, and ``target`` a header name or a
 0-based column index; ``null`` leaves a key unset. Every output embeds the
-resolved configuration, minus --out and --jobs, and a digest of its inputs.
+resolved configuration, minus --out, --jobs and the options the run did not
+read, and a digest of its inputs.
 CERTBAYES_SEED sets the default base seed.
 """
 
@@ -103,11 +104,14 @@ def _digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _public_config(resolved: dict) -> dict:
+def _public_config(resolved: dict, unread=()) -> dict:
     """Resolved config minus the options not embedded (the output path and
-    the worker count), for embedding in outputs: it describes what was
-    computed, not where or how, so such reruns stay byte-identical."""
-    return {k: v for k, v in resolved.items() if _OPTIONS[k].embed}
+    the worker count) and the options ``unread`` that this run ignored, for
+    embedding in outputs: it describes what was computed, not where or how,
+    so such reruns stay byte-identical."""
+    return {
+        k: v for k, v in resolved.items() if _OPTIONS[k].embed and k not in unread
+    }
 
 
 def _parse_theorems(spec: str) -> list[str]:
@@ -238,9 +242,11 @@ def cmd_certify(resolved: dict) -> int:
         _certificate(name, data, *inputs).to_dict()
         for name in _parse_theorems(resolved["theorem"])
     ]
+    # A dataset read from a file leaves the synthetic spec unread.
+    unread = ("n", "d", "seed") if resolved["data"] else ()
     _write_json(
         {
-            "config": _public_config(resolved),
+            "config": _public_config(resolved, unread),
             "inputs_digest": digest,
             "distribution_spec_source": source,
             "reports": reports,
@@ -284,6 +290,7 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
 
 def cmd_fit_eval(resolved: dict) -> int:
     runs = []
+    unread = ()
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
             raise ValueError("--train and --test must be given together")
@@ -293,6 +300,7 @@ def cmd_fit_eval(resolved: dict) -> int:
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
         runs.append(_fit_eval_run(train, test, resolved["seed"], resolved))
+        unread = ("seeds", "train_fraction")  # the split is given
     else:
         if not resolved["data"]:
             raise ValueError("fit-eval requires --data or --train/--test")
@@ -319,7 +327,7 @@ def cmd_fit_eval(resolved: dict) -> int:
 
     _write_json(
         {
-            "config": _public_config(resolved),
+            "config": _public_config(resolved, unread),
             "inputs_digest": digest,
             "runs": runs,
             "summary": summary,
@@ -590,7 +598,7 @@ def main(argv=None) -> int:
     except (DivergentTrajectory, NonFiniteDensity) as exc:
         print(f"certbayes: sampler failure: {exc}", file=sys.stderr)
         return 3
-    except (CertBayesError, OSError, ValueError, OverflowError) as exc:
+    except (CertBayesError, OSError, ValueError, OverflowError, csv.Error) as exc:
         print(f"certbayes: error: {exc}", file=sys.stderr)
         return 1
 

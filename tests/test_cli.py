@@ -152,6 +152,19 @@ def test_certify_missing_file_exits_1(tmp_path, capsys):
     assert rc == 1
 
 
+def test_certify_field_over_csv_limit_exits_1(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    path.write_text("x1,y\n" + "1" * 131073 + ",2\n", encoding="utf-8")
+    rc = cli.main([
+        "certify", "--data", str(path), "--sigma-p-sq", "0.1",
+        "--sigma-x-sq", "1", "--theta-star-norm-sq", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certbayes: error: ") and "field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_1(capsys):
     rc = cli.main(["certify", "--bogus", "1"])
     assert rc == 1
@@ -263,6 +276,31 @@ def test_config_file_matches_flags(case, tmp_path):
     if command == "gen-data":
         sidecar = Path(f"{by_config}.json").read_bytes()
         assert sidecar == Path(f"{by_flags}.json").read_bytes()
+
+
+def test_outputs_embed_only_the_options_read(tmp_path):
+    """certify --data reads no synthetic spec, and fit-eval --train/--test no
+    split settings, so their configs leave those out; the other modes keep them."""
+    data = _gen(tmp_path, "data.csv", n=30, d=2)
+    constants = ["--sigma-p-sq", "0.05", "--sigma-x-sq", "1", "--theta-star-norm-sq", "0.5"]
+    hmc = ["--sigma-p-sq", "0.25", "--hmc-samples", "20", "--hmc-warmup", "10",
+           "--leapfrog", "2", "--seeds", "2", "--train-fraction", "0.6"]
+    runs = {
+        "certify-data": ["certify", "--data", str(data), "--n", "5", "--d", "2",
+                         "--seed", "4", *constants],
+        "certify-synthetic": ["certify", "--n", "5", "--d", "2", "--seed", "4", *constants],
+        "fit-eval-split": ["fit-eval", "--train", str(data), "--test", str(data), *hmc],
+        "fit-eval-data": ["fit-eval", "--data", str(data), *hmc],
+    }
+    configs = {}
+    for name, argv in runs.items():
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        configs[name] = json.loads(out.read_text())["config"]
+    assert not {"n", "d", "seed"} & set(configs["certify-data"])
+    assert {"n", "d", "seed"} <= set(configs["certify-synthetic"])
+    assert not {"seeds", "train_fraction"} & set(configs["fit-eval-split"])
+    assert {"seeds", "train_fraction"} <= set(configs["fit-eval-data"])
 
 
 @pytest.mark.parametrize("config, argv, named", [
