@@ -176,8 +176,11 @@ def _certificate(name: str, data: Dataset, noise, prior, dist, budget, beta):
     return fn(data, noise, prior, dist, budget, beta)
 
 
-def _robust_hmc(train: Dataset, noise, prior, delta: float, seed: int, resolved: dict):
-    """HMC draws from the robust posterior fitted at training radius delta."""
+def _robust_hmc(
+    train: Dataset, noise, prior, delta: float, exact, seed: int, resolved: dict
+):
+    """HMC draws from the robust posterior fitted at training radius delta,
+    preconditioned by the precision of the exact Bayes posterior ``exact``."""
     return hmc_sample(
         lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
@@ -188,6 +191,7 @@ def _robust_hmc(train: Dataset, noise, prior, delta: float, seed: int, resolved:
             leapfrog_steps=resolved["leapfrog"],
             seed=seed,
         ),
+        mass_chol=exact.precision.chol_lower,
     )
 
 
@@ -271,7 +275,7 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
     ]
 
     exact = bayes_posterior(train, noise, prior)
-    hmc = _robust_hmc(train, noise, prior, resolved["delta"], seed, resolved)
+    hmc = _robust_hmc(train, noise, prior, resolved["delta"], exact, seed, resolved)
     metrics = []
     for dh in eval_deltas:
         entry = {"delta_hat": dh}
@@ -360,7 +364,7 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     exact = bayes_posterior(train, noise, prior)
     hmc = None
     if any(name.startswith("robust") for name in theorems):
-        hmc = _robust_hmc(train, noise, prior, budget.delta_train, seed, resolved)
+        hmc = _robust_hmc(train, noise, prior, budget.delta_train, exact, seed, resolved)
 
     rows = []
     risk_cache: dict = {}
@@ -478,7 +482,7 @@ _OPTIONS = {
     "standardize": _Option(bool, "skip zero-mean unit-variance standardization"),
     "hmc_samples": _Option(int, "HMC draws kept"),
     "hmc_warmup": _Option(int, "HMC warmup iterations"),
-    "leapfrog": _Option(int, "leapfrog steps per HMC iteration"),
+    "leapfrog": _Option(int, "maximum leapfrog steps per HMC iteration"),
     "jobs": _Option(int, "parallel (n, seed) cells", embed=False),
 }
 

@@ -4,7 +4,16 @@ The Gaussian-likelihood Bayes posterior is available in closed form. The
 robust posterior replaces the NLL with its adversarial counterpart; it stays
 log-concave (convex losses plus Gaussian prior) but loses the closed form, so
 it is represented by draws from a Hamiltonian Monte Carlo sampler with
-dual-averaging step-size adaptation and a fixed leapfrog count.
+dual-averaging step-size adaptation, an optional dense mass matrix and a
+trajectory length drawn uniformly from 1 to a maximum on every iteration.
+
+The mass matrix M = LL' is given by its lower Cholesky factor L. The
+momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
+the leapfrog steps are xi += (eps/2) A'grad(theta) and theta += eps A xi,
+and the kinetic energy stays xi'xi/2. A is formed once per run; on a
+Gaussian target whose precision is M the dynamics are isotropic. The random
+length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
+a fixed leapfrog count has on near-Gaussian targets.
 """
 
 from __future__ import annotations
@@ -14,9 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .adversarial_loss import gaussian_adv_nll
-from .errors import DivergentTrajectory, NonFiniteDensity
+from .errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
 from .numerics import SpdMatrix, spd_solve
 
@@ -100,20 +110,31 @@ def robust_log_density_grad(
     return -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq
 
 
-def _leapfrog(theta, momentum, eps, n_steps, grad):
-    """Standard leapfrog integrator; n_steps + 1 gradient evaluations."""
-    g = grad(theta)
-    momentum = momentum + 0.5 * eps * g
+def _leapfrog(theta, xi, eps, n_steps, grad, a):
+    """Leapfrog with whitened momentum xi and theta velocity A xi (A = None is
+    the identity); n_steps + 1 gradient evaluations."""
+    kick = grad if a is None else (lambda th: a.T @ grad(th))
+    g = kick(theta)
+    xi = xi + 0.5 * eps * g
     for step in range(n_steps):
-        theta = theta + eps * momentum
-        g = grad(theta)
+        theta = theta + eps * (xi if a is None else a @ xi)
+        g = kick(theta)
         if step < n_steps - 1:
-            momentum = momentum + eps * g
-    momentum = momentum + 0.5 * eps * g
-    return theta, momentum
+            xi = xi + eps * g
+    xi = xi + 0.5 * eps * g
+    return theta, xi
 
 
-def _find_reasonable_epsilon(theta, logdensity, grad, rng) -> float:
+def _whitening(mass_chol, dim: int) -> np.ndarray:
+    """A = L^{-T} from the lower Cholesky factor L of the mass matrix: one
+    triangular solve per run, so no gradient step solves."""
+    chol = np.asarray(mass_chol, dtype=float)
+    if chol.shape != (dim, dim):
+        raise DimensionMismatch(f"mass_chol has shape {chol.shape}, expected ({dim}, {dim})")
+    return solve_triangular(chol, np.eye(dim), lower=True, check_finite=True).T
+
+
+def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> float:
     """Double/halve a unit step until the one-step acceptance crosses 1/2."""
     eps = 1.0
     lp0 = logdensity(theta)
@@ -121,7 +142,7 @@ def _find_reasonable_epsilon(theta, logdensity, grad, rng) -> float:
     h0 = lp0 - 0.5 * float(p0 @ p0)
 
     def log_ratio(eps_try: float) -> float:
-        theta1, p1 = _leapfrog(theta, p0, eps_try, 1, grad)
+        theta1, p1 = _leapfrog(theta, p0, eps_try, 1, grad, a)
         lp1 = logdensity(theta1)
         if not math.isfinite(lp1):
             return -math.inf
@@ -140,11 +161,19 @@ def hmc_sample(
     grad: Callable[[np.ndarray], np.ndarray],
     dim: int,
     config: HmcConfig,
+    *,
+    mass_chol=None,
 ) -> SampleSet:
     """Sample with HMC, adapting the step size during warmup by dual averaging.
 
     Deterministic for a fixed config.seed. The chain starts at the origin,
-    where the log density must be finite.
+    where the log density must be finite. Each iteration runs a trajectory
+    of 1 to config.leapfrog_steps leapfrog steps, drawn uniformly.
+
+    mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
+    good choice is the factor of an approximation of the target's precision,
+    such as ``bayes_posterior(...).precision.chol_lower`` for the robust
+    posterior. None means M = I.
 
     Raises
     ------
@@ -161,7 +190,8 @@ def hmc_sample(
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    eps = _find_reasonable_epsilon(theta, logdensity, grad, rng)
+    a = None if mass_chol is None else _whitening(mass_chol, dim)
+    eps = _find_reasonable_epsilon(theta, logdensity, grad, a, rng)
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
     mu = math.log(10.0 * eps)
@@ -175,12 +205,10 @@ def hmc_sample(
     total_iters = config.n_warmup + config.n_samples
 
     for m in range(1, total_iters + 1):
-        # +/-20% step jitter breaks the trajectory-length resonance a fixed
-        # leapfrog count has on near-Gaussian targets.
-        eps_m = eps * rng.uniform(0.8, 1.2)
+        n_steps = int(rng.integers(1, config.leapfrog_steps + 1))
         p0 = rng.standard_normal(dim)
         h0 = lp - 0.5 * float(p0 @ p0)
-        theta_prop, p1 = _leapfrog(theta, p0, eps_m, config.leapfrog_steps, grad)
+        theta_prop, p1 = _leapfrog(theta, p0, eps, n_steps, grad, a)
         lp_prop = logdensity(theta_prop)
         if math.isfinite(lp_prop):
             log_ratio = (lp_prop - 0.5 * float(p1 @ p1)) - h0
@@ -302,8 +330,6 @@ def expected_risk(
                 f"posterior dimension {post.dim} != test dimension {testset.d}"
             )
         if delta_test == 0.0:
-            from scipy.linalg import solve_triangular
-
             resid = testset.Y - testset.X @ post.mean
             w = solve_triangular(
                 post.precision.chol_lower, testset.X.T, lower=True, check_finite=False

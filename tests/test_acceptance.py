@@ -67,6 +67,7 @@ def _slice_synthetic(n_train, n_test, d, sigma_sq, theta_norm_sq, seed):
 
 
 def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed):
+    """The CLI's robust sampler: preconditioned by the Bayes posterior precision."""
     return hmc_sample(
         lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
@@ -75,6 +76,7 @@ def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed)
             n_samples=n_samples, n_warmup=n_warmup,
             leapfrog_steps=leapfrog, seed=seed,
         ),
+        mass_chol=bayes_posterior(train, noise, prior).precision.chol_lower,
     )
 
 
