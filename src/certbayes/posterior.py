@@ -131,7 +131,7 @@ def _whitening(mass_chol, dim: int) -> np.ndarray:
     chol = np.asarray(mass_chol, dtype=float)
     if chol.shape != (dim, dim):
         raise DimensionMismatch(f"mass_chol has shape {chol.shape}, expected ({dim}, {dim})")
-    return solve_triangular(chol, np.eye(dim), lower=True, check_finite=True).T
+    return solve_triangular(chol, np.eye(dim), lower=True).T
 
 
 def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> float:
