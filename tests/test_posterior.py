@@ -189,16 +189,13 @@ def test_hmc_divergence_error():
         )
 
 
-def _ill_conditioned_gaussian(dim=4, condition=1e4, seed=0):
-    """(mean, precision) of a rotated Gaussian with the given condition number."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    precision = (q * np.geomspace(1.0, condition, dim)) @ q.T
-    return rng.standard_normal(dim), 0.5 * (precision + precision.T)
-
-
 def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
-    mean, precision = _ill_conditioned_gaussian()
+    # A rotated 4-d Gaussian whose precision has condition number 1e4.
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    precision = (q * np.geomspace(1.0, 1e4, 4)) @ q.T
+    precision = 0.5 * (precision + precision.T)
+    mean = rng.standard_normal(4)
     assert np.linalg.cond(precision) >= 1e3
     cov = np.linalg.inv(precision)
 
@@ -238,7 +235,7 @@ def test_hmc_rejects_mass_factor_of_wrong_shape():
 def test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum():
     """Each iteration evaluates the log density once, after its trajectory;
     the gradient calls since the previous evaluation are that trajectory's."""
-    steps, cfg = 5, HmcConfig(n_samples=400, n_warmup=200, leapfrog_steps=5, seed=3)
+    cfg = HmcConfig(n_samples=400, n_warmup=200, leapfrog_steps=5, seed=3)
     per_trajectory, pending = [], [0]
 
     def logp(t):
@@ -252,8 +249,8 @@ def test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum():
 
     hmc_sample(logp, grad, 2, cfg)
     calls = per_trajectory[-(cfg.n_warmup + cfg.n_samples):]
-    assert all(2 <= c <= steps + 1 for c in calls)
-    assert set(calls) == set(range(2, steps + 2))
+    assert all(2 <= c <= cfg.leapfrog_steps + 1 for c in calls)
+    assert set(calls) == set(range(2, cfg.leapfrog_steps + 2))
 
 
 def test_hmc_random_length_breaks_resonance():
