@@ -15,8 +15,10 @@ replaced by underscores, which overrides the defaults. Config values are
 typed like the flags: an int option takes a JSON integer, a float option any
 JSON number, ``standardize`` true or false, and ``target`` a header name or a
 0-based column index; ``null`` leaves a key unset. Every output embeds the
-resolved configuration, minus --out, --jobs and the options the run did not
-read, and a digest of its inputs.
+resolved configuration and a digest of its inputs. The embedded
+configuration leaves out --out and --jobs, and also --n, --d and --seed for
+``certify --data`` and --seeds and --train-fraction for
+``fit-eval --train/--test``.
 CERTBAYES_SEED sets the default base seed.
 """
 

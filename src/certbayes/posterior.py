@@ -111,14 +111,13 @@ def robust_log_density_grad(
 
 
 def _leapfrog(theta, xi, eps, n_steps, grad, a):
-    """Leapfrog with whitened momentum xi and theta velocity A xi (A = None is
-    the identity); n_steps + 1 gradient evaluations."""
-    kick = grad if a is None else (lambda th: a.T @ grad(th))
-    g = kick(theta)
+    """Leapfrog with whitened momentum xi and theta velocity A xi;
+    n_steps + 1 gradient evaluations."""
+    g = a.T @ grad(theta)
     xi = xi + 0.5 * eps * g
     for step in range(n_steps):
-        theta = theta + eps * (xi if a is None else a @ xi)
-        g = kick(theta)
+        theta = theta + eps * (a @ xi)
+        g = a.T @ grad(theta)
         if step < n_steps - 1:
             xi = xi + eps * g
     xi = xi + 0.5 * eps * g
@@ -190,7 +189,7 @@ def hmc_sample(
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    a = None if mass_chol is None else _whitening(mass_chol, dim)
+    a = np.eye(dim) if mass_chol is None else _whitening(mass_chol, dim)
     eps = _find_reasonable_epsilon(theta, logdensity, grad, a, rng)
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
