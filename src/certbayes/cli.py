@@ -16,9 +16,10 @@ typed like the flags: an int option takes a JSON integer, a float option any
 JSON number, ``standardize`` true or false, and ``target`` a header name or a
 0-based column index; ``null`` leaves a key unset. Every output embeds the
 resolved configuration and a digest of its inputs. The embedded
-configuration leaves out --out and --jobs, and also --n, --d and --seed for
-``certify --data`` and --seeds and --train-fraction for
-``fit-eval --train/--test``.
+configuration leaves out --out and --jobs, and the options a run did not
+read: --n, --d and --seed for ``certify --data``, --data and --target for
+synthetic ``certify``, --seeds, --train-fraction and --data for
+``fit-eval --train/--test``, and --train and --test for ``fit-eval --data``.
 CERTBAYES_SEED sets the default base seed.
 """
 
@@ -227,8 +228,9 @@ def cmd_gen_data(resolved: dict) -> int:
 # certify
 
 
-def _load_or_generate(resolved: dict) -> tuple[Dataset, str, str]:
-    """Returns (dataset, inputs digest, distribution-spec source label)."""
+def _load_or_generate(resolved: dict, config: dict) -> tuple[Dataset, str, str]:
+    """Returns (dataset, inputs digest, distribution-spec source label); a
+    synthetic dataset's digest hashes the embedded ``config``."""
     if resolved["data"]:
         data = load_csv(resolved["data"], resolved["target"])
         return data, _digest_file(resolved["data"]), "plug-in, not certified"
@@ -237,22 +239,24 @@ def _load_or_generate(resolved: dict) -> tuple[Dataset, str, str]:
     data, _ = generate_synthetic(
         _synthetic_spec(resolved, resolved["n"], resolved["seed"])
     )
-    digest = _digest_text(json.dumps(_public_config(resolved), sort_keys=True))
+    digest = _digest_text(json.dumps(config, sort_keys=True))
     return data, digest, "synthetic"
 
 
 def cmd_certify(resolved: dict) -> int:
-    data, digest, source = _load_or_generate(resolved)
+    # A dataset read from a file leaves the synthetic spec unread, and a
+    # synthetic one the file and its target column.
+    unread = ("n", "d", "seed") if resolved["data"] else ("data", "target")
+    config = _public_config(resolved, unread)
+    data, digest, source = _load_or_generate(resolved, config)
     inputs = _certificate_inputs(resolved)
     reports = [
         _certificate(name, data, *inputs).to_dict()
         for name in _parse_theorems(resolved["theorem"])
     ]
-    # A dataset read from a file leaves the synthetic spec unread.
-    unread = ("n", "d", "seed") if resolved["data"] else ()
     _write_json(
         {
-            "config": _public_config(resolved, unread),
+            "config": config,
             "inputs_digest": digest,
             "distribution_spec_source": source,
             "reports": reports,
@@ -296,7 +300,6 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
 
 def cmd_fit_eval(resolved: dict) -> int:
     runs = []
-    unread = ()
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
             raise ValueError("--train and --test must be given together")
@@ -306,12 +309,13 @@ def cmd_fit_eval(resolved: dict) -> int:
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
         runs.append(_fit_eval_run(train, test, resolved["seed"], resolved))
-        unread = ("seeds", "train_fraction")  # the split is given
+        unread = ("seeds", "train_fraction", "data")  # the split is given
     else:
         if not resolved["data"]:
             raise ValueError("fit-eval requires --data or --train/--test")
         data = load_csv(resolved["data"], resolved["target"])
         digest = _digest_file(resolved["data"])
+        unread = ("train", "test")
         for rep in range(resolved["seeds"]):
             seed = resolved["seed"] + rep
             train, test = split(

@@ -279,28 +279,39 @@ def test_config_file_matches_flags(case, tmp_path):
 
 
 def test_outputs_embed_only_the_options_read(tmp_path):
-    """certify --data reads no synthetic spec, and fit-eval --train/--test no
-    split settings, so their configs leave those out; the other modes keep them."""
+    """certify --data reads no synthetic spec and synthetic certify no file,
+    fit-eval --train/--test no split settings and fit-eval --data no pre-split
+    files, so their configs leave those out; the other modes keep them. The
+    synthetic digest hashes the embedded config, so an unread option cannot
+    move it."""
     data = _gen(tmp_path, "data.csv", n=30, d=2)
     constants = ["--sigma-p-sq", "0.05", "--sigma-x-sq", "1", "--theta-star-norm-sq", "0.5"]
     hmc = ["--sigma-p-sq", "0.25", "--hmc-samples", "20", "--hmc-warmup", "10",
            "--leapfrog", "2", "--seeds", "2", "--train-fraction", "0.6"]
+    synthetic = ["certify", "--n", "5", "--d", "2", "--seed", "4", *constants]
     runs = {
         "certify-data": ["certify", "--data", str(data), "--n", "5", "--d", "2",
                          "--seed", "4", *constants],
-        "certify-synthetic": ["certify", "--n", "5", "--d", "2", "--seed", "4", *constants],
+        "certify-synthetic": synthetic,
+        "certify-synthetic-target": [*synthetic, "--target", "z"],
         "fit-eval-split": ["fit-eval", "--train", str(data), "--test", str(data), *hmc],
         "fit-eval-data": ["fit-eval", "--data", str(data), *hmc],
     }
-    configs = {}
+    outputs = {}
     for name, argv in runs.items():
         out = tmp_path / f"{name}.json"
         assert cli.main([*argv, "--out", str(out)]) == 0
-        configs[name] = json.loads(out.read_text())["config"]
+        outputs[name] = json.loads(out.read_text())
+    configs = {name: output["config"] for name, output in outputs.items()}
     assert not {"n", "d", "seed"} & set(configs["certify-data"])
+    assert {"data", "target"} <= set(configs["certify-data"])
     assert {"n", "d", "seed"} <= set(configs["certify-synthetic"])
-    assert not {"seeds", "train_fraction"} & set(configs["fit-eval-split"])
-    assert {"seeds", "train_fraction"} <= set(configs["fit-eval-data"])
+    assert not {"data", "target"} & set(configs["certify-synthetic"])
+    assert outputs["certify-synthetic-target"] == outputs["certify-synthetic"]
+    assert not {"seeds", "train_fraction", "data"} & set(configs["fit-eval-split"])
+    assert {"train", "test"} <= set(configs["fit-eval-split"])
+    assert {"seeds", "train_fraction", "data"} <= set(configs["fit-eval-data"])
+    assert not {"train", "test"} & set(configs["fit-eval-data"])
 
 
 @pytest.mark.parametrize("config, argv, named", [
