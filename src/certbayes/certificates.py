@@ -24,7 +24,10 @@ s_sq are the sub-gamma constants at t = 1 of :func:`cgf_standard` or of
 :func:`validate_preconditions` reads the same rows: beta in (0, 1], n, d >= 1,
 c < 1, matched budgets, and sigma^2 - 2 n g sigma_p^2 > 0 (automatic for
 RobustAdvGeneral when g <= 0). The d x d and n x n forms of every data term
-are equal; :func:`_gram_terms` factorizes the smaller.
+are equal; :func:`_gram_terms` factorizes the smaller. G and q = X'Y are
+formed once per dataset (``Dataset.gram`` and ``Dataset.xty``) and shared by
+every certificate on it; each data term still builds, validates and
+factorizes its own k I + a G.
 """
 
 from __future__ import annotations
@@ -150,20 +153,19 @@ def cgf_adversarial(
 def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
     """log det(k I_d + a X'X) and Y'(k I_n + a X X')^{-1} Y.
 
-    Uses whichever Gram matrix is smaller: the two log-determinants differ by
-    (n - d) log k, and the quadratic form converts through
+    Factorizes k I + a G, with G = ``data.gram``, the smaller Gram matrix,
+    which the dataset forms once: the two log-determinants differ by
+    (n - d) log k, and when G = X'X the quadratic form converts through
     Y'(k I_n + a X X')^{-1} Y = (Y'Y - a q'(k I_d + a X'X)^{-1} q) / k
-    with q = X'Y.
+    with q = X'Y = ``data.xty``.
     """
-    x, y = data.X, data.Y
-    n, d = data.n, data.d
+    y, n, d = data.Y, data.n, data.d
+    m = SpdMatrix.from_array(k * np.eye(min(n, d)) + a * data.gram)
     if d <= n:
-        m = SpdMatrix.from_array(k * np.eye(d) + a * (x.T @ x))
         logdet_d = spd_logdet(m)
-        q = x.T @ y
+        q = data.xty
         quad_n = (float(y @ y) - a * float(q @ spd_solve(m, q))) / k
     else:
-        m = SpdMatrix.from_array(k * np.eye(n) + a * (x @ x.T))
         logdet_d = spd_logdet(m) + (d - n) * math.log(k)
         quad_n = quad_form_inv(m, y)
     return logdet_d, quad_n

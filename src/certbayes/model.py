@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A feature matrix X (n rows, d columns) with a label vector Y (length n)."""
+    """A feature matrix X (n rows, d columns) with a label vector Y (length n).
+
+    :attr:`gram` and :attr:`xty` are computed on first use and kept for the
+    life of the instance. The cache is sound only because X and Y never
+    change: :func:`validate_dataset`, the only constructor the library uses,
+    stores frozen copies of both.
+    """
 
     X: np.ndarray
     Y: np.ndarray
@@ -37,6 +44,18 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The smaller Gram matrix, read-only: X'X (d x d) when d <= n, else
+        XX' (n x n)."""
+        x = self.X
+        return _freeze(x.T @ x if self.d <= self.n else x @ x.T)
+
+    @cached_property
+    def xty(self) -> np.ndarray:
+        """q = X'Y, read-only."""
+        return _freeze(self.X.T @ self.Y)
 
 
 def validate_dataset(X, Y) -> Dataset:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,11 @@ from certbayes import (
     SampleSet,
     SpdMatrix,
     TheoremId,
+    cert_bayes_adversarial,
+    cert_bayes_standard,
+    cert_robust_adversarial_general,
+    cert_robust_adversarial_matched,
+    cert_robust_standard,
     validate_dataset,
 )
 from certbayes.errors import DimensionMismatch, Empty, NonFiniteEntry
@@ -51,6 +58,61 @@ def test_dataset_arrays_are_frozen():
         ds.X[0, 0] = 5.0
     with pytest.raises(ValueError):
         ds.Y[0] = 5.0
+
+
+# --- cached Gram statistics ------------------------------------------------------
+
+_SHAPES = [(12, 4), (4, 12), (9, 9), (1, 6)]
+
+
+def _random_dataset(n, d):
+    rng = np.random.default_rng(n * 100 + d)
+    return validate_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n, d", _SHAPES)
+def test_gram_statistics_are_the_smaller_gram_and_xty(n, d):
+    ds = _random_dataset(n, d)
+    x = ds.X
+    want = x.T @ x if d <= n else x @ x.T
+    assert ds.gram.shape == (min(n, d), min(n, d))
+    assert ds.gram.tobytes() == want.tobytes()
+    assert ds.xty.tobytes() == (x.T @ ds.Y).tobytes()
+
+
+@pytest.mark.parametrize("n, d", _SHAPES)
+def test_gram_statistics_are_read_only_and_kept(n, d):
+    ds = _random_dataset(n, d)
+    for name in ("gram", "xty"):
+        stat = getattr(ds, name)
+        assert getattr(ds, name) is stat
+        assert not stat.flags.writeable
+        with pytest.raises(ValueError):
+            stat[0] = 1.0
+
+
+@pytest.mark.parametrize("n, d", _SHAPES)
+def test_five_certificates_form_the_gram_statistics_once(n, d, monkeypatch):
+    formed = {"gram": 0, "xty": 0}
+    for name in formed:
+        original = getattr(Dataset, name).func
+
+        def counted(self, name=name, original=original):
+            formed[name] += 1
+            return original(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Dataset, name)
+        monkeypatch.setattr(Dataset, name, prop)
+    ds = _random_dataset(n, d)
+    noise, prior = NoiseModel(0.1111111111111111), IsotropicPrior(0.01)
+    dist = DataDistributionSpec(sigma_x_sq=1.0, theta_star_norm_sq=0.5)
+    budget = PerturbationBudget(delta_train=0.01, delta_test=0.01)
+    cert_bayes_standard(ds, noise, prior, dist)
+    for cert in (cert_bayes_adversarial, cert_robust_standard,
+                 cert_robust_adversarial_matched, cert_robust_adversarial_general):
+        cert(ds, noise, prior, dist, budget)
+    assert formed == {"gram": 1, "xty": 1 if d <= n else 0}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
