@@ -101,12 +101,11 @@ def robust_log_density_grad(
     """
     th = np.asarray(theta, dtype=float)
     r = data.Y - data.X @ th
-    u = np.where(-r >= 0.0, 1.0, -1.0)
-    theta_norm = float(np.linalg.norm(th))
+    theta_norm = math.sqrt(th @ th)
     grown = np.abs(r) + delta * theta_norm
-    grad_loss = data.X.T @ (grown * u)
+    grad_loss = data.X.T @ np.where(r <= 0.0, grown, -grown)
     if delta > 0.0 and theta_norm > 0.0:
-        grad_loss = grad_loss + (delta * float(np.sum(grown)) / theta_norm) * th
+        grad_loss = grad_loss + (delta * float(grown.sum()) / theta_norm) * th
     return -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq
 
 

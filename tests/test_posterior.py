@@ -111,6 +111,19 @@ def test_grad_at_origin_with_positive_delta():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def test_grad_at_zero_residual_takes_sign_plus_one():
+    # theta = (3, 4), ||theta|| = 5, residuals y - x'theta = (0, -2, 1): the
+    # first is an exact tie. With sign(x'theta - y) = (+1, +1, -1) and
+    # |r| + delta ||theta|| = (5, 7, 6) at delta = 1,
+    # grad loss = X'(5, 7, -6) + (18 / 5) theta = (12, -5) + (10.8, 14.4).
+    x = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]])
+    ds = validate_dataset(x, np.array([3.0, 5.0, 9.0]))
+    theta = np.array([3.0, 4.0])
+    got = robust_log_density_grad(theta, ds, NoiseModel(2.0), IsotropicPrior(4.0), 1.0)
+    want = -np.array([22.8, 9.4]) / 2.0 - theta / 4.0
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
 def test_grad_matches_finite_differences():
     ds, noise, prior = _problem(8, n=20, d=4)
     rng = np.random.default_rng(1)
