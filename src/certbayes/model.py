@@ -31,7 +31,8 @@ class Dataset:
     :attr:`gram` and :attr:`xty` are computed on first use and kept for the
     life of the instance. The cache is sound only because X and Y never
     change: :func:`validate_dataset`, the only constructor the library uses,
-    stores frozen copies of both.
+    stores frozen copies of both, and a copy or unpickled instance is rebuilt
+    through it.
     """
 
     X: np.ndarray
@@ -44,6 +45,10 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable; rebuild frozen ones, without the cache.
+        return validate_dataset, (self.X, self.Y)
 
     @cached_property
     def gram(self) -> np.ndarray:

@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -89,6 +91,16 @@ def test_gram_statistics_are_read_only_and_kept(n, d):
         assert not stat.flags.writeable
         with pytest.raises(ValueError):
             stat[0] = 1.0
+
+
+def test_copied_or_unpickled_dataset_is_frozen_and_drops_the_cache():
+    ds = _random_dataset(12, 4)
+    gram = ds.gram
+    for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds), copy.copy(ds)):
+        assert not (twin.X.flags.writeable or twin.Y.flags.writeable)
+        assert "gram" not in vars(twin)
+        assert twin.gram.tobytes() == gram.tobytes()
+        assert not twin.gram.flags.writeable
 
 
 @pytest.mark.parametrize("n, d", _SHAPES)
