@@ -38,7 +38,8 @@ class AdvLossValue:
     """An adversarial loss value with the adversary's choices.
 
     chosen_sign holds the maximizing branch s per point (+1 or -1);
-    perturbed_points optionally holds the worst-case inputs, one row per point.
+    perturbed_points holds the worst-case inputs, one row per point, from
+    :func:`expfam_adv_nll_point`; :func:`gaussian_adv_nll` leaves it None.
     """
 
     value: float
@@ -73,13 +74,7 @@ def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
     return const + 0.5 * float(np.sum(r * r)) / noise.sigma_sq
 
 
-def gaussian_adv_nll(
-    theta,
-    data: Dataset,
-    noise: NoiseModel,
-    delta: float,
-    return_perturbations: bool = False,
-) -> AdvLossValue:
+def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
     """Worst-case Gaussian NLL over per-point L2 feature perturbations of radius delta.
 
     Each absolute residual grows by exactly delta*||theta||, giving
@@ -95,13 +90,7 @@ def gaussian_adv_nll(
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
     value = const + 0.5 * float(np.sum(grown * grown)) / noise.sigma_sq
     signs = _sign_plus(-r)  # sign of theta'x - y
-    perturbed = None
-    if return_perturbations:
-        if theta_norm > 0.0:
-            perturbed = data.X + (delta / theta_norm) * signs[:, None] * th[None, :]
-        else:
-            perturbed = data.X.copy()
-    return AdvLossValue(value=value, chosen_sign=signs, perturbed_points=perturbed)
+    return AdvLossValue(value=value, chosen_sign=signs)
 
 
 def gaussian_adv_perturbation(theta, x, y: float, delta: float) -> PerturbationResult:
@@ -146,7 +135,8 @@ def expfam_adv_nll_point(
     xv = np.asarray(x, dtype=float)
     th = _check_theta(theta, xv.shape[0])
     eta = float(th @ xv)
-    shift = delta * float(np.linalg.norm(th))
+    theta_norm = float(np.linalg.norm(th))
+    shift = delta * theta_norm
     log_h = fam.base_log_measure(y)
     value_plus = _psi_checked(fam, eta + shift) - y * (eta + shift) - log_h
     value_minus = _psi_checked(fam, eta - shift) - y * (eta - shift) - log_h
@@ -154,7 +144,6 @@ def expfam_adv_nll_point(
         s, value = 1.0, value_plus
     else:
         s, value = -1.0, value_minus
-    theta_norm = float(np.linalg.norm(th))
     if theta_norm > 0.0:
         x_tilde = xv + (delta * s / theta_norm) * th
     else:

@@ -24,9 +24,9 @@ s_sq are the sub-gamma constants at t = 1 of :func:`cgf_standard` or of
 :func:`validate_preconditions` reads the same rows: beta in (0, 1], n, d >= 1,
 c < 1, matched budgets, and sigma^2 - 2 n g sigma_p^2 > 0 (automatic for
 RobustAdvGeneral when g <= 0). The d x d and n x n forms of every data term
-are equal; :func:`_gram_terms` factorizes the smaller. G and q = X'Y are
-formed once per dataset (``Dataset.gram`` and ``Dataset.xty``) and shared by
-every certificate on it; each data term still builds, validates and
+are equal; :func:`_gram_terms` factorizes the smaller. G is formed once per
+dataset (``Dataset.gram``) and shared by every certificate on it; each data
+term still forms q = X'Y (d x d form only) and builds, validates and
 factorizes its own k I + a G.
 """
 
@@ -157,13 +157,13 @@ def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
     which the dataset forms once: the two log-determinants differ by
     (n - d) log k, and when G = X'X the quadratic form converts through
     Y'(k I_n + a X X')^{-1} Y = (Y'Y - a q'(k I_d + a X'X)^{-1} q) / k
-    with q = X'Y = ``data.xty``.
+    with q = X'Y, formed on each call: only G is cached.
     """
     y, n, d = data.Y, data.n, data.d
     m = SpdMatrix.from_array(k * np.eye(min(n, d)) + a * data.gram)
     if d <= n:
         logdet_d = spd_logdet(m)
-        q = data.xty
+        q = data.X.T @ y
         quad_n = (float(y @ y) - a * float(q @ spd_solve(m, q))) / k
     else:
         logdet_d = spd_logdet(m) + (d - n) * math.log(k)

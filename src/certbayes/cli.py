@@ -92,7 +92,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("CERTBAYES_SEED", "0"))
+    text = os.environ.get("CERTBAYES_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"CERTBAYES_SEED must be an integer, got {text!r}") from None
 
 
 def _digest_file(path) -> str:
@@ -273,7 +277,7 @@ def cmd_certify(resolved: dict) -> int:
 def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> dict:
     """Fit both posteriors on one train/test pair and evaluate every radius."""
     if resolved["standardize"]:
-        train, test, _ = standardize_fit_transform(train, test)
+        train, test = standardize_fit_transform(train, test)
     noise = NoiseModel(resolved["sigma_sq"])
     prior = IsotropicPrior(resolved["sigma_p_sq"])
     eval_deltas = [0.0] + [
@@ -461,7 +465,7 @@ class _Command(NamedTuple):
 
 
 _OPTIONS = {
-    "seed": _Option(int, "base seed (default CERTBAYES_SEED)"),
+    "seed": _Option(int, "base seed (default CERTBAYES_SEED)", minimum=0),
     "out": _Option(str, "output path", embed=False),
     "data": _Option(str, "CSV dataset path"),
     "target": _Option(

@@ -5,9 +5,9 @@ quoting of numerics. Numbers are written with enough digits ('%.17g') that a
 write/read round trip is bit-identical for finite doubles. Rows with missing
 fields are rejected rather than imputed.
 
-save_csv writes the header through csv.writer and formats the rows in blocks
-of _SAVE_BLOCK_ROWS, each with one '%' on a row template; every line, the
-header's too, ends in CRLF, as csv.writer ends lines.
+save_csv writes the fixed header x1,...,xd,y through csv.writer and formats
+the rows in blocks of _SAVE_BLOCK_ROWS, each with one '%' on a row template;
+every line, the header's too, ends in CRLF, as csv.writer ends lines.
 
 load_csv reads the header with csv.reader and parses the remaining lines with
 np.loadtxt. It keeps that result only when loadtxt raised and warned nothing
@@ -25,7 +25,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .model import Dataset, validate_dataset
 __all__ = [
     "SyntheticSpec",
     "SplitSpec",
-    "StandardizeStats",
     "generate_synthetic",
     "load_csv",
     "save_csv",
@@ -237,52 +236,25 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
 _SAVE_BLOCK_ROWS = 4096
 
 
-def save_csv(
-    data: Dataset,
-    path,
-    feature_names: Optional[Sequence[str]] = None,
-    target_name: str = "y",
-) -> None:
-    """Write a dataset as CSV; values round-trip bit-identically via load_csv."""
-    if feature_names is None:
-        feature_names = [f"x{j + 1}" for j in range(data.d)]
-    if len(feature_names) != data.d:
-        raise ValueError(
-            f"{len(feature_names)} feature names for {data.d} feature columns"
-        )
+def save_csv(data: Dataset, path) -> None:
+    """Write a dataset as CSV under the header x1,...,xd,y; values round-trip
+    bit-identically via load_csv."""
     # The rows as csv.writer would write them: no numeral needs quoting.
     row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(list(feature_names) + [target_name])
+        csv.writer(fh).writerow([f"x{j + 1}" for j in range(data.d)] + ["y"])
         for start in range(0, data.n, _SAVE_BLOCK_ROWS):
             stop = start + _SAVE_BLOCK_ROWS
             block = np.column_stack((data.X[start:stop], data.Y[start:stop]))
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
-@dataclass(frozen=True)
-class StandardizeStats:
-    """Training-set statistics applied to both splits.
-
-    Variances use the population divisor n, matching the zero-mean
-    unit-variance convention; the divisor is recorded here so downstream
-    consumers know which one was used.
-    """
-
-    feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    label_mean: float
-    label_scale: float
-    divisor: str = "population"
-
-
 def standardize_fit_transform(
     train: Dataset, test: Dataset
-) -> tuple[Dataset, Dataset, StandardizeStats]:
-    """Standardize features and labels to zero mean, unit variance.
-
-    Statistics come from the training split only; the test split is
-    transformed with them.
+) -> tuple[Dataset, Dataset]:
+    """Standardize features and labels to zero mean, unit variance; returns
+    (train, test), both transformed with the training split's means and
+    standard deviations (population divisor n).
 
     Raises
     ------
@@ -308,19 +280,13 @@ def standardize_fit_transform(
     if y_scale <= tol * max(1.0, abs(y_mean)):
         raise ZeroVarianceColumn("label column is constant in the training split")
 
-    stats = StandardizeStats(
-        feature_mean=f_mean,
-        feature_scale=f_scale,
-        label_mean=y_mean,
-        label_scale=y_scale,
-    )
     train_std = validate_dataset(
         (train.X - f_mean) / f_scale, (train.Y - y_mean) / y_scale
     )
     test_std = validate_dataset(
         (test.X - f_mean) / f_scale, (test.Y - y_mean) / y_scale
     )
-    return train_std, test_std, stats
+    return train_std, test_std
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -1,7 +1,8 @@
 """Domain types shared across the package.
 
 All types are immutable value objects validated on construction, so any
-instance passed around is known-good.
+instance passed around is known-good. Types that hold arrays compare and
+hash by identity, as == on arrays has no single truth value.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A feature matrix X (n rows, d columns) with a label vector Y (length n).
 
-    :attr:`gram` and :attr:`xty` are computed on first use and kept for the
-    life of the instance. The cache is sound only because X and Y never
-    change: :func:`validate_dataset`, the only constructor the library uses,
-    stores frozen copies of both, and a copy or unpickled instance is rebuilt
+    :attr:`gram` is computed on first use and kept for the life of the
+    instance. The cache is sound only because X and Y never change:
+    :func:`validate_dataset`, the only constructor the library uses, stores
+    frozen copies of both, and a copy or unpickled instance is rebuilt
     through it.
     """
 
@@ -56,11 +57,6 @@ class Dataset:
         XX' (n x n)."""
         x = self.X
         return _freeze(x.T @ x if self.d <= self.n else x @ x.T)
-
-    @cached_property
-    def xty(self) -> np.ndarray:
-        """q = X'Y, read-only."""
-        return _freeze(self.X.T @ self.Y)
 
 
 def validate_dataset(X, Y) -> Dataset:
@@ -212,7 +208,7 @@ BUILTIN_FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     """Exact Gaussian posterior: mean vector and precision matrix."""
 
@@ -245,7 +241,7 @@ class GaussianPosterior:
         return self.mean[None, :] + shifted.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Posterior draws from a sampler run, with its seed and diagnostics."""
 

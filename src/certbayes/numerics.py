@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, NonFiniteEntry, NotPositiveDefinite
 _SYM_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpdMatrix:
     """A validated symmetric positive definite matrix with its Cholesky factor.
 

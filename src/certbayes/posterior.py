@@ -4,8 +4,9 @@ The Gaussian-likelihood Bayes posterior is available in closed form. The
 robust posterior replaces the NLL with its adversarial counterpart; it stays
 log-concave (convex losses plus Gaussian prior) but loses the closed form, so
 it is represented by draws from a Hamiltonian Monte Carlo sampler with
-dual-averaging step-size adaptation, an optional dense mass matrix and a
-trajectory length drawn uniformly from 1 to a maximum on every iteration.
+dual-averaging step-size adaptation toward a mean acceptance probability of
+0.8, an optional dense mass matrix and a trajectory length drawn uniformly
+from 1 to a maximum on every iteration.
 
 The mass matrix M = LL' is given by its lower Cholesky factor L. The
 momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
@@ -40,10 +41,12 @@ __all__ = [
     "expected_risk",
 ]
 
-# Energy error above which a trajectory counts as divergent, and how many
-# divergences in a row abort the run.
+# Energy error above which a trajectory counts as divergent, how many
+# divergences in a row abort the run, and the mean acceptance probability
+# that warmup tunes the step size toward.
 _DIVERGENCE_ENERGY = 1000.0
 _MAX_CONSECUTIVE_DIVERGENCES = 25
+_TARGET_ACCEPT = 0.8
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,6 @@ class HmcConfig:
     n_samples: int = 4000
     n_warmup: int = 2000
     leapfrog_steps: int = 32
-    target_accept: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
@@ -59,10 +61,6 @@ class HmcConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not 0.5 < self.target_accept < 0.99:
-            raise ValueError(
-                f"target_accept must lie in (0.5, 0.99), got {self.target_accept}"
-            )
 
 
 def bayes_posterior(
@@ -231,7 +229,7 @@ def hmc_sample(
 
         if m <= config.n_warmup:
             frac = 1.0 / (m + t0)
-            h_bar = (1.0 - frac) * h_bar + frac * (config.target_accept - alpha)
+            h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - alpha)
             log_eps = mu - math.sqrt(m) / gamma * h_bar
             eta = m ** (-kappa)
             log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar

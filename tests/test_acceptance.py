@@ -373,7 +373,7 @@ def test_criterion_6_real_and_synthetic_robustness_trend():
     bayes_vals, robust_vals = [], []
     for seed in range(5):
         train, test = split(data, SplitSpec(train_fraction=0.7, seed=seed))
-        train, test, _ = standardize_fit_transform(train, test)
+        train, test = standardize_fit_transform(train, test)
         exact = bayes_posterior(train, noise, prior)
         hmc = _robust_hmc(train, noise, prior, delta, 4000, 2000, 32, seed)
         bayes_vals.append(

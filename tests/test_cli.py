@@ -80,6 +80,32 @@ def test_env_seed_matches_explicit_flag(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "env.csv.json").read_text())["config"]["seed"] == 9
 
 
+@pytest.mark.parametrize(
+    "env, flags, config, named",
+    [
+        ("abc", [], None, "CERTBAYES_SEED must be an integer, got 'abc'"),
+        ("", [], None, "CERTBAYES_SEED must be an integer, got ''"),
+        ("-3", [], None, "--seed must be at least 0, got -3"),
+        (None, ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
+        (None, [], {"seed": -1}, "--seed must be at least 0, got -1"),
+    ],
+    ids=["env-abc", "env-empty", "env-negative", "flag-negative", "config-negative"],
+)
+def test_bad_seed_exits_1_naming_its_source(
+    env, flags, config, named, tmp_path, monkeypatch, capsys
+):
+    if env is not None:
+        monkeypatch.setenv("CERTBAYES_SEED", env)
+    if config is not None:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        flags = ["--config", str(tmp_path / "c.json")]
+    out = tmp_path / "d.csv"
+    rc = cli.main(["gen-data", "--n", "4", "--d", "2", "--out", str(out), *flags])
+    assert rc == 1
+    assert f"certbayes: error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- certify -----------------------------------------------------------------
 
 

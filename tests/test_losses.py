@@ -233,6 +233,41 @@ def test_expfam_domain_violation():
         )
 
 
+@pytest.mark.parametrize(
+    "fam, draw_label",
+    [
+        (bernoulli_family(), lambda rng: float(rng.integers(0, 2))),
+        (poisson_family(), lambda rng: float(rng.poisson(2.0))),
+    ],
+    ids=["bernoulli", "poisson"],
+)
+def test_expfam_worst_case_point(fam, draw_label):
+    """The returned point is x + delta s theta/||theta||, on the ball's
+    boundary, and attains the returned value as a plain NLL."""
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        d = int(rng.integers(1, 5))
+        theta = rng.standard_normal(d)
+        x = rng.standard_normal(d)
+        y = draw_label(rng)
+        delta = float(rng.uniform(0.0, 1.0))
+        out = expfam_adv_nll_point(theta, x, y, delta, fam)
+        s = float(out.chosen_sign[0])
+        assert out.perturbed_points.shape == (1, d)
+        x_tilde = out.perturbed_points[0]
+        step = delta * s * theta / np.linalg.norm(theta)
+        np.testing.assert_allclose(x_tilde - x, step, rtol=1e-12, atol=1e-15)
+        assert np.linalg.norm(x_tilde - x) == pytest.approx(delta, abs=1e-12)
+        eta = float(theta @ x_tilde)
+        plain = fam.psi(eta) - y * eta - fam.base_log_measure(y)
+        assert plain == pytest.approx(out.value, rel=1e-12, abs=1e-12)
+
+    x, y = np.array([0.3, -0.2, 1.1]), draw_label(rng)
+    out = expfam_adv_nll_point(np.zeros(3), x, y, 0.7, fam)
+    np.testing.assert_array_equal(out.perturbed_points[0], x)
+    assert out.value == fam.psi(0.0) - fam.base_log_measure(y)
+
+
 def test_expfam_gaussian_self_duality():
     """Gaussian-family adversarial NLL differs from the squared-error one only
     by constants, which cancel when differencing two parameter values."""

@@ -165,7 +165,7 @@ def test_hmc_acceptance_band():
     logp, grad, dim = _std_normal_target(3)
     cfg = HmcConfig(n_samples=2000, n_warmup=1000, seed=5)
     out = hmc_sample(logp, grad, dim, cfg)
-    assert cfg.target_accept - 0.15 <= out.accept_rate <= cfg.target_accept + 0.10
+    assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10  # warmup targets 0.8
 
 
 def test_hmc_deterministic():
@@ -285,8 +285,6 @@ def test_hmc_random_length_breaks_resonance():
 def test_hmc_config_validation():
     with pytest.raises(ValueError):
         HmcConfig(n_samples=0)
-    with pytest.raises(ValueError):
-        HmcConfig(target_accept=0.3)
 
 
 # --- expected risk -------------------------------------------------------------------
