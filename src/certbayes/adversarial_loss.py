@@ -74,6 +74,20 @@ def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
     return const + 0.5 * float(np.sum(r * r)) / noise.sigma_sq
 
 
+def _gaussian_adv_nll_and_residual(
+    theta, data: Dataset, noise: NoiseModel, delta: float
+) -> tuple[float, np.ndarray]:
+    """The value of :func:`gaussian_adv_nll` and the residual Y - X theta,
+    without the per-point signs."""
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    th = _check_theta(theta, data.d)
+    r = data.Y - data.X @ th
+    grown = np.abs(r) + delta * math.sqrt(float(th @ th))
+    const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
+    return const + 0.5 * float(np.sum(grown * grown)) / noise.sigma_sq, r
+
+
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
     """Worst-case Gaussian NLL over per-point L2 feature perturbations of radius delta.
 
@@ -81,16 +95,8 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     (n/2) log(2 pi sigma^2) + || |Y - X theta| + delta ||theta|| ||^2 / (2 sigma^2).
     At delta = 0 this reproduces :func:`gaussian_nll` bit for bit.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    th = _check_theta(theta, data.d)
-    r = data.Y - data.X @ th
-    theta_norm = float(np.linalg.norm(th))
-    grown = np.abs(r) + delta * theta_norm
-    const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    value = const + 0.5 * float(np.sum(grown * grown)) / noise.sigma_sq
-    signs = _sign_plus(-r)  # sign of theta'x - y
-    return AdvLossValue(value=value, chosen_sign=signs)
+    value, r = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
+    return AdvLossValue(value=value, chosen_sign=_sign_plus(-r))  # sign of theta'x - y
 
 
 def gaussian_adv_perturbation(theta, x, y: float, delta: float) -> PerturbationResult:

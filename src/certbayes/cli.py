@@ -91,12 +91,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
-    text = os.environ.get("CERTBAYES_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"CERTBAYES_SEED must be an integer, got {text!r}") from None
+class _EnvInt(NamedTuple):
+    """A default read from an environment variable as an integer."""
+
+    variable: str
+    unset: str  # the text read when the variable is not set
+
+    def read(self) -> int:
+        text = os.environ.get(self.variable, self.unset)
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{self.variable} must be an integer, got {text!r}") from None
+
+
+_ENV_SEED = _EnvInt("CERTBAYES_SEED", "0")
 
 
 def _digest_file(path) -> str:
@@ -297,7 +306,12 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
         "seed": seed,
         "n_train": train.n,
         "n_test": test.n,
-        "hmc": {"accept_rate": hmc.accept_rate, "step_size": hmc.step_size},
+        "hmc": {
+            "accept_rate": hmc.accept_rate,
+            "grad_evals": hmc.grad_evals,
+            "max_leapfrog": hmc.max_leapfrog,
+            "step_size": hmc.step_size,
+        },
         "metrics": metrics,
     }
 
@@ -461,7 +475,7 @@ class _Option(NamedTuple):
 class _Command(NamedTuple):
     handler: Callable[[dict], int]
     help: str
-    defaults: dict  # option name -> default, _REQUIRED, or a function giving it
+    defaults: dict  # option name -> default, _REQUIRED, or an _EnvInt giving it
 
 
 _OPTIONS = {
@@ -492,7 +506,9 @@ _OPTIONS = {
     "standardize": _Option(bool, "skip zero-mean unit-variance standardization"),
     "hmc_samples": _Option(int, "HMC draws kept"),
     "hmc_warmup": _Option(int, "HMC warmup iterations"),
-    "leapfrog": _Option(int, "maximum leapfrog steps per HMC iteration"),
+    "leapfrog": _Option(
+        int, "upper bound on the warmup-adapted leapfrog steps per HMC iteration"
+    ),
     "jobs": _Option(int, "parallel (n, seed) cells", embed=False),
 }
 
@@ -500,10 +516,10 @@ _COMMANDS = {
     "gen-data": _Command(cmd_gen_data, "generate a synthetic dataset", {
         "n": _REQUIRED, "d": _REQUIRED,
         "sigma_x_sq": 1.0, "sigma_sq": 1.0, "theta_star_norm_sq": 1.0,
-        "seed": _env_seed, "out": _REQUIRED,
+        "seed": _ENV_SEED, "out": _REQUIRED,
     }),
     "certify": _Command(cmd_certify, "compute generalization certificates", {
-        "data": None, "target": "y", "n": None, "d": None, "seed": _env_seed,
+        "data": None, "target": "y", "n": None, "d": None, "seed": _ENV_SEED,
         "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED,
         "sigma_x_sq": _REQUIRED, "theta_star_norm_sq": _REQUIRED,
         "delta": 0.0, "delta_hat": 0.0, "beta": certs.DEFAULT_BETA,
@@ -512,7 +528,7 @@ _COMMANDS = {
     "fit-eval": _Command(cmd_fit_eval, "fit posteriors and evaluate risks", {
         "data": None, "target": "y", "train": None, "test": None,
         "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED, "delta": 0.0, "delta_hat": "0",
-        "seed": _env_seed, "seeds": 1, "train_fraction": 0.7, "standardize": True,
+        "seed": _ENV_SEED, "seeds": 1, "train_fraction": 0.7, "standardize": True,
         "hmc_samples": 4000, "hmc_warmup": 2000, "leapfrog": 32, "out": None,
     }),
     "sweep": _Command(cmd_sweep, "bounds and risks over training sizes", {
@@ -520,7 +536,7 @@ _COMMANDS = {
         "sigma_sq": 1.0, "sigma_p_sq": _REQUIRED,
         "sigma_x_sq": 1.0, "theta_star_norm_sq": 1.0,
         "delta": 0.0, "delta_hat": 0.0, "beta": certs.DEFAULT_BETA,
-        "theorem": _PLOTTED_DEFAULT, "seed": _env_seed, "seeds": 5,
+        "theorem": _PLOTTED_DEFAULT, "seed": _ENV_SEED, "seeds": 5,
         "hmc_samples": 2000, "hmc_warmup": 1000, "leapfrog": 16, "jobs": 1,
         "out": _REQUIRED,
     }),
@@ -553,7 +569,8 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
 
     Raises ValueError for a config file that is not a JSON object, an
     unknown config key, a config value of the wrong type, a value below its
-    option's minimum, and a required option left unset.
+    option's minimum (naming the flag, config key or environment variable
+    it came from), and a required option left unset.
     """
     defaults = _COMMANDS[command].defaults
     file_config = {}
@@ -570,15 +587,18 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             )
     resolved = {}
     for name, default, option in _options(command):
-        value = getattr(args, name)
+        value, source = getattr(args, name), _flag(name)
         if value is None:
             value = _config_value(name, file_config.get(name), option)
+            source = f"config key {name!r}"
         if value is None:
-            value = default() if callable(default) else default
+            value, source = default, "the default"
+            if isinstance(default, _EnvInt):
+                value, source = default.read(), default.variable
         if value is _REQUIRED:
             raise ValueError(f"{command} requires {_flag(name)}")
         if option.minimum is not None and value < option.minimum:
-            raise ValueError(f"{_flag(name)} must be at least {option.minimum}, got {value}")
+            raise ValueError(f"{source} must be at least {option.minimum}, got {value}")
         resolved[name] = value
     return resolved
 

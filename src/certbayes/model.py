@@ -243,12 +243,17 @@ class GaussianPosterior:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Posterior draws from a sampler run, with its seed and diagnostics."""
+    """Posterior draws from a sampler run, with its seed and diagnostics:
+    grad_evals counts the run's gradient calls (warmup and step-size search
+    included) and max_leapfrog is its adapted maximum trajectory length;
+    both are 0 for draws no HMC run produced."""
 
     draws: np.ndarray
     seed: int
     accept_rate: float
     step_size: float
+    grad_evals: int = 0
+    max_leapfrog: int = 0
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)

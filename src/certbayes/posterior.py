@@ -6,7 +6,8 @@ log-concave (convex losses plus Gaussian prior) but loses the closed form, so
 it is represented by draws from a Hamiltonian Monte Carlo sampler with
 dual-averaging step-size adaptation toward a mean acceptance probability of
 0.8, an optional dense mass matrix and a trajectory length drawn uniformly
-from 1 to a maximum on every iteration.
+from 1 to a maximum on every iteration. Warmup adapts that maximum as well
+and freezes it, together with the step size, when it ends.
 
 The mass matrix M = LL' is given by its lower Cholesky factor L. The
 momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
@@ -15,6 +16,15 @@ and the kinetic energy stays xi'xi/2. A is formed once per run; on a
 Gaussian target whose precision is M the dynamics are isotropic. The random
 length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
 a fixed leapfrog count has on near-Gaussian targets.
+
+The maximum length starts at the cap, config.leapfrog_steps, and stays there
+for the first 15% of warmup, while the chain travels from the origin. From
+then on a Welford running variance of the whitened position w = L'theta is
+kept, and once 20 positions are in, every warmup iteration sets the maximum
+to min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the largest
+whitened standard deviation: a Gaussian's half period, the length that
+ChEES (Hoffman, Radul & Sountsov, AISTATS 2021) targets, estimated from the
+one chain. A warmup too short to collect 20 positions keeps the cap.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .adversarial_loss import gaussian_adv_nll
+from .adversarial_loss import _gaussian_adv_nll_and_residual
 from .errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
 from .numerics import SpdMatrix, spd_solve
@@ -47,6 +57,10 @@ __all__ = [
 _DIVERGENCE_ENERGY = 1000.0
 _MAX_CONSECUTIVE_DIVERGENCES = 25
 _TARGET_ACCEPT = 0.8
+# Share of warmup run at the cap before the whitened positions are recorded,
+# and how many positions the maximum trajectory length is first set from.
+_LENGTH_BURN_IN = 0.15
+_LENGTH_MIN_DRAWS = 20
 
 
 @dataclass(frozen=True)
@@ -84,8 +98,8 @@ def robust_log_density_unnorm(
 ) -> float:
     """Unnormalized log density of the robust posterior at theta."""
     th = np.asarray(theta, dtype=float)
-    adv = gaussian_adv_nll(th, data, noise, delta)
-    return -adv.value - 0.5 * float(th @ th) / prior.sigma_p_sq
+    adv_nll, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    return -adv_nll - 0.5 * float(th @ th) / prior.sigma_p_sq
 
 
 def robust_log_density_grad(
@@ -121,23 +135,27 @@ def _leapfrog(theta, xi, eps, n_steps, grad, a):
     return theta, xi
 
 
-def _whitening(mass_chol, dim: int) -> np.ndarray:
-    """A = L^{-T} from the lower Cholesky factor L of the mass matrix: one
-    triangular solve per run, so no gradient step solves."""
+def _whitening(mass_chol, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, L') from the lower Cholesky factor L of the mass matrix, with
+    A = L^{-T}: one triangular solve per run, so no gradient step solves."""
     chol = np.asarray(mass_chol, dtype=float)
     if chol.shape != (dim, dim):
         raise DimensionMismatch(f"mass_chol has shape {chol.shape}, expected ({dim}, {dim})")
-    return solve_triangular(chol, np.eye(dim), lower=True).T
+    return solve_triangular(chol, np.eye(dim), lower=True).T, chol.T
 
 
-def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> float:
-    """Double/halve a unit step until the one-step acceptance crosses 1/2."""
+def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> tuple[float, int]:
+    """Double/halve a unit step until the one-step acceptance crosses 1/2;
+    returns the step and the gradient evaluations it took."""
     eps = 1.0
     lp0 = logdensity(theta)
     p0 = rng.standard_normal(theta.shape[0])
     h0 = lp0 - 0.5 * float(p0 @ p0)
+    grad_evals = 0
 
     def log_ratio(eps_try: float) -> float:
+        nonlocal grad_evals
+        grad_evals += 2
         theta1, p1 = _leapfrog(theta, p0, eps_try, 1, grad, a)
         lp1 = logdensity(theta1)
         if not math.isfinite(lp1):
@@ -149,7 +167,7 @@ def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> float:
         if direction * log_ratio(eps) <= -direction * math.log(2.0):
             break
         eps *= 2.0 ** direction
-    return eps
+    return eps, grad_evals
 
 
 def hmc_sample(
@@ -160,11 +178,18 @@ def hmc_sample(
     *,
     mass_chol=None,
 ) -> SampleSet:
-    """Sample with HMC, adapting the step size during warmup by dual averaging.
+    """Sample with HMC, adapting the step size during warmup by dual averaging
+    and the maximum trajectory length by the whitened half period.
 
     Deterministic for a fixed config.seed. The chain starts at the origin,
     where the log density must be finite. Each iteration runs a trajectory
-    of 1 to config.leapfrog_steps leapfrog steps, drawn uniformly.
+    of 1 to max_leapfrog leapfrog steps, drawn uniformly. max_leapfrog is
+    config.leapfrog_steps for the first 15% of warmup and until 20 whitened
+    positions w = L'theta have been recorded after it; from then on each
+    warmup iteration sets it to min(config.leapfrog_steps,
+    max(1, ceil(pi * s_max / eps))), with s_max the largest running standard
+    deviation of w. It is frozen with eps when warmup ends, and the returned
+    SampleSet carries it and the run's gradient count.
 
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
     good choice is the factor of an approximation of the target's precision,
@@ -186,8 +211,8 @@ def hmc_sample(
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    a = np.eye(dim) if mass_chol is None else _whitening(mass_chol, dim)
-    eps = _find_reasonable_epsilon(theta, logdensity, grad, a, rng)
+    a, lt = (np.eye(dim), None) if mass_chol is None else _whitening(mass_chol, dim)
+    eps, grad_evals = _find_reasonable_epsilon(theta, logdensity, grad, a, rng)
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
     mu = math.log(10.0 * eps)
@@ -200,8 +225,14 @@ def hmc_sample(
     consecutive_divergences = 0
     total_iters = config.n_warmup + config.n_samples
 
+    # Trajectory-length state: Welford moments of the whitened position.
+    max_steps = config.leapfrog_steps
+    burn_in = int(_LENGTH_BURN_IN * config.n_warmup)
+    w_count, w_mean, w_m2 = 0, np.zeros(dim), np.zeros(dim)
+
     for m in range(1, total_iters + 1):
-        n_steps = int(rng.integers(1, config.leapfrog_steps + 1))
+        n_steps = int(rng.integers(1, max_steps + 1))
+        grad_evals += n_steps + 1
         p0 = rng.standard_normal(dim)
         h0 = lp - 0.5 * float(p0 @ p0)
         theta_prop, p1 = _leapfrog(theta, p0, eps, n_steps, grad, a)
@@ -236,6 +267,21 @@ def hmc_sample(
             eps = math.exp(log_eps)
             if m == config.n_warmup:
                 eps = math.exp(log_eps_bar)
+            if m > burn_in:
+                w = theta if lt is None else lt @ theta
+                w_count += 1
+                dev = w - w_mean
+                w_mean += dev / w_count
+                w_m2 += dev * (w - w_mean)
+                if w_count >= _LENGTH_MIN_DRAWS:
+                    s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
+                    half_period = math.pi * s_max / eps
+                    # "not <" keeps the cap for an infinite or NaN ratio
+                    max_steps = (
+                        max(1, math.ceil(half_period))
+                        if half_period < config.leapfrog_steps
+                        else config.leapfrog_steps
+                    )
         else:
             accept_sum += alpha
             draws[m - config.n_warmup - 1] = theta
@@ -245,6 +291,8 @@ def hmc_sample(
         seed=config.seed,
         accept_rate=accept_sum / config.n_samples,
         step_size=eps,
+        grad_evals=grad_evals,
+        max_leapfrog=max_steps,
     )
 
 

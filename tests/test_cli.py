@@ -85,9 +85,9 @@ def test_env_seed_matches_explicit_flag(tmp_path, monkeypatch):
     [
         ("abc", [], None, "CERTBAYES_SEED must be an integer, got 'abc'"),
         ("", [], None, "CERTBAYES_SEED must be an integer, got ''"),
-        ("-3", [], None, "--seed must be at least 0, got -3"),
+        ("-3", [], None, "CERTBAYES_SEED must be at least 0, got -3"),
         (None, ["--seed", "-1"], None, "--seed must be at least 0, got -1"),
-        (None, [], {"seed": -1}, "--seed must be at least 0, got -1"),
+        (None, [], {"seed": -2}, "config key 'seed' must be at least 0, got -2"),
     ],
     ids=["env-abc", "env-empty", "env-negative", "flag-negative", "config-negative"],
 )

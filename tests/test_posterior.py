@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from certbayes import (
     SampleSet,
     bayes_posterior,
     expected_risk,
+    gaussian_adv_nll,
     hmc_sample,
     robust_log_density_grad,
     robust_log_density_unnorm,
@@ -91,6 +93,23 @@ def test_robust_log_density_finite():
     ds, noise, prior = _problem(5)
     for theta in (np.zeros(ds.d), np.full(ds.d, 1e6), np.full(ds.d, -1e4)):
         assert math.isfinite(robust_log_density_unnorm(theta, ds, noise, prior, 0.7))
+
+
+def test_robust_log_density_is_minus_the_adversarial_nll_and_prior_term():
+    """Bit for bit, and with the loss's checks of delta and of theta's shape."""
+    ds, noise, prior = _problem(9, n=50, d=4)
+    rng = np.random.default_rng(4)
+    for delta in (0.0, 0.1, 2.0):
+        for theta in (np.zeros(ds.d), *rng.standard_normal((5, ds.d))):
+            want = (
+                -gaussian_adv_nll(theta, ds, noise, delta).value
+                - 0.5 * float(theta @ theta) / prior.sigma_p_sq
+            )
+            assert robust_log_density_unnorm(theta, ds, noise, prior, delta) == want
+    with pytest.raises(ValueError):
+        robust_log_density_unnorm(np.zeros(ds.d), ds, noise, prior, -0.1)
+    with pytest.raises(DimensionMismatch):
+        robust_log_density_unnorm(np.zeros(ds.d + 1), ds, noise, prior, 0.1)
 
 
 def test_grad_delta_zero_reduction():
@@ -280,6 +299,102 @@ def test_hmc_random_length_breaks_resonance():
         )
         min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(dim))
         assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
+
+
+def _trajectory_gradient_counts(cfg, dim=2, scale=1.0, mass_chol=None):
+    """Gradient calls per iteration of an HMC run on N(0, scale^2 I), read as
+    in test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum, and the run."""
+    per_trajectory, pending = [], [0]
+
+    def logp(t):
+        per_trajectory.append(pending[0])
+        pending[0] = 0
+        return -0.5 * float(t @ t) / scale**2
+
+    def grad(t):
+        pending[0] += 1
+        return -t / scale**2
+
+    out = hmc_sample(logp, grad, dim, cfg, mass_chol=mass_chol)
+    return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5])
+def test_hmc_adapted_length_never_exceeds_the_cap(cap):
+    """A unit Gaussian's half period, pi / eps, is about 3 steps; a target 20
+    times wider asks for far more than any of these caps."""
+    for scale in (1.0, 20.0):
+        cfg = HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=cap, seed=4)
+        calls, out = _trajectory_gradient_counts(cfg, scale=scale)
+        assert 1 <= out.max_leapfrog <= cap
+        assert all(2 <= c <= cap + 1 for c in calls)
+        assert max(calls[cfg.n_warmup:]) <= out.max_leapfrog + 1
+    if cap == 1:
+        assert set(calls) == {2}
+
+
+def test_hmc_replay_gives_identical_draws_step_size_and_length():
+    # M = diag(1, 4, 16) against precision diag(1, 4, 25): unequal whitened scales
+    precision = np.diag([1.0, 4.0, 25.0])
+    cfg = HmcConfig(n_samples=400, n_warmup=300, leapfrog_steps=32, seed=11)
+    a, b = (
+        hmc_sample(
+            lambda t: -0.5 * float(t @ (precision @ t)), lambda t: -(precision @ t), 3, cfg,
+            mass_chol=np.diag([1.0, 2.0, 4.0]),
+        )
+        for _ in range(2)
+    )
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert (a.step_size, a.max_leapfrog, a.grad_evals, a.accept_rate) == (
+        b.step_size, b.max_leapfrog, b.grad_evals, b.accept_rate
+    )
+    assert a.max_leapfrog < cfg.leapfrog_steps  # the adaptation ran
+
+
+def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
+    """With M = I on N(0, I) every whitened standard deviation is about 1, so
+    the length is the half period pi / eps rounded up, within one step for
+    the sampling error of s_max."""
+    logp, grad, dim = _std_normal_target(4)
+    for seed in range(3):
+        out = hmc_sample(
+            logp, grad, dim,
+            HmcConfig(n_samples=100, n_warmup=1000, leapfrog_steps=32, seed=seed),
+        )
+        want = math.ceil(math.pi / out.step_size)
+        assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
+
+
+def test_hmc_warmup_shorter_than_the_adaptation_window_keeps_the_cap():
+    """int(0.15 * 22) = 3 iterations at the cap leave 19 positions, one short
+    of the 20 the length needs; 23 iterations leave exactly 20."""
+    short = HmcConfig(n_samples=300, n_warmup=22, leapfrog_steps=32, seed=1)
+    calls, out = _trajectory_gradient_counts(short)
+    assert out.max_leapfrog == short.leapfrog_steps
+    assert max(calls[short.n_warmup:]) > 16  # sampling still draws up to the cap
+    _, adapted = _trajectory_gradient_counts(replace(short, n_warmup=23))
+    assert adapted.max_leapfrog < short.leapfrog_steps
+
+
+def test_hmc_grad_evals_counts_every_gradient_call():
+    """Warmup, sampling and the initial step-size search all count."""
+    ds, noise, prior = _problem(15, n=40, d=3)
+    calls = [0]
+
+    def grad(t):
+        calls[0] += 1
+        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+
+    for cfg in (
+        HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6),
+        HmcConfig(n_samples=5, n_warmup=3, leapfrog_steps=1, seed=0),
+    ):
+        calls[0] = 0
+        out = hmc_sample(
+            lambda t: robust_log_density_unnorm(t, ds, noise, prior, 0.3), grad, ds.d, cfg,
+            mass_chol=bayes_posterior(ds, noise, prior).precision.chol_lower,
+        )
+        assert out.grad_evals == calls[0] > 2 * (cfg.n_warmup + cfg.n_samples)
 
 
 def test_hmc_config_validation():
