@@ -92,20 +92,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _EnvInt(NamedTuple):
-    """A default read from an environment variable as an integer."""
+    """A default read from an environment variable as an integer, 0 if unset."""
 
     variable: str
-    unset: str  # the text read when the variable is not set
 
     def read(self) -> int:
-        text = os.environ.get(self.variable, self.unset)
+        text = os.environ.get(self.variable, "0")
         try:
             return int(text)
         except ValueError:
             raise ValueError(f"{self.variable} must be an integer, got {text!r}") from None
 
 
-_ENV_SEED = _EnvInt("CERTBAYES_SEED", "0")
+_ENV_SEED = _EnvInt("CERTBAYES_SEED")
 
 
 def _digest_file(path) -> str:

@@ -65,6 +65,9 @@ _LENGTH_MIN_DRAWS = 20
 
 @dataclass(frozen=True)
 class HmcConfig:
+    """Draws kept, warmup iterations, the cap on the warmup-adapted maximum
+    leapfrog steps per iteration, and the seed."""
+
     n_samples: int = 4000
     n_warmup: int = 2000
     leapfrog_steps: int = 32

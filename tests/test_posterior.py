@@ -264,46 +264,11 @@ def test_hmc_rejects_mass_factor_of_wrong_shape():
                    mass_chol=np.eye(2))
 
 
-def test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum():
-    """Each iteration evaluates the log density once, after its trajectory;
-    the gradient calls since the previous evaluation are that trajectory's."""
-    cfg = HmcConfig(n_samples=400, n_warmup=200, leapfrog_steps=5, seed=3)
-    per_trajectory, pending = [], [0]
-
-    def logp(t):
-        per_trajectory.append(pending[0])
-        pending[0] = 0
-        return -0.5 * float(t @ t)
-
-    def grad(t):
-        pending[0] += 1
-        return -t
-
-    hmc_sample(logp, grad, 2, cfg)
-    calls = per_trajectory[-(cfg.n_warmup + cfg.n_samples):]
-    assert all(2 <= c <= cfg.leapfrog_steps + 1 for c in calls)
-    assert set(calls) == set(range(2, cfg.leapfrog_steps + 2))
-
-
-def test_hmc_random_length_breaks_resonance():
-    """A fixed count of 8 steps nearly resonates on a 9-d unit Gaussian, so
-    some coordinate mixes slowly: the min-ESS of 4000 draws read 1985, 970
-    and 1416 for seeds 0-2 with a fixed count and +/-20% step jitter. A
-    length drawn from 1..8 each iteration keeps every seed above half the
-    draws."""
-    logp, grad, dim = _std_normal_target(9)
-    for seed in range(3):
-        out = hmc_sample(
-            logp, grad, dim,
-            HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=seed),
-        )
-        min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(dim))
-        assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
-
-
-def _trajectory_gradient_counts(cfg, dim=2, scale=1.0, mass_chol=None):
-    """Gradient calls per iteration of an HMC run on N(0, scale^2 I), read as
-    in test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum, and the run."""
+def _trajectory_gradient_counts(cfg, scale=1.0):
+    """Gradient calls per iteration of an HMC run on the 2-d N(0, scale^2 I),
+    and the run. Each iteration evaluates the log density once, after its
+    trajectory; the gradient calls since the previous evaluation are that
+    trajectory's."""
     per_trajectory, pending = [], [0]
 
     def logp(t):
@@ -315,8 +280,31 @@ def _trajectory_gradient_counts(cfg, dim=2, scale=1.0, mass_chol=None):
         pending[0] += 1
         return -t / scale**2
 
-    out = hmc_sample(logp, grad, dim, cfg, mass_chol=mass_chol)
+    out = hmc_sample(logp, grad, 2, cfg)
     return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
+
+
+def test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum():
+    cfg = HmcConfig(n_samples=400, n_warmup=200, leapfrog_steps=5, seed=3)
+    calls, _ = _trajectory_gradient_counts(cfg)
+    assert all(2 <= c <= cfg.leapfrog_steps + 1 for c in calls)
+    assert set(calls) == set(range(2, cfg.leapfrog_steps + 2))
+
+
+def test_hmc_random_length_breaks_resonance():
+    """A fixed count of 8 steps nearly resonates on a 9-d unit Gaussian, so
+    some coordinate mixes slowly: the min-ESS of 4000 draws read 1985, 970
+    and 1416 for seeds 0-2 with a fixed count and +/-20% step jitter. A
+    length drawn each iteration from 1 to the warmup-adapted maximum (at
+    most 8) keeps every seed above half the draws."""
+    logp, grad, dim = _std_normal_target(9)
+    for seed in range(3):
+        out = hmc_sample(
+            logp, grad, dim,
+            HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=seed),
+        )
+        min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(dim))
+        assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5])
