@@ -231,7 +231,7 @@ def hmc_sample(
     # Trajectory-length state: Welford moments of the whitened position.
     max_steps = config.leapfrog_steps
     burn_in = int(_LENGTH_BURN_IN * config.n_warmup)
-    w_count, w_mean, w_m2 = 0, np.zeros(dim), np.zeros(dim)
+    w_mean, w_m2 = np.zeros(dim), np.zeros(dim)
 
     for m in range(1, total_iters + 1):
         n_steps = int(rng.integers(1, max_steps + 1))
@@ -272,7 +272,7 @@ def hmc_sample(
                 eps = math.exp(log_eps_bar)
             if m > burn_in:
                 w = theta if lt is None else lt @ theta
-                w_count += 1
+                w_count = m - burn_in
                 dev = w - w_mean
                 w_mean += dev / w_count
                 w_m2 += dev * (w - w_mean)
