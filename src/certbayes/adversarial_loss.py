@@ -61,6 +61,12 @@ def _check_theta(theta, d: int) -> np.ndarray:
     return th
 
 
+def _check_delta(delta: float) -> None:
+    """Reject a radius that is NaN, infinite or negative."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+
 def _sign_plus(z: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) := +1."""
     return np.where(z >= 0.0, 1.0, -1.0)
@@ -79,8 +85,7 @@ def _gaussian_adv_nll_and_residual(
 ) -> tuple[float, np.ndarray]:
     """The value of :func:`gaussian_adv_nll` and the residual Y - X theta,
     without the per-point signs."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_delta(delta)
     th = _check_theta(theta, data.d)
     r = data.Y - data.X @ th
     grown = np.abs(r) + delta * math.sqrt(float(th @ th))
@@ -105,8 +110,7 @@ def gaussian_adv_perturbation(theta, x, y: float, delta: float) -> PerturbationR
     When theta = 0 the loss does not depend on the input at all; x is returned
     unchanged with theta_is_zero set.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_delta(delta)
     xv = np.asarray(x, dtype=float)
     th = _check_theta(theta, xv.shape[0])
     theta_norm = float(np.linalg.norm(th))
@@ -136,8 +140,7 @@ def expfam_adv_nll_point(
     and keeps the larger NLL psi(eta) - y*eta - base_log_measure(y). Ties go
     to the +1 branch.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_delta(delta)
     xv = np.asarray(x, dtype=float)
     th = _check_theta(theta, xv.shape[0])
     eta = float(th @ xv)
@@ -182,8 +185,7 @@ def adv_loss_sandwich(
                                   <= 2 r_i^2 + 2 delta^2 ||theta||^2
     summed and scaled by 1/(2 sigma^2), plus the shared log constant.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_delta(delta)
     th = _check_theta(theta, data.d)
     r = data.Y - data.X @ th
     m_sq = (delta ** 2) * float(th @ th)

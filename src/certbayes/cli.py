@@ -210,11 +210,11 @@ def _robust_hmc(
     )
 
 
-def _risk(posterior, test: Dataset, noise, delta_hat: float, seed: int, resolved: dict):
-    """Expected test risk at delta_hat; an exact posterior is sampled (seeded)
-    as many times as HMC draws."""
+def _risk(posterior, test: Dataset, noise, radii: list, seed: int, resolved: dict):
+    """Expected test risks at each radius in ``radii``, from one residual pass;
+    an exact posterior is sampled (seeded) as many times as HMC draws."""
     return expected_risk(
-        posterior, test, noise, delta_hat, n_draws=resolved["hmc_samples"], seed=seed
+        posterior, test, noise, radii, n_draws=resolved["hmc_samples"], seed=seed
     )
 
 
@@ -294,11 +294,15 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
 
     exact = bayes_posterior(train, noise, prior)
     hmc = _robust_hmc(train, noise, prior, resolved["delta"], exact, seed, resolved)
+    risks = {
+        which: _risk(posterior, test, noise, eval_deltas, seed, resolved)
+        for which, posterior in (("bayes", exact), ("robust", hmc))
+    }
     metrics = []
-    for dh in eval_deltas:
+    for slot, dh in enumerate(eval_deltas):
         entry = {"delta_hat": dh}
-        for which, posterior in (("bayes", exact), ("robust", hmc)):
-            risk = _risk(posterior, test, noise, dh, seed, resolved)
+        for which in ("bayes", "robust"):
+            risk = risks[which][slot]
             entry[which] = {"value": risk.value, "std_error": risk.std_error}
         metrics.append(entry)
     return {
@@ -389,15 +393,25 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     if any(name.startswith("robust") for name in theorems):
         hmc = _robust_hmc(train, noise, prior, budget.delta_train, exact, seed, resolved)
 
+    reports = [
+        _certificate(name, train, noise, prior, dist, budget, beta) for name in theorems
+    ]
+
+    def scored_at(name: str) -> tuple[str, float]:
+        """The posterior a theorem's row scores and its test radius."""
+        return name.split("-")[0], 0.0 if name.endswith("-std") else budget.delta_test
+
+    # One expected_risk call per posterior, over only the radii its rows need.
+    risks = {}
+    for which, posterior in (("bayes", exact), ("robust", hmc)):
+        radii = sorted({dh for w, dh in map(scored_at, theorems) if w == which})
+        if radii:
+            found = _risk(posterior, test, noise, radii, seed, resolved)
+            risks.update(((which, dh), risk) for dh, risk in zip(radii, found))
+
     rows = []
-    risk_cache: dict = {}
-    for name in theorems:
-        report = _certificate(name, train, noise, prior, dist, budget, beta)
-        bayes = name.startswith("bayes")
-        dh = 0.0 if name.endswith("-std") else budget.delta_test
-        if (bayes, dh) not in risk_cache:
-            risk_cache[bayes, dh] = _risk(exact if bayes else hmc, test, noise, dh, seed, resolved)
-        risk = risk_cache[bayes, dh]
+    for name, report in zip(theorems, reports):
+        risk = risks[scored_at(name)]
         rows.append(
             {
                 "n": n,

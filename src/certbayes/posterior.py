@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -331,73 +331,115 @@ def _effective_sample_size(series: np.ndarray) -> float:
     return float(min(n, n / tau))
 
 
-def _risk_per_draw(
-    draws: np.ndarray, testset: Dataset, noise: NoiseModel, delta_test: float
-) -> np.ndarray:
-    """Mean per-point (adversarial) NLL over the test set, one value per draw."""
+
+
+def _closed_form_risk(
+    post: GaussianPosterior, testset: Dataset, noise: NoiseModel
+) -> RiskEstimate:
+    """Exact posterior-averaged test risk at delta_test = 0 (standard error 0)."""
+    resid = testset.Y - testset.X @ post.mean
+    w = solve_triangular(
+        post.precision.chol_lower, testset.X.T, lower=True, check_finite=False
+    )
+    predictive_var = np.sum(w * w, axis=0)
     const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-    norms = np.linalg.norm(draws, axis=1)
-    out = np.empty(draws.shape[0])
-    # Chunk so the residual matrix stays ~32 MB regardless of test size.
-    chunk = max(1, (1 << 22) // max(1, testset.n))
-    for start in range(0, draws.shape[0], chunk):
-        block = draws[start : start + chunk]
-        resid = testset.Y[None, :] - block @ testset.X.T
-        grown = np.abs(resid) + delta_test * norms[start : start + chunk, None]
-        out[start : start + chunk] = (
-            0.5 * np.mean(grown * grown, axis=1) / noise.sigma_sq + const
-        )
-    return out
+    value = float(
+        np.mean(0.5 * (resid * resid + predictive_var) / noise.sigma_sq + const)
+    )
+    return RiskEstimate(value=value, std_error=0.0)
+
+
+def _residual_moments(
+    draws: np.ndarray, testset: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean |r| and mean r^2 over the test set, one pair per draw, where
+    r = y - x'theta.
+
+    One GEMM per chunk of draws, [theta, -1] [X, Y]', writes -r into a buffer
+    of at most 2^22 entries (32 MB) regardless of test size; the abs and both
+    row sums work in that buffer, so no other draws x test array is formed.
+    """
+    n, m = testset.n, draws.shape[0]
+    xy = np.column_stack((testset.X, testset.Y))
+    aug = np.column_stack((draws, np.full(m, -1.0)))
+    chunk = max(1, (1 << 22) // n)
+    buf = np.empty((min(chunk, m), n))
+    m1, m2 = np.empty(m), np.empty(m)
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        r = buf[: stop - start]
+        np.matmul(aug[start:stop], xy.T, out=r)
+        np.einsum("ij,ij->i", r, r, out=m2[start:stop])
+        np.abs(r, out=r)
+        np.einsum("ij->i", r, out=m1[start:stop])
+    return m1 / n, m2 / n
 
 
 def expected_risk(
     samples_or_exact: Union[SampleSet, GaussianPosterior],
     testset: Dataset,
     noise: NoiseModel,
-    delta_test: float = 0.0,
+    delta_test: Union[float, Sequence[float]] = 0.0,
     *,
     n_draws: int = 4000,
     seed: int = 0,
-) -> RiskEstimate:
+) -> Union[RiskEstimate, tuple[RiskEstimate, ...]]:
     """Posterior-averaged test risk under the (adversarial) Gaussian NLL.
 
-    With an exact Gaussian posterior and delta_test = 0 the value is closed
-    form (standard error 0): per point, [(y - x'mean)^2 + x' P^{-1} x] /
-    (2 sigma^2) + log(2 pi sigma^2)/2. Otherwise the risk is averaged over
-    posterior draws — fresh ones for an exact posterior, the stored ones for
-    a SampleSet, whose standard error is adjusted by the chain's effective
-    sample size.
+    delta_test is one radius, which gives one RiskEstimate, or a sequence of
+    radii, which gives a tuple of RiskEstimates in the order given (like
+    ``np.quantile``). Per draw theta and test point the loss at radius dh is
+    (|r| + dh ||theta||)^2 / (2 sigma^2) + log(2 pi sigma^2)/2 with
+    r = y - x'theta, so every radius is read from two per-draw means over the
+    test set, of |r| and of r^2, formed in one pass over the draws; every
+    term of the expanded square is non-negative.
+
+    With an exact Gaussian posterior, dh = 0 is closed form (standard error
+    0): per point, [(y - x'mean)^2 + x' P^{-1} x] / (2 sigma^2) +
+    log(2 pi sigma^2)/2. Every dh > 0 is averaged over one shared set of
+    n_draws fresh draws from ``default_rng(seed)``, the set a call with that
+    radius alone draws. A SampleSet scores every radius on its stored draws,
+    and each standard error is adjusted by the effective sample size of that
+    radius's per-draw risks along the chain.
+
+    Raises ValueError for a radius that is not finite and >= 0 and for a
+    posterior whose dimension differs from the test set's.
     """
-    if delta_test < 0:
-        raise ValueError(f"delta_test must be >= 0, got {delta_test}")
-    if isinstance(samples_or_exact, GaussianPosterior):
-        post = samples_or_exact
-        if post.dim != testset.d:
-            raise ValueError(
-                f"posterior dimension {post.dim} != test dimension {testset.d}"
+    radii = np.asarray(delta_test, dtype=float)
+    if radii.ndim > 1:
+        raise ValueError(f"delta_test must be a float or a sequence, got shape {radii.shape}")
+    wanted = radii.reshape(-1).tolist()
+    for dh in wanted:
+        if not (math.isfinite(dh) and dh >= 0):
+            raise ValueError(f"delta_test must be finite and >= 0, got {dh}")
+    if samples_or_exact.dim != testset.d:
+        raise ValueError(
+            f"posterior dimension {samples_or_exact.dim} != test dimension {testset.d}"
+        )
+
+    exact = isinstance(samples_or_exact, GaussianPosterior)
+    estimates = {}
+    if exact and 0.0 in wanted:
+        estimates[0.0] = _closed_form_risk(samples_or_exact, testset, noise)
+    pending = set(wanted) - estimates.keys()
+    if pending:
+        if exact:
+            draws = samples_or_exact.sample(n_draws, np.random.default_rng(seed))
+        else:
+            draws = samples_or_exact.draws
+        m1, m2 = _residual_moments(draws, testset)
+        norms = np.linalg.norm(draws, axis=1)
+        const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
+        for dh in pending:
+            t = dh * norms
+            risks = 0.5 * (m2 + 2.0 * t * m1 + t * t) / noise.sigma_sq + const
+            if risks.shape[0] == 1:
+                estimates[dh] = RiskEstimate(value=float(risks[0]), std_error=0.0)
+                continue
+            ess = float(risks.shape[0]) if exact else _effective_sample_size(risks)
+            estimates[dh] = RiskEstimate(
+                value=float(np.mean(risks)),
+                std_error=float(np.std(risks, ddof=1) / math.sqrt(ess)),
             )
-        if delta_test == 0.0:
-            resid = testset.Y - testset.X @ post.mean
-            w = solve_triangular(
-                post.precision.chol_lower, testset.X.T, lower=True, check_finite=False
-            )
-            predictive_var = np.sum(w * w, axis=0)
-            const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-            value = float(
-                np.mean(0.5 * (resid * resid + predictive_var) / noise.sigma_sq + const)
-            )
-            return RiskEstimate(value=value, std_error=0.0)
-        draws = post.sample(n_draws, np.random.default_rng(seed))
-        iid = True
-    else:
-        draws = samples_or_exact.draws
-        iid = False
-    risks = _risk_per_draw(draws, testset, noise, delta_test)
-    m = risks.shape[0]
-    if m == 1:
-        return RiskEstimate(value=float(risks[0]), std_error=0.0)
-    ess = float(m) if iid else _effective_sample_size(risks)
-    return RiskEstimate(
-        value=float(np.mean(risks)),
-        std_error=float(np.std(risks, ddof=1) / math.sqrt(ess)),
-    )
+    found = tuple(estimates[dh] for dh in wanted)
+    return found[0] if radii.ndim == 0 else found

@@ -20,6 +20,7 @@ import pytest
 import certbayes
 from certbayes import cli
 from certbayes.errors import DivergentTrajectory
+from certbayes.posterior import expected_risk
 
 
 AUTO_MPG = str(Path(__file__).resolve().parents[1] / "data" / "auto_mpg.csv")
@@ -411,6 +412,66 @@ def test_fit_eval_structure(tmp_path):
     assert [s["delta_hat"] for s in payload["summary"]] == [0.0, 0.1]
     for s in payload["summary"]:
         assert s["bayes"]["sd"] >= 0.0 and s["robust"]["sd"] >= 0.0
+
+
+@pytest.mark.parametrize("flag, named", [("--delta-hat", "delta_test"), ("--delta", "delta")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_eval_non_finite_radius_exits_1(flag, named, value, tmp_path, capsys):
+    """The wording certify and sweep already print for a bad test radius."""
+    out = tmp_path / "fe.json"
+    rc = cli.main([*FIT_EVAL, "--hmc-samples", "20", flag, value, "--out", str(out)])
+    assert rc == 1
+    assert f"certbayes: error: {named} must be finite and >= 0, got {value}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+def _count_risk_calls(monkeypatch):
+    """Route the CLI's expected_risk through a recorder of the radii each
+    call was given, keyed by posterior type."""
+    calls = []
+
+    def recording(posterior, test, noise, radii, **kwargs):
+        calls.append((type(posterior).__name__, np.ravel(radii).tolist()))
+        return expected_risk(posterior, test, noise, radii, **kwargs)
+
+    monkeypatch.setattr(cli, "expected_risk", recording)
+    return calls
+
+
+def test_fit_eval_scores_each_posterior_once(tmp_path, monkeypatch):
+    argv = [*FIT_EVAL, "--hmc-samples", "20", "--delta-hat", "0.2,0,0.1"]
+    plain, counted = tmp_path / "plain.json", tmp_path / "counted.json"
+    assert cli.main([*argv, "--out", str(plain)]) == 0
+    calls = _count_risk_calls(monkeypatch)
+    assert cli.main([*argv, "--out", str(counted)]) == 0
+    assert calls == [("GaussianPosterior", [0.0, 0.2, 0.1]), ("SampleSet", [0.0, 0.2, 0.1])]
+    assert counted.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "theorem, expected",
+    [
+        ("all", [("GaussianPosterior", [0.0, 0.1]), ("SampleSet", [0.0, 0.1])]),
+        ("bayes-std", [("GaussianPosterior", [0.0])]),
+        ("robust-adv-matched,robust-adv-general", [("SampleSet", [0.1])]),
+    ],
+)
+def test_sweep_scores_each_posterior_once_per_cell(theorem, expected, tmp_path, monkeypatch):
+    """One expected_risk call per posterior and cell, over only the radii the
+    cell's theorems need; a posterior no theorem scores gets no call."""
+    argv = [
+        "sweep", "--n-grid", "10,20", "--d", "2", "--n-test", "50", "--sigma-p-sq", "0.25",
+        "--delta", "0.1", "--delta-hat", "0.1", "--seeds", "1", "--theorem", theorem,
+        "--hmc-samples", "30", "--hmc-warmup", "30", "--leapfrog", "4",
+    ]
+    plain, counted = tmp_path / "plain.csv", tmp_path / "counted.csv"
+    assert cli.main([*argv, "--out", str(plain)]) == 0
+    calls = _count_risk_calls(monkeypatch)
+    assert cli.main([*argv, "--out", str(counted)]) == 0
+    assert calls == expected * 2  # two cells
+    assert counted.read_bytes() == plain.read_bytes()
 
 
 def test_fit_eval_divergence_exits_3(tmp_path, monkeypatch, capsys):

@@ -88,6 +88,21 @@ def test_adv_nll_negative_delta_rejected():
         gaussian_adv_nll(theta, ds, NoiseModel(1.0), -0.1)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_adversarial_losses_reject_non_finite_delta(delta):
+    ds, theta = _random_problem(1)
+    noise = NoiseModel(1.0)
+    calls = [
+        lambda: gaussian_adv_nll(theta, ds, noise, delta),
+        lambda: gaussian_adv_perturbation(theta, ds.X[0], float(ds.Y[0]), delta),
+        lambda: expfam_adv_nll_point(theta, ds.X[0], 1.0, delta, bernoulli_family()),
+        lambda: adv_loss_sandwich(theta, ds, noise, delta),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {delta}"):
+            call()
+
+
 def test_adv_nll_matches_brute_force():
     rng = np.random.default_rng(11)
     for trial in range(12):

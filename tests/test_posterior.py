@@ -432,6 +432,88 @@ def test_expected_risk_nondecreasing_in_delta():
     assert all(a <= b for a, b in zip(values, values[1:]))
 
 
+def _per_draw_reference(draws, test, noise, dh):
+    """Straight-line risk per draw: the mean of (|y - x'theta| + dh ||theta||)^2
+    / (2 sigma^2) + log(2 pi sigma^2)/2 over the test points."""
+    const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
+    out = []
+    for theta in draws:
+        grown = np.abs(test.Y - test.X @ theta) + dh * np.linalg.norm(theta)
+        out.append(0.5 * np.mean(grown * grown) / noise.sigma_sq + const)
+    return np.array(out)
+
+
+def test_expected_risk_matches_straight_line_reference_across_chunks():
+    """5000 test points make the residual buffer hold 838 draws, so 1000 iid
+    draws run as one full and one partial chunk."""
+    test, noise, _ = _problem(20, n=5000, d=3, sigma_sq=0.3)
+    rng = np.random.default_rng(21)
+    draws = 0.5 + 0.1 * rng.standard_normal((1000, 3))
+    ss = SampleSet(draws=draws, seed=0, accept_rate=1.0, step_size=1.0)
+    for dh in (0.0, 0.05, 2.0):
+        got = expected_risk(ss, test, noise, dh)
+        ref = _per_draw_reference(draws, test, noise, dh)
+        assert got.value == pytest.approx(ref.mean(), rel=1e-12)
+
+
+def test_expected_risk_sequence_matches_per_radius_calls():
+    ds, noise, prior = _problem(15)
+    test, _, _ = _problem(16, n=300, d=3)
+    post = bayes_posterior(ds, noise, prior)
+    rng = np.random.default_rng(17)
+    draws = post.mean + 0.2 * np.cumsum(rng.standard_normal((400, 3)), axis=0) / 20
+    chain = SampleSet(draws=draws, seed=0, accept_rate=1.0, step_size=1.0)
+    radii = [0.3, 0.0, 0.1, 0.3, 0.05]
+    for posterior in (chain, post):
+        together = expected_risk(posterior, test, noise, radii, n_draws=500, seed=4)
+        assert isinstance(together, tuple) and len(together) == len(radii)
+        for dh, est in zip(radii, together):
+            alone = expected_risk(posterior, test, noise, dh, n_draws=500, seed=4)
+            assert isinstance(alone, RiskEstimate)
+            assert est.value == pytest.approx(alone.value, rel=1e-12)
+            assert est.std_error == pytest.approx(alone.std_error, rel=1e-12)
+        assert together[0] == together[3]
+    assert expected_risk(chain, test, noise, np.array(radii)) == expected_risk(
+        chain, test, noise, radii
+    )
+    assert expected_risk(chain, test, noise, []) == ()
+
+
+def test_expected_risk_exact_zero_radius_in_a_sequence_is_the_closed_form():
+    ds, noise, prior = _problem(18)
+    test, _, _ = _problem(19, n=200, d=3)
+    post = bayes_posterior(ds, noise, prior)
+    closed = expected_risk(post, test, noise, 0.0)
+    for radii in ([0.0], [0.2, 0.0], [0.0, 0.0, 0.1]):
+        found = dict(zip(radii, expected_risk(post, test, noise, radii, n_draws=300)))
+        assert found[0.0].std_error == 0.0
+        assert found[0.0] == closed  # bit for bit
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+def test_expected_risk_rejects_non_finite_or_negative_radius(bad):
+    ds, noise, prior = _problem(22)
+    post = bayes_posterior(ds, noise, prior)
+    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)), seed=0,
+                      accept_rate=1.0, step_size=1.0)
+    for posterior in (post, chain):
+        for delta_test in (bad, [0.1, bad]):
+            with pytest.raises(ValueError, match=f"delta_test must be finite and >= 0, got {bad}"):
+                expected_risk(posterior, ds, noise, delta_test)
+
+
+def test_expected_risk_dimension_mismatch_names_both_dimensions():
+    ds, noise, prior = _problem(23, d=3)
+    test, _, _ = _problem(24, n=20, d=4)
+    post = bayes_posterior(ds, noise, prior)
+    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)), seed=0,
+                      accept_rate=1.0, step_size=1.0)
+    for posterior in (post, chain):
+        for delta_test in (0.0, 0.1, [0.0, 0.1]):
+            with pytest.raises(ValueError, match="posterior dimension 3 != test dimension 4"):
+                expected_risk(posterior, test, noise, delta_test)
+
+
 def test_expected_risk_is_named_tuple():
     est = RiskEstimate(value=1.0, std_error=0.1)
     v, se = est
