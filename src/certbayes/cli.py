@@ -397,21 +397,22 @@ def _sweep_cell(payload: tuple) -> list[dict]:
         _certificate(name, train, noise, prior, dist, budget, beta) for name in theorems
     ]
 
-    def scored_at(name: str) -> tuple[str, float]:
-        """The posterior a theorem's row scores and its test radius."""
-        return name.split("-")[0], 0.0 if name.endswith("-std") else budget.delta_test
-
-    # One expected_risk call per posterior, over only the radii its rows need.
+    # The posterior and test radius each theorem's row is scored at, and one
+    # expected_risk call per posterior over only the radii its rows need.
+    scored = [
+        (name.split("-")[0], 0.0 if name.endswith("-std") else budget.delta_test)
+        for name in theorems
+    ]
     risks = {}
     for which, posterior in (("bayes", exact), ("robust", hmc)):
-        radii = sorted({dh for w, dh in map(scored_at, theorems) if w == which})
+        radii = sorted({dh for w, dh in scored if w == which})
         if radii:
             found = _risk(posterior, test, noise, radii, seed, resolved)
             risks.update(((which, dh), risk) for dh, risk in zip(radii, found))
 
     rows = []
-    for name, report in zip(theorems, reports):
-        risk = risks[scored_at(name)]
+    for key, report in zip(scored, reports):
+        risk = risks[key]
         rows.append(
             {
                 "n": n,

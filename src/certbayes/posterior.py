@@ -25,6 +25,12 @@ to min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the largest
 whitened standard deviation: a Gaussian's half period, the length that
 ChEES (Hoffman, Radul & Sountsov, AISTATS 2021) targets, estimated from the
 one chain. A warmup too short to collect 20 positions keeps the cap.
+
+expected_risk scores a posterior at one test radius or at a sequence of
+them. The residual r = y - x'theta does not depend on the radius dh, and the
+loss (|r| + dh ||theta||)^2 / (2 sigma^2) + log(2 pi sigma^2)/2 expands into
+non-negative terms of mean |r| and mean r^2, so one residual pass per set of
+draws serves every radius.
 """
 
 from __future__ import annotations
@@ -331,24 +337,6 @@ def _effective_sample_size(series: np.ndarray) -> float:
     return float(min(n, n / tau))
 
 
-
-
-def _closed_form_risk(
-    post: GaussianPosterior, testset: Dataset, noise: NoiseModel
-) -> RiskEstimate:
-    """Exact posterior-averaged test risk at delta_test = 0 (standard error 0)."""
-    resid = testset.Y - testset.X @ post.mean
-    w = solve_triangular(
-        post.precision.chol_lower, testset.X.T, lower=True, check_finite=False
-    )
-    predictive_var = np.sum(w * w, axis=0)
-    const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
-    value = float(
-        np.mean(0.5 * (resid * resid + predictive_var) / noise.sigma_sq + const)
-    )
-    return RiskEstimate(value=value, std_error=0.0)
-
-
 def _residual_moments(
     draws: np.ndarray, testset: Dataset
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -418,9 +406,19 @@ def expected_risk(
         )
 
     exact = isinstance(samples_or_exact, GaussianPosterior)
+    const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
     estimates = {}
     if exact and 0.0 in wanted:
-        estimates[0.0] = _closed_form_risk(samples_or_exact, testset, noise)
+        post = samples_or_exact
+        resid = testset.Y - testset.X @ post.mean
+        w = solve_triangular(
+            post.precision.chol_lower, testset.X.T, lower=True, check_finite=False
+        )
+        predictive_var = np.sum(w * w, axis=0)
+        value = float(
+            np.mean(0.5 * (resid * resid + predictive_var) / noise.sigma_sq + const)
+        )
+        estimates[0.0] = RiskEstimate(value=value, std_error=0.0)
     pending = set(wanted) - estimates.keys()
     if pending:
         if exact:
@@ -429,7 +427,6 @@ def expected_risk(
             draws = samples_or_exact.draws
         m1, m2 = _residual_moments(draws, testset)
         norms = np.linalg.norm(draws, axis=1)
-        const = 0.5 * math.log(2.0 * math.pi * noise.sigma_sq)
         for dh in pending:
             t = dh * norms
             risks = 0.5 * (m2 + 2.0 * t * m1 + t * t) / noise.sigma_sq + const
