@@ -3,7 +3,7 @@ was refactored.
 
 Each case runs ``cli.main(argv)`` in-process from the repository root and
 compares its exit code, stdout, stderr and (for ``sweep`` and ``gen-data``)
-the written CSV with ``tests/golden/<case>.json``. Every float is compared at
+the written CSV, or that none was written, with ``tests/golden/<case>.json``. Every float is compared at
 1e-12 relative (1e-12 absolute where the recorded value is zero); every other
 value, and any output that is not JSON or CSV, must match exactly. The
 ``gen-data`` CSV, line ends included, and its JSON sidecar must match byte for
@@ -84,6 +84,11 @@ CASES = {
         "--sigma-p-sq", "0.25", "--delta", "0.1", "--delta-hat", "0.1", *_HMC,
         "--theorem", "all",
     ],
+    "sweep_denominator_fails": [
+        "sweep", "--n-grid", "10,2000", "--d", "2", "--n-test", "50", "--seeds", "2",
+        "--sigma-p-sq", "0.25", "--delta", "0.1", "--delta-hat", "0.1", *_HMC,
+        "--theorem", "all",
+    ],
 }
 
 
@@ -98,7 +103,7 @@ def _run(argv: list, out_dir: Path) -> dict:
         "exit_code": code,
         "stdout": stdout.getvalue(),
         "stderr": stderr.getvalue(),
-        "out": out.read_text(encoding="utf-8") if out else None,
+        "out": out.read_text(encoding="utf-8") if out and out.exists() else None,
     }
     if argv[0] == "gen-data":  # read_text would turn its CRLF line ends into LF
         record["out"] = out.read_bytes().decode("utf-8")
