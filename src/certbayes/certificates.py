@@ -48,6 +48,8 @@ from .model import (
     NoiseModel,
     PerturbationBudget,
     TheoremId,
+    _check_nonnegative,
+    _check_positive,
 )
 from .numerics import SpdMatrix, quad_form_inv, spd_logdet, spd_solve
 
@@ -87,8 +89,7 @@ class CgfConstants:
     def __post_init__(self):
         if not (0.0 < self.t * self.c < 1.0):
             raise ValueError(f"need 0 < t*c < 1, got t={self.t}, c={self.c}")
-        if self.s_sq <= 0.0:
-            raise ValueError(f"s_sq must be positive, got {self.s_sq}")
+        _check_positive("s_sq", self.s_sq)
 
     @property
     def tail(self) -> float:
@@ -145,8 +146,7 @@ def cgf_adversarial(
     c = 2 sigma_p^2 (sigma_x^2 + delta_test^2) / sigma^2,
     s^2 = (2/t) (c d - c t + 1 + sigma_x^2 ||theta*||^2 / sigma^2).
     """
-    if delta_test < 0:
-        raise ValueError(f"delta_test must be >= 0, got {delta_test}")
+    _check_nonnegative("delta_test", delta_test)
     return _cgf(CgfKind.ADVERSARIAL, noise, prior, dist, d, delta_test, t)
 
 
@@ -202,8 +202,7 @@ def neg_log_z_robust_upper(
     At delta = 0 the factor-2 envelope slack remains — this does not collapse
     to :func:`neg_log_z_bayes`.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    _check_nonnegative("delta", delta)
     k = _k_delta(data, noise, prior, delta)
     logdet_d, quad_n = _gram_terms(data, k, 2.0 * prior.sigma_p_sq / noise.sigma_sq)
     return 0.5 * logdet_d + k * quad_n / noise.sigma_sq

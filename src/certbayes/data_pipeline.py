@@ -36,7 +36,7 @@ from .errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
-from .model import Dataset, validate_dataset
+from .model import Dataset, _check_nonnegative, _check_positive, validate_dataset
 
 __all__ = [
     "SyntheticSpec",
@@ -71,14 +71,9 @@ class SyntheticSpec:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.d, (int, np.integer)) and self.d >= 1):
             raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
-        for name in ("sigma_x_sq", "sigma_sq"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive, got {v}")
-        if not (math.isfinite(self.theta_star_norm_sq) and self.theta_star_norm_sq >= 0):
-            raise ValueError(
-                f"theta_star_norm_sq must be >= 0, got {self.theta_star_norm_sq}"
-            )
+        _check_positive("sigma_x_sq", self.sigma_x_sq)
+        _check_positive("sigma_sq", self.sigma_sq)
+        _check_nonnegative("theta_star_norm_sq", self.theta_star_norm_sq)
 
 
 @dataclass(frozen=True)

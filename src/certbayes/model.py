@@ -25,6 +25,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_nonnegative(name: str, v: float) -> None:
+    """Reject a value that is NaN, infinite or negative, naming it."""
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {v}")
+
+
+def _check_positive(name: str, v: float) -> None:
+    """Reject a value that is NaN, infinite, zero or negative, naming it."""
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A feature matrix X (n rows, d columns) with a label vector Y (length n).
@@ -97,8 +109,7 @@ class NoiseModel:
     sigma_sq: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_sq) and self.sigma_sq > 0):
-            raise ValueError(f"sigma_sq must be a positive real, got {self.sigma_sq}")
+        _check_positive("sigma_sq", self.sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -108,10 +119,7 @@ class IsotropicPrior:
     sigma_p_sq: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_p_sq) and self.sigma_p_sq > 0):
-            raise ValueError(
-                f"sigma_p_sq must be a positive real, got {self.sigma_p_sq}"
-            )
+        _check_positive("sigma_p_sq", self.sigma_p_sq)
 
 
 @dataclass(frozen=True)
@@ -122,10 +130,8 @@ class PerturbationBudget:
     delta_test: float
 
     def __post_init__(self):
-        for name in ("delta_train", "delta_test"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        _check_nonnegative("delta_train", self.delta_train)
+        _check_nonnegative("delta_test", self.delta_test)
 
 
 @dataclass(frozen=True)
@@ -142,12 +148,8 @@ class DataDistributionSpec:
     theta_star_norm_sq: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma_x_sq) and self.sigma_x_sq > 0):
-            raise ValueError(f"sigma_x_sq must be positive, got {self.sigma_x_sq}")
-        if not (math.isfinite(self.theta_star_norm_sq) and self.theta_star_norm_sq >= 0):
-            raise ValueError(
-                f"theta_star_norm_sq must be >= 0, got {self.theta_star_norm_sq}"
-            )
+        _check_positive("sigma_x_sq", self.sigma_x_sq)
+        _check_nonnegative("theta_star_norm_sq", self.theta_star_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -172,8 +174,7 @@ def gaussian_family(sigma_sq: float = 1.0) -> ExponentialFamily:
     mean sigma_sq * eta — so this family's NLL coincides with the squared-error
     NLL only at sigma_sq = 1.
     """
-    if not (math.isfinite(sigma_sq) and sigma_sq > 0):
-        raise ValueError(f"sigma_sq must be positive, got {sigma_sq}")
+    _check_positive("sigma_sq", sigma_sq)
     return ExponentialFamily(
         name=f"gaussian(sigma_sq={sigma_sq:g})",
         psi=lambda eta: 0.5 * sigma_sq * eta * eta,

@@ -45,6 +45,7 @@ from scipy.linalg import solve_triangular
 from .adversarial_loss import _gaussian_adv_nll_and_residual
 from .errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
+from .model import _check_nonnegative
 from .numerics import SpdMatrix, spd_solve
 
 __all__ = [
@@ -398,8 +399,7 @@ def expected_risk(
         raise ValueError(f"delta_test must be a float or a sequence, got shape {radii.shape}")
     wanted = radii.reshape(-1).tolist()
     for dh in wanted:
-        if not (math.isfinite(dh) and dh >= 0):
-            raise ValueError(f"delta_test must be finite and >= 0, got {dh}")
+        _check_nonnegative("delta_test", dh)
     if samples_or_exact.dim != testset.d:
         raise ValueError(
             f"posterior dimension {samples_or_exact.dim} != test dimension {testset.d}"

@@ -169,6 +169,17 @@ def test_neg_log_z_robust_upper_monotone_in_delta():
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+def test_radius_that_is_not_finite_and_nonnegative_is_named(bad):
+    """A NaN radius used to surface as CgfRangeViolation or NonFiniteEntry."""
+    noise, prior = NoiseModel(1.0), IsotropicPrior(0.01)
+    with pytest.raises(ValueError, match=f"delta_test must be finite and >= 0, got {bad}"):
+        cgf_adversarial(noise, prior, DataDistributionSpec(1.0, 0.5), 5, bad)
+    ds = validate_dataset(np.ones((3, 2)), np.arange(3.0))
+    with pytest.raises(ValueError, match=f"delta must be finite and >= 0, got {bad}"):
+        neg_log_z_robust_upper(ds, noise, prior, bad)
+
+
 def test_neg_log_z_robust_upper_bounds_importance_estimate():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((5, 1))
