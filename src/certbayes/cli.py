@@ -60,6 +60,7 @@ from .model import (
     IsotropicPrior,
     NoiseModel,
     PerturbationBudget,
+    _check_nonnegative,
     validate_dataset,
 )
 from .posterior import (
@@ -191,31 +192,41 @@ def _certificate(name: str, data: Dataset, noise, prior, dist, budget, beta):
     return fn(data, noise, prior, dist, budget, beta)
 
 
-def _robust_hmc(
-    train: Dataset, noise, prior, delta: float, exact, seed: int, resolved: dict
-):
-    """HMC draws from the robust posterior fitted at training radius delta,
-    preconditioned by the precision of the exact Bayes posterior ``exact``."""
-    return hmc_sample(
-        lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
-        lambda th: robust_log_density_grad(th, train, noise, prior, delta),
-        train.d,
-        HmcConfig(
-            n_samples=resolved["hmc_samples"],
-            n_warmup=resolved["hmc_warmup"],
-            leapfrog_steps=resolved["leapfrog"],
-            seed=seed,
-        ),
-        mass_chol=exact.precision.chol_lower,
-    )
+def _fit_and_score(train, test, noise, prior, delta: float, radii: dict, seed: int, resolved):
+    """Fit and score the posteriors of one train/test pair.
 
-
-def _risk(posterior, test: Dataset, noise, radii: list, seed: int, resolved: dict):
-    """Expected test risks at each radius in ``radii``, from one residual pass;
-    an exact posterior is sampled (seeded) as many times as HMC draws."""
-    return expected_risk(
-        posterior, test, noise, radii, n_draws=resolved["hmc_samples"], seed=seed
-    )
+    ``radii`` maps "bayes" and "robust" to the test radii each posterior is
+    scored at, with one expected_risk call. The robust posterior is fitted by
+    HMC at training radius delta, preconditioned by the Bayes precision, only
+    if it has radii. Returns the risks keyed by (posterior, radius) and the
+    robust draws, or None. hmc_sample and expected_risk are called through
+    this module's names so that callers can rebind them: the benchmark
+    captures draw sets through ``cli.hmc_sample``, and tests record calls.
+    """
+    exact = bayes_posterior(train, noise, prior)
+    posteriors = {"bayes": exact}
+    if radii["robust"]:
+        posteriors["robust"] = hmc_sample(
+            lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
+            lambda th: robust_log_density_grad(th, train, noise, prior, delta),
+            train.d,
+            HmcConfig(
+                n_samples=resolved["hmc_samples"],
+                n_warmup=resolved["hmc_warmup"],
+                leapfrog_steps=resolved["leapfrog"],
+                seed=seed,
+            ),
+            mass_chol=exact.precision.chol_lower,
+        )
+    risks = {}
+    for which, posterior in posteriors.items():
+        if radii[which]:
+            found = expected_risk(
+                posterior, test, noise, radii[which],
+                n_draws=resolved["hmc_samples"], seed=seed,
+            )
+            risks.update(((which, dh), risk) for dh, risk in zip(radii[which], found))
+    return risks, posteriors.get("robust")
 
 
 # --------------------------------------------------------------------------
@@ -282,29 +293,19 @@ def cmd_certify(resolved: dict) -> int:
 # fit-eval
 
 
-def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> dict:
+def _fit_eval_run(train: Dataset, test: Dataset, seed: int, radii: list, resolved) -> dict:
     """Fit both posteriors on one train/test pair and evaluate every radius."""
     if resolved["standardize"]:
         train, test = standardize_fit_transform(train, test)
-    noise = NoiseModel(resolved["sigma_sq"])
-    prior = IsotropicPrior(resolved["sigma_p_sq"])
-    eval_deltas = [0.0] + [
-        dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0
+    risks, hmc = _fit_and_score(
+        train, test, NoiseModel(resolved["sigma_sq"]),
+        IsotropicPrior(resolved["sigma_p_sq"]), resolved["delta"],
+        {"bayes": radii, "robust": radii}, seed, resolved,
+    )
+    metrics = [
+        {"delta_hat": dh, **{w: risks[w, dh]._asdict() for w in ("bayes", "robust")}}
+        for dh in radii
     ]
-
-    exact = bayes_posterior(train, noise, prior)
-    hmc = _robust_hmc(train, noise, prior, resolved["delta"], exact, seed, resolved)
-    risks = {
-        which: _risk(posterior, test, noise, eval_deltas, seed, resolved)
-        for which, posterior in (("bayes", exact), ("robust", hmc))
-    }
-    metrics = []
-    for slot, dh in enumerate(eval_deltas):
-        entry = {"delta_hat": dh}
-        for which in ("bayes", "robust"):
-            risk = risks[which][slot]
-            entry[which] = {"value": risk.value, "std_error": risk.std_error}
-        metrics.append(entry)
     return {
         "seed": seed,
         "n_train": train.n,
@@ -320,6 +321,11 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, resolved: dict) -> d
 
 
 def cmd_fit_eval(resolved: dict) -> int:
+    # The radii are checked before any file is read or any chain is run.
+    _check_nonnegative("delta", resolved["delta"])
+    radii = [0.0] + [dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0]
+    for dh in radii:
+        _check_nonnegative("delta_test", dh)
     runs = []
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
@@ -329,7 +335,7 @@ def cmd_fit_eval(resolved: dict) -> int:
         train = load_csv(resolved["train"], resolved["target"])
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
-        runs.append(_fit_eval_run(train, test, resolved["seed"], resolved))
+        runs.append(_fit_eval_run(train, test, resolved["seed"], radii, resolved))
         unread = ("seeds", "train_fraction", "data")  # the split is given
     else:
         if not resolved["data"]:
@@ -342,7 +348,7 @@ def cmd_fit_eval(resolved: dict) -> int:
             train, test = split(
                 data, SplitSpec(train_fraction=resolved["train_fraction"], seed=seed)
             )
-            runs.append(_fit_eval_run(train, test, seed, resolved))
+            runs.append(_fit_eval_run(train, test, seed, radii, resolved))
 
     # Across-seed mean and standard deviation per (posterior, delta_hat).
     summary = []
@@ -388,45 +394,32 @@ def _sweep_cell(payload: tuple) -> list[dict]:
     noise, prior, dist, budget, beta = _certificate_inputs(resolved)
     theorems = _parse_theorems(resolved["theorem"])
 
-    exact = bayes_posterior(train, noise, prior)
-    hmc = None
-    if any(name.startswith("robust") for name in theorems):
-        hmc = _robust_hmc(train, noise, prior, budget.delta_train, exact, seed, resolved)
-
-    reports = [
-        _certificate(name, train, noise, prior, dist, budget, beta) for name in theorems
-    ]
-
-    # The posterior and test radius each theorem's row is scored at, and one
-    # expected_risk call per posterior over only the radii its rows need.
+    # The posterior and test radius each theorem's row is scored at; each
+    # posterior is fitted and scored only at the radii its rows need.
     scored = [
         (name.split("-")[0], 0.0 if name.endswith("-std") else budget.delta_test)
         for name in theorems
     ]
-    risks = {}
-    for which, posterior in (("bayes", exact), ("robust", hmc)):
-        radii = sorted({dh for w, dh in scored if w == which})
-        if radii:
-            found = _risk(posterior, test, noise, radii, seed, resolved)
-            risks.update(((which, dh), risk) for dh, risk in zip(radii, found))
+    radii = {w: sorted({dh for v, dh in scored if v == w}) for w in ("bayes", "robust")}
+    risks, _ = _fit_and_score(train, test, noise, prior, budget.delta_train, radii, seed, resolved)
+    reports = [
+        _certificate(name, train, noise, prior, dist, budget, beta) for name in theorems
+    ]
 
-    rows = []
-    for key, report in zip(scored, reports):
-        risk = risks[key]
-        rows.append(
-            {
-                "n": n,
-                "seed": seed,
-                "theorem": report.theorem_id.value,
-                "bound": report.bound_value,
-                "cgf_c": report.cgf_c,
-                "cgf_s_sq": report.cgf_s_sq,
-                "beta": beta,
-                "empirical_risk": risk.value,
-                "risk_std_error": risk.std_error,
-            }
-        )
-    return rows
+    return [
+        {
+            "n": n,
+            "seed": seed,
+            "theorem": report.theorem_id.value,
+            "bound": report.bound_value,
+            "cgf_c": report.cgf_c,
+            "cgf_s_sq": report.cgf_s_sq,
+            "beta": beta,
+            "empirical_risk": risks[key].value,
+            "risk_std_error": risks[key].std_error,
+        }
+        for key, report in zip(scored, reports)
+    ]
 
 
 def cmd_sweep(resolved: dict) -> int:

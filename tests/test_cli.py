@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import certbayes
-from certbayes import cli
+from certbayes import cli, posterior
 from certbayes.errors import DivergentTrajectory
 from certbayes.posterior import expected_risk
 
@@ -414,10 +414,24 @@ def test_fit_eval_structure(tmp_path):
         assert s["bayes"]["sd"] >= 0.0 and s["robust"]["sd"] >= 0.0
 
 
+def _record_hmc_calls(monkeypatch):
+    """Route the CLI's hmc_sample through a recorder that still samples."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[2])  # the dimension
+        return posterior.hmc_sample(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hmc_sample", recording)
+    return calls
+
+
 @pytest.mark.parametrize("flag, named", [("--delta-hat", "delta_test"), ("--delta", "delta")])
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_fit_eval_non_finite_radius_exits_1(flag, named, value, tmp_path, capsys):
-    """The wording certify and sweep already print for a bad test radius."""
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_fit_eval_non_finite_radius_exits_1(flag, named, value, tmp_path, monkeypatch, capsys):
+    """The wording certify and sweep already print for a bad test radius,
+    given before anything is sampled."""
+    sampled = _record_hmc_calls(monkeypatch)
     out = tmp_path / "fe.json"
     rc = cli.main([*FIT_EVAL, "--hmc-samples", "20", flag, value, "--out", str(out)])
     assert rc == 1
@@ -425,6 +439,7 @@ def test_fit_eval_non_finite_radius_exits_1(flag, named, value, tmp_path, capsys
         capsys.readouterr().err
     )
     assert not out.exists()
+    assert sampled == []
 
 
 def _count_risk_calls(monkeypatch):
