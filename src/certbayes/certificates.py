@@ -298,10 +298,10 @@ def validate_preconditions(
     return checks
 
 
-def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, beta: float):
-    """Check a certificate's hypotheses, then evaluate its row of the bound."""
-    row = _THEOREMS[theorem_id]
-    n, d = data.n, data.d
+def _require_preconditions(
+    theorem_id: TheoremId, noise, prior, dist, budget, n: int, d: int, beta: float
+) -> tuple[str, ...]:
+    """The rendered checks of :func:`validate_preconditions`, or the refusal if one fails."""
     checks = validate_preconditions(theorem_id, noise, prior, dist, budget, n, d, beta)
     failed = [check for check in checks if not check.ok]
     if any(check.name == "matched_budget" for check in failed):
@@ -316,7 +316,14 @@ def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, b
             + "; ".join(check.render() for check in failed),
             diagnostics=diagnostics,
         )
+    return diagnostics
 
+
+def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, beta: float):
+    """Check a certificate's hypotheses, then evaluate its row of the bound."""
+    row = _THEOREMS[theorem_id]
+    n, d = data.n, data.d
+    diagnostics = _require_preconditions(theorem_id, noise, prior, dist, budget, n, d, beta)
     cgf = _cgf(row.kind, noise, prior, dist, d, budget.delta_test, t=1.0)
     sigma_sq, sigma_p_sq = noise.sigma_sq, prior.sigma_p_sq
     r = sigma_p_sq / sigma_sq

@@ -60,6 +60,7 @@ from .model import (
     IsotropicPrior,
     NoiseModel,
     PerturbationBudget,
+    TheoremId,
     _check_nonnegative,
     validate_dataset,
 )
@@ -423,11 +424,19 @@ def _sweep_cell(payload: tuple) -> list[dict]:
 
 
 def cmd_sweep(resolved: dict) -> int:
-    _parse_theorems(resolved["theorem"])  # validate early
-
+    theorems = _parse_theorems(resolved["theorem"])
     sizes = _parse_list(resolved["n_grid"], int)
     if not sizes:
         raise ValueError(f"--n-grid lists no training sizes: {resolved['n_grid']!r}")
+    # Refuse in cell order, before the first fit, what a cell would refuse
+    # only after its HMC run: an invalid data spec (exit 1), then a failing
+    # precondition (exit 2), which reads only n and d.
+    noise, prior, dist, budget, beta = _certificate_inputs(resolved)
+    for n in sizes:
+        _synthetic_spec(resolved, n, resolved["seed"])
+        for name in theorems:
+            theorem = TheoremId("".join(map(str.capitalize, name.split("-"))))
+            certs._require_preconditions(theorem, noise, prior, dist, budget, n, resolved["d"], beta)
     cells = [
         (n, resolved["seed"] + rep, resolved)
         for n in sizes

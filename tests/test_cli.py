@@ -582,6 +582,45 @@ def test_sweep_empty_n_grid_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+# A sweep whose n = 2000 cell fails denominator_positive for bayes-adv.
+SWEEP_REFUSED = [
+    "sweep", "--sigma-p-sq", "0.25", "--delta", "0.1", "--delta-hat", "0.1",
+    "--n-grid", "10,2000", "--seeds", "2", "--theorem", "all",
+]
+
+
+def test_sweep_refuses_before_its_first_fit(tmp_path, monkeypatch, capsys):
+    """Every (size, theorem) precondition is checked before any cell samples."""
+    sampled = _record_hmc_calls(monkeypatch)
+    out = tmp_path / "refused.csv"
+    rc = cli.main([*SWEEP_REFUSED, "--out", str(out)])
+    assert rc == 2
+    assert "denominator_positive" in capsys.readouterr().err
+    assert not out.exists()
+    assert sampled == []
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--n-grid", "0,10"], "n must be an integer >= 1, got 0"),
+        (["--n-grid=-5"], "n must be an integer >= 1, got -5"),
+        (["--n-grid", "10", "--d", "0"], "d must be an integer >= 1, got 0"),
+    ],
+    ids=["n-zero", "n-negative", "d-zero"],
+)
+def test_sweep_size_no_dataset_can_have_exits_1(flags, named, tmp_path, monkeypatch, capsys):
+    """A size or dimension the data cannot have is a usage error, not a
+    precondition violation, and is refused before any cell samples."""
+    sampled = _record_hmc_calls(monkeypatch)
+    out = tmp_path / "bad.csv"
+    rc = cli.main(["sweep", "--sigma-p-sq", "0.25", "--n-test", "50", *flags, "--out", str(out)])
+    assert rc == 1
+    assert f"certbayes: error: {named}" in capsys.readouterr().err
+    assert not out.exists()
+    assert sampled == []
+
+
 def test_fit_eval_data_with_train_and_test_exits_1(tmp_path, capsys):
     train, test = _gen(tmp_path, "tr.csv", n=20), _gen(tmp_path, "te.csv", n=20)
     out = tmp_path / "fe.json"
