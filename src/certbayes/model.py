@@ -290,8 +290,7 @@ class CertificateReport:
     """A computed certificate: the bound, its tail constants, and diagnostics.
 
     Instances are only produced when every precondition passed, so the
-    diagnostics record passing checks and ``to_dict`` reports
-    ``precondition_ok: true``.
+    diagnostics record passing checks.
     """
 
     bound_value: float
@@ -320,6 +319,5 @@ class CertificateReport:
             "s_sq": self.cgf_s_sq,
             "t": self.t,
             "beta": self.beta,
-            "precondition_ok": True,
             "preconditions": list(self.diagnostics),
         }

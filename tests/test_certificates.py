@@ -266,7 +266,6 @@ def test_cert_bayes_standard_degenerate_hand_value():
     )
     assert report.bound_value == 1.0  # exact, not approximate
     assert report.cgf_c == 0.5 and report.t == 1.0
-    assert report.to_dict()["precondition_ok"] is True
 
 
 def test_all_bounds_match_straight_line_oracles():
