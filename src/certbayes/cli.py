@@ -193,7 +193,9 @@ def _certificate(name: str, data: Dataset, noise, prior, dist, budget, beta):
     return fn(data, noise, prior, dist, budget, beta)
 
 
-def _fit_and_score(train, test, noise, prior, delta: float, radii: dict, seed: int, resolved):
+def _fit_and_score(
+    train, test, noise, prior, delta: float, radii: dict, seed: int, resolved: dict
+):
     """Fit and score the posteriors of one train/test pair.
 
     ``radii`` maps "bayes" and "robust" to the test radii each posterior is
@@ -294,7 +296,7 @@ def cmd_certify(resolved: dict) -> int:
 # fit-eval
 
 
-def _fit_eval_run(train: Dataset, test: Dataset, seed: int, radii: list, resolved) -> dict:
+def _fit_eval_run(train: Dataset, test: Dataset, seed: int, radii: list, resolved: dict) -> dict:
     """Fit both posteriors on one train/test pair and evaluate every radius."""
     if resolved["standardize"]:
         train, test = standardize_fit_transform(train, test)
@@ -435,8 +437,8 @@ def cmd_sweep(resolved: dict) -> int:
     for n in sizes:
         _synthetic_spec(resolved, n, resolved["seed"])
         for name in theorems:
-            theorem = TheoremId("".join(map(str.capitalize, name.split("-"))))
-            certs._require_preconditions(theorem, noise, prior, dist, budget, n, resolved["d"], beta)
+            tid = TheoremId("".join(map(str.capitalize, name.split("-"))))  # bayes-adv: BayesAdv
+            certs._require_preconditions(tid, noise, prior, dist, budget, n, resolved["d"], beta)
     cells = [
         (n, resolved["seed"] + rep, resolved)
         for n in sizes

@@ -608,7 +608,7 @@ def test_sweep_refuses_before_its_first_fit(tmp_path, monkeypatch, capsys):
     ],
     ids=["n-zero", "n-negative", "d-zero"],
 )
-def test_sweep_size_no_dataset_can_have_exits_1(flags, named, tmp_path, monkeypatch, capsys):
+def test_sweep_invalid_size_or_dimension_exits_1(flags, named, tmp_path, monkeypatch, capsys):
     """A size or dimension the data cannot have is a usage error, not a
     precondition violation, and is refused before any cell samples."""
     sampled = _record_hmc_calls(monkeypatch)
