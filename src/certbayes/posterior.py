@@ -154,11 +154,11 @@ def _whitening(mass_chol, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return solve_triangular(chol, np.eye(dim), lower=True).T, chol.T
 
 
-def _find_reasonable_epsilon(theta, logdensity, grad, a, rng) -> tuple[float, int]:
-    """Double/halve a unit step until the one-step acceptance crosses 1/2;
-    returns the step and the gradient evaluations it took."""
+def _find_reasonable_epsilon(theta, lp0, logdensity, grad, a, rng) -> tuple[float, int]:
+    """Double/halve a unit step from theta, whose log density is lp0, until
+    the one-step acceptance crosses 1/2; returns the step and the gradient
+    evaluations it took."""
     eps = 1.0
-    lp0 = logdensity(theta)
     p0 = rng.standard_normal(theta.shape[0])
     h0 = lp0 - 0.5 * float(p0 @ p0)
     grad_evals = 0
@@ -192,7 +192,7 @@ def hmc_sample(
     and the maximum trajectory length by the whitened half period.
 
     Deterministic for a fixed config.seed. The chain starts at the origin,
-    where the log density must be finite. Each iteration runs a trajectory
+    where the log density is evaluated once and must be finite. Each iteration runs a trajectory
     of 1 to max_leapfrog leapfrog steps, drawn uniformly. max_leapfrog is
     config.leapfrog_steps for the first 15% of warmup and until 20 whitened
     positions w = L'theta have been recorded after it; from then on each
@@ -204,7 +204,7 @@ def hmc_sample(
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
     good choice is the factor of an approximation of the target's precision,
     such as ``bayes_posterior(...).precision.chol_lower`` for the robust
-    posterior. None means M = I.
+    posterior. None means L = I, whitened like any other factor.
 
     Raises
     ------
@@ -221,8 +221,8 @@ def hmc_sample(
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    a, lt = (np.eye(dim), None) if mass_chol is None else _whitening(mass_chol, dim)
-    eps, grad_evals = _find_reasonable_epsilon(theta, logdensity, grad, a, rng)
+    a, lt = _whitening(np.eye(dim) if mass_chol is None else mass_chol, dim)
+    eps, grad_evals = _find_reasonable_epsilon(theta, lp, logdensity, grad, a, rng)
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
     mu = math.log(10.0 * eps)
@@ -278,7 +278,7 @@ def hmc_sample(
             if m == config.n_warmup:
                 eps = math.exp(log_eps_bar)
             if m > burn_in:
-                w = theta if lt is None else lt @ theta
+                w = lt @ theta
                 w_count = m - burn_in
                 dev = w - w_mean
                 w_mean += dev / w_count

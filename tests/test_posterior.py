@@ -257,6 +257,20 @@ def test_hmc_identity_mass_matrix_is_the_default():
     assert (plain.accept_rate, plain.step_size) == (unit.accept_rate, unit.step_size)
 
 
+def test_hmc_evaluates_its_start_point_once():
+    """The origin's log density is computed once and shared by the start
+    check, the step-size search and the first acceptance test."""
+    at_origin = []
+
+    def logp(t):
+        if not t.any():
+            at_origin.append(t.copy())
+        return -0.5 * float(t @ t)
+
+    hmc_sample(logp, lambda t: -t, 3, HmcConfig(n_samples=50, n_warmup=50, seed=2))
+    assert len(at_origin) == 1
+
+
 def test_hmc_rejects_mass_factor_of_wrong_shape():
     logp, grad, dim = _std_normal_target(3)
     with pytest.raises(DimensionMismatch):
