@@ -39,7 +39,6 @@ from .data_pipeline import (
     standardize_fit_transform,
 )
 from .model import (
-    BUILTIN_FAMILIES,
     CertificateReport,
     DataDistributionSpec,
     Dataset,

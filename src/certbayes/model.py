@@ -202,13 +202,6 @@ def poisson_family() -> ExponentialFamily:
     )
 
 
-BUILTIN_FAMILIES = {
-    "gaussian": gaussian_family,
-    "bernoulli": bernoulli_family,
-    "poisson": poisson_family,
-}
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianPosterior:
     """Exact Gaussian posterior: mean vector and precision matrix."""
@@ -244,13 +237,12 @@ class GaussianPosterior:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Posterior draws from a sampler run, with its seed and diagnostics:
-    grad_evals counts the run's gradient calls (warmup and step-size search
-    included) and max_leapfrog is its adapted maximum trajectory length;
-    both are 0 for draws no HMC run produced."""
+    """Posterior draws from a sampler run, with its diagnostics: grad_evals
+    counts the run's gradient calls (warmup and step-size search included)
+    and max_leapfrog is its adapted maximum trajectory length; both are 0
+    for draws no HMC run produced. The seed is the caller's HmcConfig's."""
 
     draws: np.ndarray
-    seed: int
     accept_rate: float
     step_size: float
     grad_evals: int = 0

@@ -298,7 +298,6 @@ def hmc_sample(
 
     return SampleSet(
         draws=draws,
-        seed=config.seed,
         accept_rate=accept_sum / config.n_samples,
         step_size=eps,
         grad_evals=grad_evals,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from certbayes import (
-    BUILTIN_FAMILIES,
     CertificateReport,
     DataDistributionSpec,
     Dataset,
@@ -17,11 +16,14 @@ from certbayes import (
     SampleSet,
     SpdMatrix,
     TheoremId,
+    bernoulli_family,
     cert_bayes_adversarial,
     cert_bayes_standard,
     cert_robust_adversarial_general,
     cert_robust_adversarial_matched,
     cert_robust_standard,
+    gaussian_family,
+    poisson_family,
     validate_dataset,
 )
 from certbayes.errors import DimensionMismatch, Empty, NonFiniteEntry
@@ -71,11 +73,11 @@ def test_array_holding_types_compare_and_hash_by_identity():
     assert len(keys) == 2 and keys[a] == "a" and keys[b] == "b"
     precision = SpdMatrix.from_array(np.eye(2))
     post = GaussianPosterior(mean=np.zeros(2), precision=precision)
-    draws = SampleSet(draws=np.zeros((2, 2)), seed=0, accept_rate=1.0, step_size=0.1)
+    draws = SampleSet(draws=np.zeros((2, 2)), accept_rate=1.0, step_size=0.1)
     for value, twin in [
         (precision, SpdMatrix.from_array(np.eye(2))),
         (post, GaussianPosterior(mean=np.zeros(2), precision=precision)),
-        (draws, SampleSet(draws=np.zeros((2, 2)), seed=0, accept_rate=1.0, step_size=0.1)),
+        (draws, SampleSet(draws=np.zeros((2, 2)), accept_rate=1.0, step_size=0.1)),
     ]:
         assert value == value and value != twin
         assert len({value, twin}) == 2
@@ -170,14 +172,21 @@ def test_theta_star_norm_can_be_zero():
 # --- exponential families ----------------------------------------------------
 
 
+_FAMILIES = {
+    "gaussian": gaussian_family,
+    "bernoulli": bernoulli_family,
+    "poisson": poisson_family,
+}
+
+
 def _probe_points(name):
     # keep Poisson probes small enough that psi stays finite
     return np.linspace(-3.0, 3.0, 13) if name != "poisson" else np.linspace(-3.0, 2.0, 13)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
 def test_family_psi_convex(name):
-    fam = BUILTIN_FAMILIES[name]()
+    fam = _FAMILIES[name]()
     pts = _probe_points(name)
     for a, b, c in zip(pts, pts[1:], pts[2:]):
         lam = (b - a) / (c - a)
@@ -185,9 +194,9 @@ def test_family_psi_convex(name):
         assert fam.psi(b) <= chord + 1e-9
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_FAMILIES))
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
 def test_family_grad_matches_finite_differences(name):
-    fam = BUILTIN_FAMILIES[name]()
+    fam = _FAMILIES[name]()
     h = 1e-7
     for eta in _probe_points(name):
         fd = (fam.psi(eta + h) - fam.psi(eta - h)) / (2 * h)
@@ -216,16 +225,16 @@ def test_gaussian_posterior_dimension_check():
 
 
 def test_sample_set_validation():
-    good = SampleSet(draws=np.zeros((5, 2)), seed=0, accept_rate=0.8, step_size=0.1)
+    good = SampleSet(draws=np.zeros((5, 2)), accept_rate=0.8, step_size=0.1)
     assert good.n_draws == 5 and good.dim == 2
     with pytest.raises(ValueError):
-        SampleSet(draws=np.zeros((5, 2)), seed=0, accept_rate=1.5, step_size=0.1)
+        SampleSet(draws=np.zeros((5, 2)), accept_rate=1.5, step_size=0.1)
     with pytest.raises(NonFiniteEntry):
         SampleSet(
-            draws=np.full((5, 2), np.nan), seed=0, accept_rate=0.8, step_size=0.1
+            draws=np.full((5, 2), np.nan), accept_rate=0.8, step_size=0.1
         )
     with pytest.raises(DimensionMismatch):
-        SampleSet(draws=np.zeros(5), seed=0, accept_rate=0.8, step_size=0.1)
+        SampleSet(draws=np.zeros(5), accept_rate=0.8, step_size=0.1)
 
 
 def test_theorem_ids():

@@ -415,7 +415,7 @@ def test_expected_risk_exact_matches_mc():
     assert exact.std_error == 0.0
 
     draws = post.sample(20000, np.random.default_rng(5))
-    sample_set = SampleSet(draws=draws, seed=5, accept_rate=1.0, step_size=1.0)
+    sample_set = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
     mc = expected_risk(sample_set, test, noise, 0.0)
     # i.i.d. draws, so the plain MC standard error applies
     assert abs(mc.value - exact.value) <= 3 * mc.std_error + 1e-12
@@ -427,7 +427,7 @@ def test_expected_risk_single_draw_at_truth():
     x = rng.standard_normal((50, 3))
     test = validate_dataset(x, x @ theta_star)  # noiseless labels
     ss = SampleSet(
-        draws=theta_star[None, :], seed=0, accept_rate=1.0, step_size=1.0
+        draws=theta_star[None, :], accept_rate=1.0, step_size=1.0
     )
     sigma_sq = 0.7
     out = expected_risk(ss, test, NoiseModel(sigma_sq), 0.0)
@@ -463,7 +463,7 @@ def test_expected_risk_matches_straight_line_reference_across_chunks():
     test, noise, _ = _problem(20, n=5000, d=3, sigma_sq=0.3)
     rng = np.random.default_rng(21)
     draws = 0.5 + 0.1 * rng.standard_normal((1000, 3))
-    ss = SampleSet(draws=draws, seed=0, accept_rate=1.0, step_size=1.0)
+    ss = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
     for dh in (0.0, 0.05, 2.0):
         got = expected_risk(ss, test, noise, dh)
         ref = _per_draw_reference(draws, test, noise, dh)
@@ -476,7 +476,7 @@ def test_expected_risk_sequence_matches_per_radius_calls():
     post = bayes_posterior(ds, noise, prior)
     rng = np.random.default_rng(17)
     draws = post.mean + 0.2 * np.cumsum(rng.standard_normal((400, 3)), axis=0) / 20
-    chain = SampleSet(draws=draws, seed=0, accept_rate=1.0, step_size=1.0)
+    chain = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
     radii = [0.3, 0.0, 0.1, 0.3, 0.05]
     for posterior in (chain, post):
         together = expected_risk(posterior, test, noise, radii, n_draws=500, seed=4)
@@ -508,7 +508,7 @@ def test_expected_risk_exact_zero_radius_in_a_sequence_is_the_closed_form():
 def test_expected_risk_rejects_non_finite_or_negative_radius(bad):
     ds, noise, prior = _problem(22)
     post = bayes_posterior(ds, noise, prior)
-    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)), seed=0,
+    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)),
                       accept_rate=1.0, step_size=1.0)
     for posterior in (post, chain):
         for delta_test in (bad, [0.1, bad]):
@@ -520,7 +520,7 @@ def test_expected_risk_dimension_mismatch_names_both_dimensions():
     ds, noise, prior = _problem(23, d=3)
     test, _, _ = _problem(24, n=20, d=4)
     post = bayes_posterior(ds, noise, prior)
-    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)), seed=0,
+    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)),
                       accept_rate=1.0, step_size=1.0)
     for posterior in (post, chain):
         for delta_test in (0.0, 0.1, [0.0, 0.1]):
