@@ -11,8 +11,11 @@ quantities in :class:`DataDistributionSpec`. All five are one formula,
 with r = sigma_p^2/sigma^2, U = k I + m r G, V = k I + r G, and G = X'X in
 the d x d form (subscript d) or XX' in the n x n form (subscript n). U is
 I + r G (k = m = 1) or k I + 2 r G (k = 2 n delta_train^2 r + 1, m = 2); c and
-s_sq are the sub-gamma constants at t = 1 of :func:`cgf_standard` or of
-:func:`cgf_adversarial` at delta_test. ``_THEOREMS`` holds one row each:
+s_sq are the sub-gamma constants of :func:`cgf_standard` or of
+:func:`cgf_adversarial` at delta_test. They are taken at tilt 1, the one
+tilt of a Gibbs posterior at temperature n, whose bound's data term is a
+negative log normalizer (Germain et al., NeurIPS 2016); so no tilt
+parameter appears. ``_THEOREMS`` holds one row each:
 
     theorem           CGF          U          s  v  mismatch gap g
     BayesStd          standard     I + rG     1  0  -
@@ -79,22 +82,21 @@ class CgfKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CgfConstants:
-    """Sub-gamma scale c and variance proxy s^2 at tilt t, with their flavor."""
+    """Sub-gamma scale c in (0, 1) and variance proxy s^2, with their flavor."""
 
     c: float
     s_sq: float
-    t: float
     kind: CgfKind
 
     def __post_init__(self):
-        if not (0.0 < self.t * self.c < 1.0):
-            raise ValueError(f"need 0 < t*c < 1, got t={self.t}, c={self.c}")
+        if not (0.0 < self.c < 1.0):
+            raise ValueError(f"need 0 < c < 1, got c={self.c}")
         _check_positive("s_sq", self.s_sq)
 
     @property
     def tail(self) -> float:
-        """The bound's tail term s^2 / (2 (1 - c t)) evaluated with its own t."""
-        return self.s_sq * self.t / (2.0 * (1.0 - self.c * self.t))
+        """The bound's tail term s^2 / (2 (1 - c))."""
+        return self.s_sq / (2.0 * (1.0 - self.c))
 
 
 def _scale(kind: CgfKind, noise, prior, dist, delta_test: float) -> tuple[float, str]:
@@ -106,16 +108,14 @@ def _scale(kind: CgfKind, noise, prior, dist, delta_test: float) -> tuple[float,
     return c, "2*sigma_p_sq*(sigma_x_sq + delta_test^2)/sigma_sq"
 
 
-def _cgf(kind: CgfKind, noise, prior, dist, d: int, delta_test: float, t: float):
+def _cgf(kind: CgfKind, noise, prior, dist, d: int, delta_test: float):
     """Sub-gamma constants of either flavor; s^2 doubles for the adversarial NLL."""
-    c, _ = _scale(kind, noise, prior, dist, delta_test)
-    if not (0.0 < t and t * c < 1.0):
-        raise CgfRangeViolation(
-            f"tilt t must lie in (0, 1/c) = (0, {1.0 / c:g}), got t={t}"
-        )
+    c, formula = _scale(kind, noise, prior, dist, delta_test)
+    if not c < 1.0:
+        raise CgfRangeViolation(f"sub-gamma scale c = {formula} = {c:g} must be < 1")
     factor = 1.0 if kind is CgfKind.STANDARD else 2.0
-    bracket = c * d - c * t + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq
-    return CgfConstants(c=c, s_sq=factor * bracket / t, t=t, kind=kind)
+    bracket = c * d - c + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq
+    return CgfConstants(c=c, s_sq=factor * bracket, kind=kind)
 
 
 def cgf_standard(
@@ -123,14 +123,14 @@ def cgf_standard(
     prior: IsotropicPrior,
     dist: DataDistributionSpec,
     d: int,
-    t: float = 1.0,
 ) -> CgfConstants:
     """Sub-gamma constants of the standard NLL under the data distribution.
 
     c = sigma_p^2 sigma_x^2 / sigma^2,
-    s^2 = (1/t) (c d - c t + 1 + sigma_x^2 ||theta*||^2 / sigma^2).
+    s^2 = c d - c + 1 + sigma_x^2 ||theta*||^2 / sigma^2.
+    Raises :class:`CgfRangeViolation` when c >= 1.
     """
-    return _cgf(CgfKind.STANDARD, noise, prior, dist, d, 0.0, t)
+    return _cgf(CgfKind.STANDARD, noise, prior, dist, d, 0.0)
 
 
 def cgf_adversarial(
@@ -139,15 +139,15 @@ def cgf_adversarial(
     dist: DataDistributionSpec,
     d: int,
     delta_test: float,
-    t: float = 1.0,
 ) -> CgfConstants:
     """Sub-gamma constants of the adversarial NLL at evaluation radius delta_test.
 
     c = 2 sigma_p^2 (sigma_x^2 + delta_test^2) / sigma^2,
-    s^2 = (2/t) (c d - c t + 1 + sigma_x^2 ||theta*||^2 / sigma^2).
+    s^2 = 2 (c d - c + 1 + sigma_x^2 ||theta*||^2 / sigma^2).
+    Raises :class:`CgfRangeViolation` when c >= 1.
     """
     _check_nonnegative("delta_test", delta_test)
-    return _cgf(CgfKind.ADVERSARIAL, noise, prior, dist, d, delta_test, t)
+    return _cgf(CgfKind.ADVERSARIAL, noise, prior, dist, d, delta_test)
 
 
 def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
@@ -324,7 +324,7 @@ def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, b
     row = _THEOREMS[theorem_id]
     n, d = data.n, data.d
     diagnostics = _require_preconditions(theorem_id, noise, prior, dist, budget, n, d, beta)
-    cgf = _cgf(row.kind, noise, prior, dist, d, budget.delta_test, t=1.0)
+    cgf = _cgf(row.kind, noise, prior, dist, d, budget.delta_test)
     sigma_sq, sigma_p_sq = noise.sigma_sq, prior.sigma_p_sq
     r = sigma_p_sq / sigma_sq
     k = _k_delta(data, noise, prior, budget.delta_train) if row.robust_u else 1.0
@@ -339,8 +339,8 @@ def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, b
         gap = row.gap.size(budget)
         bound += d * gap * sigma_p_sq / (sigma_sq - 2.0 * n * gap * sigma_p_sq)
     return CertificateReport(
-        bound_value=float(bound), cgf_c=cgf.c, cgf_s_sq=cgf.s_sq, t=cgf.t,
-        beta=beta, theorem_id=theorem_id, diagnostics=diagnostics,
+        bound_value=float(bound), cgf_c=cgf.c, cgf_s_sq=cgf.s_sq, beta=beta,
+        theorem_id=theorem_id, diagnostics=diagnostics,
     )
 
 

@@ -36,7 +36,7 @@ class DomainViolation(CertBayesError):
 # --- certificates -----------------------------------------------------------
 
 class CgfRangeViolation(CertBayesError):
-    """The tilt parameter t lies outside (0, 1/c)."""
+    """A sub-gamma scale c is not below 1, so the CGF bound does not exist."""
 
 
 class PreconditionViolated(CertBayesError):

@@ -288,7 +288,6 @@ class CertificateReport:
     bound_value: float
     cgf_c: float
     cgf_s_sq: float
-    t: float
     beta: float
     theorem_id: TheoremId
     diagnostics: tuple = field(default_factory=tuple)
@@ -309,7 +308,6 @@ class CertificateReport:
             "bound_value": self.bound_value,
             "c": self.cgf_c,
             "s_sq": self.cgf_s_sq,
-            "t": self.t,
             "beta": self.beta,
             "preconditions": list(self.diagnostics),
         }

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def _instance(seed, n_max=20, d_max=20):
 
 def test_cgf_standard_hand_values():
     out = cgf_standard(
-        NoiseModel(1.0), IsotropicPrior(0.5), DataDistributionSpec(1.0, 0.0), d=1, t=1.0
+        NoiseModel(1.0), IsotropicPrior(0.5), DataDistributionSpec(1.0, 0.0), d=1
     )
     assert out.c == pytest.approx(0.5)
     assert out.s_sq == pytest.approx(1.0)
@@ -63,20 +64,22 @@ def test_cgf_standard_hand_values():
         IsotropicPrior(0.01),
         DataDistributionSpec(1.0, 0.5),
         d=5,
-        t=1.0,
     )
     assert out.c == pytest.approx(0.09)
     assert out.s_sq == pytest.approx(5.86, rel=1e-9)
 
 
-def test_cgf_standard_rejects_boundary_t():
-    noise, prior, dist = NoiseModel(1.0), IsotropicPrior(0.5), DataDistributionSpec(1.0, 0.0)
-    with pytest.raises(CgfRangeViolation):
-        cgf_standard(noise, prior, dist, d=1, t=2.0)  # t = 1/c exactly
-    with pytest.raises(CgfRangeViolation):
-        cgf_standard(noise, prior, dist, d=1, t=0.0)
-    with pytest.raises(CgfRangeViolation):
-        cgf_standard(noise, prior, dist, d=1, t=-1.0)
+def test_cgf_rejects_scale_at_or_above_one():
+    """c = 1 exactly and above it, refused with a message naming c."""
+    noise, dist = NoiseModel(1.0), DataDistributionSpec(1.0, 0.0)
+    std = "c = sigma_p_sq*sigma_x_sq/sigma_sq = {} must be < 1"
+    for sigma_p_sq, c in ((1.0, "1"), (1.5, "1.5")):
+        with pytest.raises(CgfRangeViolation, match=re.escape(std.format(c))):
+            cgf_standard(noise, IsotropicPrior(sigma_p_sq), dist, d=1)
+    adv = "c = 2*sigma_p_sq*(sigma_x_sq + delta_test^2)/sigma_sq = {} must be < 1"
+    for sigma_p_sq, c in ((0.5, "1"), (1.0, "2")):
+        with pytest.raises(CgfRangeViolation, match=re.escape(adv.format(c))):
+            cgf_adversarial(noise, IsotropicPrior(sigma_p_sq), dist, d=1, delta_test=0.0)
 
 
 def test_cgf_adversarial_hand_values():
@@ -86,7 +89,6 @@ def test_cgf_adversarial_hand_values():
         DataDistributionSpec(1.0, 0.5),
         d=5,
         delta_test=0.1,
-        t=1.0,
     )
     assert out.c == pytest.approx(0.1818, rel=1e-9)
     assert out.s_sq == pytest.approx(12.4544, rel=1e-9)
@@ -97,8 +99,8 @@ def test_cgf_adversarial_delta_zero_doubles_scale():
     noise = NoiseModel(1.3)
     prior = IsotropicPrior(0.1)
     dist = DataDistributionSpec(0.8, 0.3)
-    std = cgf_standard(noise, prior, dist, d=4, t=1.0)
-    adv = cgf_adversarial(noise, prior, dist, d=4, delta_test=0.0, t=1.0)
+    std = cgf_standard(noise, prior, dist, d=4)
+    adv = cgf_adversarial(noise, prior, dist, d=4, delta_test=0.0)
     assert adv.c == pytest.approx(2.0 * std.c, rel=1e-14)
     # same bracket, doubled prefactor, with the adversarial c inside
     want = 2.0 * (adv.c * 4 - adv.c + 1.0 + 0.8 * 0.3 / 1.3)
@@ -113,8 +115,8 @@ def test_cgf_adversarial_dominates_standard_scale():
         dist = DataDistributionSpec(float(rng.uniform(0.5, 2)), float(rng.uniform(0, 1)))
         dh = float(rng.uniform(0, 0.5))
         assert (
-            cgf_adversarial(noise, prior, dist, d=3, delta_test=dh, t=1.0).c
-            >= cgf_standard(noise, prior, dist, d=3, t=1.0).c
+            cgf_adversarial(noise, prior, dist, d=3, delta_test=dh).c
+            >= cgf_standard(noise, prior, dist, d=3).c
         )
 
 
@@ -265,7 +267,7 @@ def test_cert_bayes_standard_degenerate_hand_value():
         ds, NoiseModel(1.0), IsotropicPrior(0.5), DataDistributionSpec(1.0, 0.0), beta=1.0
     )
     assert report.bound_value == 1.0  # exact, not approximate
-    assert report.cgf_c == 0.5 and report.t == 1.0
+    assert report.cgf_c == 0.5
 
 
 def test_all_bounds_match_straight_line_oracles():

@@ -252,7 +252,6 @@ def test_certificate_report_invariants():
         bound_value=1.0,
         cgf_c=0.5,
         cgf_s_sq=1.0,
-        t=1.0,
         beta=0.05,
         theorem_id=TheoremId.BAYES_STD,
         diagnostics=("c < 1 [pass]",),
@@ -267,7 +266,6 @@ def test_certificate_report_invariants():
             bound_value=1.0,
             cgf_c=1.5,  # outside (0,1) while claiming preconditions passed
             cgf_s_sq=1.0,
-            t=1.0,
             beta=0.05,
             theorem_id=TheoremId.BAYES_STD,
         )
@@ -276,7 +274,6 @@ def test_certificate_report_invariants():
             bound_value=float("inf"),
             cgf_c=0.5,
             cgf_s_sq=1.0,
-            t=1.0,
             beta=0.05,
             theorem_id=TheoremId.BAYES_STD,
         )
@@ -285,7 +282,6 @@ def test_certificate_report_invariants():
             bound_value=1.0,
             cgf_c=0.5,
             cgf_s_sq=1.0,
-            t=1.0,
             beta=0.0,
             theorem_id=TheoremId.BAYES_STD,
         )
