@@ -133,6 +133,8 @@ def _public_config(resolved: dict, unread=()) -> dict:
 
 def _parse_theorems(spec: str) -> list[str]:
     names = [s.strip() for s in spec.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"--theorem lists no theorem: {spec!r}")
     if names == ["all"]:
         return list(THEOREM_CHOICES)
     for name in names:
@@ -270,16 +272,14 @@ def _load_or_generate(resolved: dict, config: dict) -> tuple[Dataset, str, str]:
 
 
 def cmd_certify(resolved: dict) -> int:
+    theorems = _parse_theorems(resolved["theorem"])  # before any data is read
     # A dataset read from a file leaves the synthetic spec unread, and a
     # synthetic one the file and its target column.
     unread = ("n", "d", "seed") if resolved["data"] else ("data", "target")
     config = _public_config(resolved, unread)
     data, digest, source = _load_or_generate(resolved, config)
     inputs = _certificate_inputs(resolved)
-    reports = [
-        _certificate(name, data, *inputs).to_dict()
-        for name in _parse_theorems(resolved["theorem"])
-    ]
+    reports = [_certificate(name, data, *inputs).to_dict() for name in theorems]
     _write_json(
         {
             "config": config,

@@ -581,6 +581,41 @@ def test_sweep_empty_n_grid_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--n", "20", "--d", "2", "--sigma-p-sq", "0.1", "--sigma-x-sq", "1",
+         "--theta-star-norm-sq", "1"],
+        ["sweep", "--sigma-p-sq", "0.25", "--n-grid", "10"],
+    ],
+    ids=["certify", "sweep"],
+)
+def test_empty_theorem_list_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--theorem", ",", "--out", str(out)])
+    assert rc == 1
+    assert "certbayes: error: --theorem lists no theorem: ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_certify_checks_theorem_before_reading_data(tmp_path, monkeypatch, capsys):
+    data = _gen(tmp_path, n=20, d=2)
+    read = []
+
+    def recording(*args, **kwargs):
+        read.append(args)
+        return certbayes.load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", recording)
+    rc = cli.main([
+        "certify", "--data", str(data), "--sigma-p-sq", "0.1", "--sigma-x-sq", "1",
+        "--theta-star-norm-sq", "1", "--theorem", "bayes-sdt",
+    ])
+    assert rc == 1
+    assert "unknown theorem 'bayes-sdt'" in capsys.readouterr().err
+    assert read == []
+
+
 # A sweep whose n = 2000 cell fails denominator_positive for bayes-adv.
 SWEEP_REFUSED = [
     "sweep", "--sigma-p-sq", "0.25", "--delta", "0.1", "--delta-hat", "0.1",
