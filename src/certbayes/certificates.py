@@ -12,10 +12,9 @@ with r = sigma_p^2/sigma^2, U = k I + m r G, V = k I + r G, and G = X'X in
 the d x d form (subscript d) or XX' in the n x n form (subscript n). U is
 I + r G (k = m = 1) or k I + 2 r G (k = 2 n delta_train^2 r + 1, m = 2); c and
 s_sq are the sub-gamma constants of :func:`cgf_standard` or of
-:func:`cgf_adversarial` at delta_test. They are taken at tilt 1, the one
-tilt of a Gibbs posterior at temperature n, whose bound's data term is a
-negative log normalizer (Germain et al., NeurIPS 2016); so no tilt
-parameter appears. ``_THEOREMS`` holds one row each:
+:func:`cgf_adversarial` at delta_test, taken at tilt 1: each bound is on a
+Gibbs posterior at temperature n, whose data term is then a negative log
+normalizer (Germain et al., NeurIPS 2016). ``_THEOREMS`` holds one row each:
 
     theorem           CGF          U          s  v  mismatch gap g
     BayesStd          standard     I + rG     1  0  -

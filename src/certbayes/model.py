@@ -240,7 +240,7 @@ class SampleSet:
     """Posterior draws from a sampler run, with its diagnostics: grad_evals
     counts the run's gradient calls (warmup and step-size search included)
     and max_leapfrog is its adapted maximum trajectory length; both are 0
-    for draws no HMC run produced. The seed is the caller's HmcConfig's."""
+    for draws no HMC run produced."""
 
     draws: np.ndarray
     accept_rate: float
