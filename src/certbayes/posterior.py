@@ -192,14 +192,15 @@ def hmc_sample(
     and the maximum trajectory length by the whitened half period.
 
     Deterministic for a fixed config.seed. The chain starts at the origin,
-    where the log density is evaluated once and must be finite. Each iteration runs a trajectory
-    of 1 to max_leapfrog leapfrog steps, drawn uniformly. max_leapfrog is
-    config.leapfrog_steps for the first 15% of warmup and until 20 whitened
-    positions w = L'theta have been recorded after it; from then on each
-    warmup iteration sets it to min(config.leapfrog_steps,
-    max(1, ceil(pi * s_max / eps))), with s_max the largest running standard
-    deviation of w. It is frozen with eps when warmup ends, and the returned
-    SampleSet carries it and the run's gradient count.
+    where the log density is evaluated once and must be finite. Each
+    iteration runs a trajectory of 1 to max_leapfrog leapfrog steps, drawn
+    uniformly. max_leapfrog is config.leapfrog_steps for the first 15% of
+    warmup and until 20 whitened positions w = L'theta have been recorded
+    after it; from then on each warmup iteration sets it to
+    min(config.leapfrog_steps, max(1, ceil(pi * s_max / eps))), with s_max
+    the largest running standard deviation of w. It is frozen with eps when
+    warmup ends, and the returned SampleSet carries it and the run's
+    gradient count.
 
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
     good choice is the factor of an approximation of the target's precision,
