@@ -76,15 +76,17 @@ def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
 
 def _gaussian_adv_nll_and_residual(
     theta, data: Dataset, noise: NoiseModel, delta: float
-) -> tuple[float, np.ndarray]:
-    """The value of :func:`gaussian_adv_nll` and the residual Y - X theta,
-    without the per-point signs."""
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The value of :func:`gaussian_adv_nll`, the residual r = Y - X theta,
+    the grown residuals |r| + delta ||theta|| and ||theta||^2, without the
+    per-point signs."""
     _check_nonnegative("delta", delta)
     th = _check_theta(theta, data.d)
     r = data.Y - data.X @ th
-    grown = np.abs(r) + delta * math.sqrt(float(th @ th))
+    sq_norm = float(th @ th)
+    grown = np.abs(r) + delta * math.sqrt(sq_norm)
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    return const + 0.5 * float(np.sum(grown * grown)) / noise.sigma_sq, r
+    return const + 0.5 * float((grown * grown).sum()) / noise.sigma_sq, r, grown, sq_norm
 
 
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
@@ -94,7 +96,7 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     (n/2) log(2 pi sigma^2) + || |Y - X theta| + delta ||theta|| ||^2 / (2 sigma^2).
     At delta = 0 this reproduces :func:`gaussian_nll` bit for bit.
     """
-    value, r = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
+    value, r, _, _ = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
     return AdvLossValue(value=value, chosen_sign=_sign_plus(-r))  # sign of theta'x - y
 
 

@@ -70,7 +70,6 @@ from .posterior import (
     expected_risk,
     hmc_sample,
     robust_log_density_grad,
-    robust_log_density_unnorm,
 )
 
 THEOREM_CHOICES = {
@@ -212,7 +211,6 @@ def _fit_and_score(
     posteriors = {"bayes": exact}
     if radii["robust"]:
         posteriors["robust"] = hmc_sample(
-            lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
             lambda th: robust_log_density_grad(th, train, noise, prior, delta),
             train.d,
             HmcConfig(

@@ -238,9 +238,9 @@ class GaussianPosterior:
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Posterior draws from a sampler run, with its diagnostics: grad_evals
-    counts the run's gradient calls (warmup and step-size search included)
-    and max_leapfrog is its adapted maximum trajectory length; both are 0
-    for draws no HMC run produced."""
+    counts the run's fused log-density-and-gradient calls, one per leapfrog
+    step, and max_leapfrog is its adapted maximum trajectory length; both
+    are 0 for draws no HMC run produced."""
 
     draws: np.ndarray
     accept_rate: float

@@ -15,7 +15,8 @@ the leapfrog steps are xi += (eps/2) A'grad(theta) and theta += eps A xi,
 and the kinetic energy stays xi'xi/2. A is formed once per run; on a
 Gaussian target whose precision is M the dynamics are isotropic. The random
 length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
-a fixed leapfrog count has on near-Gaussian targets.
+a fixed leapfrog count has on near-Gaussian targets. The chain carries the
+log density and gradient of its position, so each leapfrog step makes one call.
 
 The maximum length starts at the cap, config.leapfrog_steps, and stays there
 for the first 15% of warmup, while the chain travels from the origin. From
@@ -107,42 +108,41 @@ def robust_log_density_unnorm(
     theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
 ) -> float:
     """Unnormalized log density of the robust posterior at theta."""
-    th = np.asarray(theta, dtype=float)
-    adv_nll, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    return -adv_nll - 0.5 * float(th @ th) / prior.sigma_p_sq
+    adv_nll, _, _, sq_norm = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
+    return -adv_nll - 0.5 * sq_norm / prior.sigma_p_sq
 
 
 def robust_log_density_grad(
     theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
-) -> np.ndarray:
-    """Gradient of :func:`robust_log_density_unnorm`.
+) -> tuple[float, np.ndarray]:
+    """:func:`robust_log_density_unnorm` and its gradient, from one residual.
 
     At the kinks, the |residual| term uses sign(0) := +1 on theta'x - y and
     the delta*||theta|| term uses gradient 0 at theta = 0 — the same
     selections the losses use, so the sampler sees a consistent field.
     """
+    adv_nll, r, grown, sq_norm = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
     th = np.asarray(theta, dtype=float)
-    r = data.Y - data.X @ th
-    theta_norm = math.sqrt(th @ th)
-    grown = np.abs(r) + delta * theta_norm
+    theta_norm = math.sqrt(sq_norm)
     grad_loss = data.X.T @ np.where(r <= 0.0, grown, -grown)
     if delta > 0.0 and theta_norm > 0.0:
         grad_loss = grad_loss + (delta * float(grown.sum()) / theta_norm) * th
-    return -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq
+    return (-adv_nll - 0.5 * sq_norm / prior.sigma_p_sq,
+            -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
 
 
-def _leapfrog(theta, xi, eps, n_steps, grad, a):
-    """Leapfrog with whitened momentum xi and theta velocity A xi;
-    n_steps + 1 gradient evaluations."""
-    g = a.T @ grad(theta)
+def _leapfrog(theta, xi, g, eps, n_steps, value_and_grad, a):
+    """Leapfrog with whitened momentum xi, theta velocity A xi and start
+    gradient g = A'grad; n_steps calls. Returns the end's theta, xi, lp, g."""
     xi = xi + 0.5 * eps * g
     for step in range(n_steps):
         theta = theta + eps * (a @ xi)
-        g = a.T @ grad(theta)
+        lp, grad = value_and_grad(theta)
+        g = a.T @ grad
         if step < n_steps - 1:
             xi = xi + eps * g
     xi = xi + 0.5 * eps * g
-    return theta, xi
+    return theta, xi, lp, g
 
 
 def _whitening(mass_chol, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,35 +154,26 @@ def _whitening(mass_chol, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return solve_triangular(chol, np.eye(dim), lower=True).T, chol.T
 
 
-def _find_reasonable_epsilon(theta, lp0, logdensity, grad, a, rng) -> tuple[float, int]:
-    """Double/halve a unit step from theta, whose log density is lp0, until
-    the one-step acceptance crosses 1/2; returns the step and the gradient
-    evaluations it took."""
-    eps = 1.0
+def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[float, int]:
+    """Double/halve a unit step from theta, whose log density is lp0 and
+    whitened gradient g0, until the one-step acceptance crosses 1/2; returns
+    the step and the calls of value_and_grad it took."""
     p0 = rng.standard_normal(theta.shape[0])
     h0 = lp0 - 0.5 * float(p0 @ p0)
-    grad_evals = 0
-
-    def log_ratio(eps_try: float) -> float:
-        nonlocal grad_evals
-        grad_evals += 2
-        theta1, p1 = _leapfrog(theta, p0, eps_try, 1, grad, a)
-        lp1 = logdensity(theta1)
-        if not math.isfinite(lp1):
-            return -math.inf
-        return (lp1 - 0.5 * float(p1 @ p1)) - h0
-
-    direction = 1.0 if log_ratio(eps) > math.log(0.5) else -1.0
-    for _ in range(60):
-        if direction * log_ratio(eps) <= -direction * math.log(2.0):
+    eps = 1.0
+    for calls in range(1, 61):
+        _, p1, lp1, _ = _leapfrog(theta, p0, g0, eps, 1, value_and_grad, a)
+        ratio = (lp1 - 0.5 * float(p1 @ p1)) - h0 if math.isfinite(lp1) else -math.inf
+        if calls == 1:
+            direction = 1.0 if ratio > math.log(0.5) else -1.0
+        if direction * ratio <= -direction * math.log(2.0):
             break
         eps *= 2.0 ** direction
-    return eps, grad_evals
+    return eps, calls
 
 
 def hmc_sample(
-    logdensity: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     dim: int,
     config: HmcConfig,
     *,
@@ -190,6 +181,10 @@ def hmc_sample(
 ) -> SampleSet:
     """Sample with HMC, adapting the step size during warmup by dual averaging
     and the maximum trajectory length by the whitened half period.
+
+    value_and_grad(theta) returns the log density and its gradient, as
+    robust_log_density_grad does. The chain carries both for its position,
+    so each leapfrog step makes one call, and a rejection none.
 
     Deterministic for a fixed config.seed. The chain starts at the origin,
     where the log density is evaluated once and must be finite. Each
@@ -199,8 +194,8 @@ def hmc_sample(
     after it; from then on each warmup iteration sets it to
     min(config.leapfrog_steps, max(1, ceil(pi * s_max / eps))), with s_max
     the largest running standard deviation of w. It is frozen with eps when
-    warmup ends, and the returned SampleSet carries it and the run's
-    gradient count.
+    warmup ends, and the returned SampleSet carries it and grad_evals, the
+    run's calls of value_and_grad.
 
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
     good choice is the factor of an approximation of the target's precision,
@@ -218,12 +213,14 @@ def hmc_sample(
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(config.seed)
     theta = np.zeros(dim)
-    lp = logdensity(theta)
+    lp, grad = value_and_grad(theta)
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
     a, lt = _whitening(np.eye(dim) if mass_chol is None else mass_chol, dim)
-    eps, grad_evals = _find_reasonable_epsilon(theta, lp, logdensity, grad, a, rng)
+    g = a.T @ grad
+    eps, searched = _find_reasonable_epsilon(theta, lp, g, value_and_grad, a, rng)
+    grad_evals = 1 + searched  # the origin's call and the search's
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
     mu = math.log(10.0 * eps)
@@ -243,11 +240,10 @@ def hmc_sample(
 
     for m in range(1, total_iters + 1):
         n_steps = int(rng.integers(1, max_steps + 1))
-        grad_evals += n_steps + 1
+        grad_evals += n_steps
         p0 = rng.standard_normal(dim)
         h0 = lp - 0.5 * float(p0 @ p0)
-        theta_prop, p1 = _leapfrog(theta, p0, eps, n_steps, grad, a)
-        lp_prop = logdensity(theta_prop)
+        theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
         if math.isfinite(lp_prop):
             log_ratio = (lp_prop - 0.5 * float(p1 @ p1)) - h0
             if math.isnan(log_ratio):
@@ -267,7 +263,7 @@ def hmc_sample(
 
         alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
         if rng.uniform() < alpha:
-            theta, lp = theta_prop, lp_prop
+            theta, lp, g = theta_prop, lp_prop, g_prop
 
         if m <= config.n_warmup:
             frac = 1.0 / (m + t0)

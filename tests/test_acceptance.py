@@ -69,7 +69,6 @@ def _slice_synthetic(n_train, n_test, d, sigma_sq, theta_norm_sq, seed):
 def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed):
     """The CLI's robust sampler: preconditioned by the Bayes posterior precision."""
     return hmc_sample(
-        lambda th: robust_log_density_unnorm(th, train, noise, prior, delta),
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
         train.d,
         HmcConfig(
@@ -421,16 +420,13 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
     precision = post.precision.entries
     cov = np.linalg.inv(precision)
 
-    def logp(th):
+    def logp_and_grad(th):
         r = th - post.mean
-        return -0.5 * float(r @ (precision @ r))
-
-    def grad(th):
-        return -(precision @ (th - post.mean))
+        return -0.5 * float(r @ (precision @ r)), -(precision @ r)
 
     config = HmcConfig(n_samples=5000, n_warmup=2000, leapfrog_steps=32, seed=0)
-    run_a = hmc_sample(logp, grad, post.dim, config)
-    run_b = hmc_sample(logp, grad, post.dim, config)
+    run_a = hmc_sample(logp_and_grad, post.dim, config)
+    run_b = hmc_sample(logp_and_grad, post.dim, config)
     deterministic = (
         np.array_equal(run_a.draws, run_b.draws)
         and run_a.step_size == run_b.step_size
@@ -505,7 +501,7 @@ def test_criterion_9_gradient_matches_central_differences():
             residuals = train.Y - train.X @ theta
             if np.min(np.abs(residuals)) < 1e-3 or np.linalg.norm(theta) < 1e-2:
                 continue  # keep away from the |r| and ||theta|| kinks
-            grad = robust_log_density_grad(theta, train, noise, prior, delta)
+            _, grad = robust_log_density_grad(theta, train, noise, prior, delta)
             ref = oracles.central_difference_gradient(
                 lambda t: robust_log_density_unnorm(t, train, noise, prior, delta),
                 theta,
