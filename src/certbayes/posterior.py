@@ -16,7 +16,8 @@ and the kinetic energy stays xi'xi/2. A is formed once per run; on a
 Gaussian target whose precision is M the dynamics are isotropic. The random
 length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
 a fixed leapfrog count has on near-Gaussian targets. The chain carries the
-log density and gradient of its position, so each leapfrog step makes one call.
+log density and gradient of its position, so each leapfrog step makes one
+call.
 
 The maximum length starts at the cap, config.leapfrog_steps, and stays there
 for the first 15% of warmup, while the chain travels from the origin. From
