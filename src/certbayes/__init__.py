@@ -62,7 +62,6 @@ from .posterior import (
     expected_risk,
     hmc_sample,
     robust_log_density_grad,
-    robust_log_density_unnorm,
 )
 
 __version__ = "0.1.0"

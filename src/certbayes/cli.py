@@ -136,6 +136,8 @@ def _parse_theorems(spec: str) -> list[str]:
         raise ValueError(f"--theorem lists no theorem: {spec!r}")
     if names == ["all"]:
         return list(THEOREM_CHOICES)
+    if "all" in names:
+        raise ValueError(f"--theorem 'all' must stand alone, got {spec!r}")
     for name in names:
         if name not in THEOREM_CHOICES:
             raise ValueError(
@@ -212,14 +214,13 @@ def _fit_and_score(
     if radii["robust"]:
         posteriors["robust"] = hmc_sample(
             lambda th: robust_log_density_grad(th, train, noise, prior, delta),
-            train.d,
             HmcConfig(
                 n_samples=resolved["hmc_samples"],
                 n_warmup=resolved["hmc_warmup"],
                 leapfrog_steps=resolved["leapfrog"],
                 seed=seed,
             ),
-            mass_chol=exact.precision.chol_lower,
+            exact.precision.chol_lower,
         )
     risks = {}
     for which, posterior in posteriors.items():
@@ -507,7 +508,7 @@ _OPTIONS = {
     "n": _Option(int, "synthetic rows"),
     "d": _Option(int, "synthetic features"),
     "n_grid": _Option(str, "comma list of training sizes"),
-    "n_test": _Option(int, "synthetic test rows per (n, seed) cell"),
+    "n_test": _Option(int, "synthetic test rows per (n, seed) cell", minimum=1),
     "sigma_sq": _Option(float, "noise variance"),
     "sigma_p_sq": _Option(float, "prior variance"),
     "sigma_x_sq": _Option(float, "feature variance"),
@@ -520,10 +521,10 @@ _OPTIONS = {
     "seeds": _Option(int, "number of seeds: splits, or repetitions per n", minimum=1),
     "train_fraction": _Option(float, "share of rows in each training split"),
     "standardize": _Option(bool, "skip zero-mean unit-variance standardization"),
-    "hmc_samples": _Option(int, "HMC draws kept"),
-    "hmc_warmup": _Option(int, "HMC warmup iterations"),
+    "hmc_samples": _Option(int, "HMC draws kept", minimum=1),
+    "hmc_warmup": _Option(int, "HMC warmup iterations", minimum=1),
     "leapfrog": _Option(
-        int, "upper bound on the warmup-adapted leapfrog steps per HMC iteration"
+        int, "upper bound on the warmup-adapted leapfrog steps per HMC iteration", minimum=1
     ),
     "jobs": _Option(int, "parallel (n, seed) cells", embed=False),
 }

@@ -14,9 +14,9 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, Empty, NonFiniteEntry
+from .errors import DimensionMismatch, DomainViolation, Empty, NonFiniteEntry
 from .numerics import SpdMatrix
 
 
@@ -184,13 +184,29 @@ def gaussian_family(sigma_sq: float = 1.0) -> ExponentialFamily:
     )
 
 
+def _logistic(eta: float) -> float:
+    """1 / (1 + exp(-eta)), with exp taken of -|eta| so it never overflows."""
+    z = math.exp(-abs(eta))
+    return 1.0 / (1.0 + z) if eta >= 0.0 else z / (1.0 + z)
+
+
 def bernoulli_family() -> ExponentialFamily:
     return ExponentialFamily(
         name="bernoulli",
         psi=lambda eta: float(np.logaddexp(0.0, eta)),
-        psi_grad=lambda eta: float(expit(eta)),
+        psi_grad=_logistic,
         base_log_measure=lambda y: 0.0,
     )
+
+
+def _poisson_base_log_measure(y: float) -> float:
+    """-log Gamma(y + 1), -inf where Gamma overflows; refuses the poles y = -1, -2, ..."""
+    try:
+        return -math.lgamma(y + 1.0)
+    except ValueError:
+        raise DomainViolation(f"base measure of family 'poisson' has a pole at y={y!r}") from None
+    except OverflowError:
+        return -math.inf
 
 
 def poisson_family() -> ExponentialFamily:
@@ -198,7 +214,7 @@ def poisson_family() -> ExponentialFamily:
         name="poisson",
         psi=lambda eta: math.exp(eta) if eta < 700 else math.inf,
         psi_grad=lambda eta: math.exp(eta) if eta < 700 else math.inf,
-        base_log_measure=lambda y: float(-gammaln(y + 1.0)),
+        base_log_measure=_poisson_base_log_measure,
     )
 
 
@@ -226,8 +242,6 @@ class GaussianPosterior:
 
     def sample(self, n_draws: int, rng: np.random.Generator) -> np.ndarray:
         """Draw n_draws vectors; rows are mean + L^{-T} z with precision = L L'."""
-        from scipy.linalg import solve_triangular
-
         z = rng.standard_normal((self.dim, n_draws))
         shifted = solve_triangular(
             self.precision.chol_lower.T, z, lower=False, check_finite=False

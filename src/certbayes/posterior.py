@@ -5,7 +5,7 @@ robust posterior replaces the NLL with its adversarial counterpart; it stays
 log-concave (convex losses plus Gaussian prior) but loses the closed form, so
 it is represented by draws from a Hamiltonian Monte Carlo sampler with
 dual-averaging step-size adaptation toward a mean acceptance probability of
-0.8, an optional dense mass matrix and a trajectory length drawn uniformly
+0.8, a dense mass matrix and a trajectory length drawn uniformly
 from 1 to a maximum on every iteration. Warmup adapts that maximum as well
 and freezes it, together with the step size, when it ends.
 
@@ -54,7 +54,6 @@ __all__ = [
     "HmcConfig",
     "RiskEstimate",
     "bayes_posterior",
-    "robust_log_density_unnorm",
     "robust_log_density_grad",
     "hmc_sample",
     "expected_risk",
@@ -105,18 +104,12 @@ def bayes_posterior(
     return GaussianPosterior(mean=mean, precision=precision)
 
 
-def robust_log_density_unnorm(
-    theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
-) -> float:
-    """Unnormalized log density of the robust posterior at theta."""
-    adv_nll, _, _, sq_norm = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
-    return -adv_nll - 0.5 * sq_norm / prior.sigma_p_sq
-
-
 def robust_log_density_grad(
     theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
 ) -> tuple[float, np.ndarray]:
-    """:func:`robust_log_density_unnorm` and its gradient, from one residual.
+    """Unnormalized log density of the robust posterior at theta,
+    -adv_nll(theta) - ||theta||^2 / (2 sigma_p^2), and its gradient, both
+    from one residual.
 
     At the kinks, the |residual| term uses sign(0) := +1 on theta'x - y and
     the delta*||theta|| term uses gradient 0 at theta = 0 — the same
@@ -146,13 +139,13 @@ def _leapfrog(theta, xi, g, eps, n_steps, value_and_grad, a):
     return theta, xi, lp, g
 
 
-def _whitening(mass_chol, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _whitening(mass_chol) -> tuple[np.ndarray, np.ndarray]:
     """(A, L') from the lower Cholesky factor L of the mass matrix, with
     A = L^{-T}: one triangular solve per run, so no gradient step solves."""
     chol = np.asarray(mass_chol, dtype=float)
-    if chol.shape != (dim, dim):
-        raise DimensionMismatch(f"mass_chol has shape {chol.shape}, expected ({dim}, {dim})")
-    return solve_triangular(chol, np.eye(dim), lower=True).T, chol.T
+    if chol.ndim != 2 or chol.shape[0] != chol.shape[1] or chol.size == 0:
+        raise DimensionMismatch(f"mass_chol must be a non-empty square matrix, got {chol.shape}")
+    return solve_triangular(chol, np.eye(chol.shape[0]), lower=True).T, chol.T
 
 
 def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[float, int]:
@@ -175,10 +168,8 @@ def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[fl
 
 def hmc_sample(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    dim: int,
     config: HmcConfig,
-    *,
-    mass_chol=None,
+    mass_chol,
 ) -> SampleSet:
     """Sample with HMC, adapting the step size during warmup by dual averaging
     and the maximum trajectory length by the whitened half period.
@@ -190,35 +181,32 @@ def hmc_sample(
     Deterministic for a fixed config.seed. The chain starts at the origin,
     where the log density is evaluated once and must be finite. Each
     iteration runs a trajectory of 1 to max_leapfrog leapfrog steps, drawn
-    uniformly. max_leapfrog is config.leapfrog_steps for the first 15% of
-    warmup and until 20 whitened positions w = L'theta have been recorded
-    after it; from then on each warmup iteration sets it to
-    min(config.leapfrog_steps, max(1, ceil(pi * s_max / eps))), with s_max
-    the largest running standard deviation of w. It is frozen with eps when
-    warmup ends, and the returned SampleSet carries it and grad_evals, the
-    run's calls of value_and_grad.
+    uniformly; warmup adapts max_leapfrog as the module docstring sets out,
+    from config.leapfrog_steps down, and freezes it with eps. The returned
+    SampleSet carries it and grad_evals, the run's calls of value_and_grad.
 
-    mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; a
-    good choice is the factor of an approximation of the target's precision,
-    such as ``bayes_posterior(...).precision.chol_lower`` for the robust
-    posterior. None means L = I, whitened like any other factor.
+    mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; its
+    order is the target's dimension. A good choice is the factor of an
+    approximation of the target's precision, such as
+    ``bayes_posterior(...).precision.chol_lower`` for the robust posterior.
 
     Raises
     ------
+    DimensionMismatch
+        if mass_chol is not a non-empty square matrix.
     NonFiniteDensity
         if the log density is not finite at the starting point.
     DivergentTrajectory
         after repeated trajectories with energy error beyond 1000.
     """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    a, lt = _whitening(mass_chol)
+    dim = a.shape[0]
     rng = np.random.default_rng(config.seed)
     theta = np.zeros(dim)
     lp, grad = value_and_grad(theta)
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    a, lt = _whitening(np.eye(dim) if mass_chol is None else mass_chol, dim)
     g = a.T @ grad
     eps, searched = _find_reasonable_epsilon(theta, lp, g, value_and_grad, a, rng)
     grad_evals = 1 + searched  # the origin's call and the search's
@@ -245,11 +233,8 @@ def hmc_sample(
         p0 = rng.standard_normal(dim)
         h0 = lp - 0.5 * float(p0 @ p0)
         theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
-        if math.isfinite(lp_prop):
-            log_ratio = (lp_prop - 0.5 * float(p1 @ p1)) - h0
-            if math.isnan(log_ratio):
-                log_ratio = -math.inf
-        else:
+        log_ratio = (lp_prop - 0.5 * float(p1 @ p1)) - h0 if math.isfinite(lp_prop) else -math.inf
+        if math.isnan(log_ratio):
             log_ratio = -math.inf
 
         if log_ratio < -_DIVERGENCE_ENERGY:

@@ -39,7 +39,6 @@ from certbayes import (
     neg_log_z_robust_upper,
     poisson_family,
     robust_log_density_grad,
-    robust_log_density_unnorm,
     split,
     standardize_fit_transform,
     validate_dataset,
@@ -70,12 +69,11 @@ def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed)
     """The CLI's robust sampler: preconditioned by the Bayes posterior precision."""
     return hmc_sample(
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
-        train.d,
         HmcConfig(
             n_samples=n_samples, n_warmup=n_warmup,
             leapfrog_steps=leapfrog, seed=seed,
         ),
-        mass_chol=bayes_posterior(train, noise, prior).precision.chol_lower,
+        bayes_posterior(train, noise, prior).precision.chol_lower,
     )
 
 
@@ -425,8 +423,8 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
         return -0.5 * float(r @ (precision @ r)), -(precision @ r)
 
     config = HmcConfig(n_samples=5000, n_warmup=2000, leapfrog_steps=32, seed=0)
-    run_a = hmc_sample(logp_and_grad, post.dim, config)
-    run_b = hmc_sample(logp_and_grad, post.dim, config)
+    run_a = hmc_sample(logp_and_grad, config, np.eye(post.dim))
+    run_b = hmc_sample(logp_and_grad, config, np.eye(post.dim))
     deterministic = (
         np.array_equal(run_a.draws, run_b.draws)
         and run_a.step_size == run_b.step_size
@@ -503,7 +501,7 @@ def test_criterion_9_gradient_matches_central_differences():
                 continue  # keep away from the |r| and ||theta|| kinks
             _, grad = robust_log_density_grad(theta, train, noise, prior, delta)
             ref = oracles.central_difference_gradient(
-                lambda t: robust_log_density_unnorm(t, train, noise, prior, delta),
+                lambda t: robust_log_density_grad(t, train, noise, prior, delta)[0],
                 theta,
             )
             worst = max(

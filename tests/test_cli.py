@@ -3,7 +3,8 @@
 Everything runs in-process through cli.main(argv) so coverage and monkeypatch
 work. One subprocess test confirms the console-script wiring: it builds the
 `certbayes` launcher from the `[project.scripts]` declaration in
-pyproject.toml and runs it by name, so it needs no install.
+pyproject.toml and runs it by name, so it needs no install. Two more check
+`python -m certbayes.cli` and what importing the CLI loads.
 """
 
 import concurrent.futures
@@ -418,7 +419,7 @@ def _record_hmc_calls(monkeypatch):
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append(args[2])  # the dimension
+        calls.append(args[1])  # the config
         return posterior.hmc_sample(*args, **kwargs)
 
     monkeypatch.setattr(cli, "hmc_sample", recording)
@@ -564,13 +565,38 @@ def test_sweep_jobs_never_exceed_cells(tmp_path, monkeypatch):
     assert len(one.read_text().splitlines()) == 3
 
 
+_SWEEP = ["sweep", "--sigma-p-sq", "0.25", "--n-grid", "100"]
+
+
 @pytest.mark.parametrize(
-    "argv", [FIT_EVAL, ["sweep", "--sigma-p-sq", "0.25"]], ids=["fit-eval", "sweep"]
+    "argv, flag, value",
+    [
+        (FIT_EVAL, "--seeds", "0"),
+        (_SWEEP, "--seeds", "0"),
+        (FIT_EVAL, "--hmc-samples", "0"),
+        (FIT_EVAL, "--hmc-warmup", "0"),
+        (FIT_EVAL, "--leapfrog", "0"),
+        (_SWEEP, "--leapfrog", "-1"),
+        (_SWEEP, "--n-test", "0"),
+        (_SWEEP, "--n-test", "-200"),
+    ],
+    ids=[
+        "fit-eval", "sweep", "fit-eval-hmc-samples", "fit-eval-hmc-warmup",
+        "fit-eval-leapfrog", "sweep-leapfrog", "sweep-n-test-0", "sweep-n-test-negative",
+    ],
 )
-def test_seeds_below_one_exits_1(argv, tmp_path, capsys):
-    rc = cli.main([*argv, "--seeds", "0", "--out", str(tmp_path / "out")])
+def test_seeds_below_one_exits_1(argv, flag, value, tmp_path, monkeypatch, capsys):
+    """A count below 1 is refused by its flag and value, before any data is
+    read or generated."""
+    read = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: read.append(args))
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *args: read.append(args))
+    rc = cli.main([*argv, flag, value, "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "--seeds must be at least 1" in capsys.readouterr().err
+    assert f"certbayes: error: {flag} must be at least 1, got {value}" in (
+        capsys.readouterr().err
+    )
+    assert read == []
 
 
 def test_sweep_empty_n_grid_exits_1(tmp_path, capsys):
@@ -581,20 +607,28 @@ def test_sweep_empty_n_grid_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+_CERTIFY_SYNTHETIC = [
+    "certify", "--n", "20", "--d", "2", "--sigma-p-sq", "0.1", "--sigma-x-sq", "1",
+    "--theta-star-norm-sq", "1",
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, spec, message",
     [
-        ["certify", "--n", "20", "--d", "2", "--sigma-p-sq", "0.1", "--sigma-x-sq", "1",
-         "--theta-star-norm-sq", "1"],
-        ["sweep", "--sigma-p-sq", "0.25", "--n-grid", "10"],
+        (_CERTIFY_SYNTHETIC, ",", "--theorem lists no theorem: ','"),
+        (["sweep", "--sigma-p-sq", "0.25", "--n-grid", "10"], ",",
+         "--theorem lists no theorem: ','"),
+        (_CERTIFY_SYNTHETIC, "all,bayes-std",
+         "--theorem 'all' must stand alone, got 'all,bayes-std'"),
     ],
-    ids=["certify", "sweep"],
+    ids=["certify", "sweep", "certify-all-not-alone"],
 )
-def test_empty_theorem_list_exits_1(argv, tmp_path, capsys):
+def test_empty_theorem_list_exits_1(argv, spec, message, tmp_path, capsys):
     out = tmp_path / "out"
-    rc = cli.main([*argv, "--theorem", ",", "--out", str(out)])
+    rc = cli.main([*argv, "--theorem", spec, "--out", str(out)])
     assert rc == 1
-    assert "certbayes: error: --theorem lists no theorem: ','" in capsys.readouterr().err
+    assert f"certbayes: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -748,3 +782,17 @@ def test_module_invocation_help():
     )
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_special_out():
+    """No command uses the Bernoulli or Poisson family, so importing the CLI
+    must not pay for scipy.special."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, certbayes.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

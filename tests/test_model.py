@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 import pickle
 
 import numpy as np
@@ -26,7 +27,7 @@ from certbayes import (
     poisson_family,
     validate_dataset,
 )
-from certbayes.errors import DimensionMismatch, Empty, NonFiniteEntry
+from certbayes.errors import DimensionMismatch, DomainViolation, Empty, NonFiniteEntry
 
 
 def test_validate_dataset_well_formed():
@@ -201,6 +202,29 @@ def test_family_grad_matches_finite_differences(name):
     for eta in _probe_points(name):
         fd = (fam.psi(eta + h) - fam.psi(eta - h)) / (2 * h)
         assert fam.psi_grad(eta) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_bernoulli_grad_is_the_logistic_without_overflow():
+    fam = bernoulli_family()
+    assert fam.psi_grad(0.0) == 0.5
+    assert fam.psi_grad(2.0) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), rel=1e-15)
+    assert fam.psi_grad(-2.0) == pytest.approx(1.0 - fam.psi_grad(2.0), rel=1e-15)
+    assert (fam.psi_grad(-1000.0), fam.psi_grad(1000.0)) == (0.0, 1.0)
+
+
+def test_poisson_base_measure_is_minus_log_factorial():
+    fam = poisson_family()
+    for k in range(8):
+        assert fam.base_log_measure(float(k)) == pytest.approx(
+            -math.log(math.factorial(k)), abs=1e-14
+        )
+    assert fam.base_log_measure(1e308) == -math.inf  # Gamma(y + 1) overflows
+
+
+@pytest.mark.parametrize("y", [-1.0, -2.0, -7.0])
+def test_poisson_base_measure_refuses_its_poles(y):
+    with pytest.raises(DomainViolation, match="poisson"):
+        poisson_family().base_log_measure(y)
 
 
 # --- posterior containers -----------------------------------------------------

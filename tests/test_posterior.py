@@ -18,7 +18,6 @@ from certbayes import (
     hmc_sample,
     load_csv,
     robust_log_density_grad,
-    robust_log_density_unnorm,
     split,
     standardize_fit_transform,
     validate_dataset,
@@ -76,8 +75,8 @@ def test_robust_log_density_reduces_to_bayes_at_delta_zero():
     rng = np.random.default_rng(3)
     for _ in range(10):
         t1, t2 = rng.standard_normal(ds.d), rng.standard_normal(ds.d)
-        got = robust_log_density_unnorm(t1, ds, noise, prior, 0.0) - (
-            robust_log_density_unnorm(t2, ds, noise, prior, 0.0)
+        got = robust_log_density_grad(t1, ds, noise, prior, 0.0)[0] - (
+            robust_log_density_grad(t2, ds, noise, prior, 0.0)[0]
         )
         # exact Gaussian log posterior difference via the quadratic form
         def quad(t):
@@ -91,7 +90,7 @@ def test_robust_log_density_monotone_in_delta():
     ds, noise, prior = _problem(4)
     theta = np.full(ds.d, 0.3)
     values = [
-        robust_log_density_unnorm(theta, ds, noise, prior, delta)
+        robust_log_density_grad(theta, ds, noise, prior, delta)[0]
         for delta in (0.0, 0.1, 0.5, 1.0, 3.0)
     ]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -100,12 +99,11 @@ def test_robust_log_density_monotone_in_delta():
 def test_robust_log_density_finite():
     ds, noise, prior = _problem(5)
     for theta in (np.zeros(ds.d), np.full(ds.d, 1e6), np.full(ds.d, -1e4)):
-        assert math.isfinite(robust_log_density_unnorm(theta, ds, noise, prior, 0.7))
+        assert math.isfinite(robust_log_density_grad(theta, ds, noise, prior, 0.7)[0])
 
 
 def test_robust_log_density_is_minus_the_adversarial_nll_and_prior_term():
-    """Bit for bit, for the log density alone and for the value the fused
-    call returns, and with the loss's checks of delta and of theta's shape."""
+    """Bit for bit, for the value the fused call returns."""
     ds, noise, prior = _problem(9, n=50, d=4)
     rng = np.random.default_rng(4)
     for delta in (0.0, 0.1, 2.0):
@@ -114,12 +112,7 @@ def test_robust_log_density_is_minus_the_adversarial_nll_and_prior_term():
                 -gaussian_adv_nll(theta, ds, noise, delta).value
                 - 0.5 * float(theta @ theta) / prior.sigma_p_sq
             )
-            assert robust_log_density_unnorm(theta, ds, noise, prior, delta) == want
             assert robust_log_density_grad(theta, ds, noise, prior, delta)[0] == want
-    with pytest.raises(ValueError):
-        robust_log_density_unnorm(np.zeros(ds.d), ds, noise, prior, -0.1)
-    with pytest.raises(DimensionMismatch):
-        robust_log_density_unnorm(np.zeros(ds.d + 1), ds, noise, prior, 0.1)
 
 
 @pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
@@ -207,7 +200,7 @@ def test_grad_matches_finite_differences():
                 continue  # too close to a kink for finite differences
             _, got = robust_log_density_grad(theta, ds, noise, prior, delta)
             fd = central_difference_gradient(
-                lambda t: robust_log_density_unnorm(t, ds, noise, prior, delta), theta
+                lambda t: robust_log_density_grad(t, ds, noise, prior, delta)[0], theta
             )
             np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
             checked += 1
@@ -217,29 +210,30 @@ def test_grad_matches_finite_differences():
 
 
 def _std_normal_target(dim):
-    return lambda t: (-0.5 * float(t @ t), -t), dim
+    """N(0, I) in dim dimensions and the identity mass factor."""
+    return lambda t: (-0.5 * float(t @ t), -t), np.eye(dim)
 
 
 def test_hmc_standard_normal_moments():
-    target, dim = _std_normal_target(2)
-    out = hmc_sample(target, dim, HmcConfig(n_samples=5000, n_warmup=1000, seed=42))
+    target, unit = _std_normal_target(2)
+    out = hmc_sample(target, HmcConfig(n_samples=5000, n_warmup=1000, seed=42), unit)
     assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
     cov = np.cov(out.draws.T)
     assert np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2)) <= 0.10
 
 
 def test_hmc_acceptance_band():
-    target, dim = _std_normal_target(3)
+    target, unit = _std_normal_target(3)
     cfg = HmcConfig(n_samples=2000, n_warmup=1000, seed=5)
-    out = hmc_sample(target, dim, cfg)
+    out = hmc_sample(target, cfg, unit)
     assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10  # warmup targets 0.8
 
 
 def test_hmc_deterministic():
-    target, dim = _std_normal_target(2)
+    target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=500, n_warmup=300, seed=123)
-    a = hmc_sample(target, dim, cfg)
-    b = hmc_sample(target, dim, cfg)
+    a = hmc_sample(target, cfg, unit)
+    b = hmc_sample(target, cfg, unit)
     assert np.array_equal(a.draws, b.draws)
     assert a.accept_rate == b.accept_rate and a.step_size == b.step_size
 
@@ -248,8 +242,8 @@ def test_hmc_rejects_nonfinite_origin():
     with pytest.raises(NonFiniteDensity):
         hmc_sample(
             lambda t: (-math.inf, np.zeros_like(t)),
-            2,
             HmcConfig(n_samples=10, n_warmup=10, seed=0),
+            np.eye(2),
         )
 
 
@@ -262,8 +256,8 @@ def test_hmc_divergence_error():
     with pytest.raises(DivergentTrajectory):
         hmc_sample(
             target,
-            2,
             HmcConfig(n_samples=100, n_warmup=100, seed=0),
+            np.eye(2),
         )
 
 
@@ -282,9 +276,9 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
         return -0.5 * float(r @ (precision @ r)), -(precision @ r)
 
     out = hmc_sample(
-        target, mean.shape[0],
+        target,
         HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=7),
-        mass_chol=np.linalg.cholesky(precision),
+        np.linalg.cholesky(precision),
     )
     for j in range(mean.shape[0]):
         series = out.draws[:, j]
@@ -292,15 +286,6 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
         assert abs(series.mean() - mean[j]) <= 3.0 * mcse
     rel = np.linalg.norm(np.cov(out.draws.T) - cov) / np.linalg.norm(cov)
     assert rel <= 0.10
-
-
-def test_hmc_identity_mass_matrix_is_the_default():
-    target, dim = _std_normal_target(3)
-    cfg = HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=6, seed=9)
-    plain = hmc_sample(target, dim, cfg)
-    unit = hmc_sample(target, dim, cfg, mass_chol=np.eye(dim))
-    assert plain.draws.tobytes() == unit.draws.tobytes()
-    assert (plain.accept_rate, plain.step_size) == (unit.accept_rate, unit.step_size)
 
 
 def test_hmc_evaluates_its_start_point_once():
@@ -313,7 +298,7 @@ def test_hmc_evaluates_its_start_point_once():
             at_origin.append(t.copy())
         return -0.5 * float(t @ t), -t
 
-    hmc_sample(target, 3, HmcConfig(n_samples=50, n_warmup=50, seed=2))
+    hmc_sample(target, HmcConfig(n_samples=50, n_warmup=50, seed=2), np.eye(3))
     assert len(at_origin) == 1
 
 
@@ -329,7 +314,7 @@ def test_hmc_evaluates_each_position_once():
         return -0.5 * float(t @ (precision @ t)), -(precision @ t)
 
     out = hmc_sample(
-        target, 3, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5)
+        target, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5), np.eye(3)
     )
     assert 0.0 < out.accept_rate < 1.0  # both branches ran
     assert len(seen) == out.grad_evals
@@ -337,10 +322,25 @@ def test_hmc_evaluates_each_position_once():
 
 
 def test_hmc_rejects_mass_factor_of_wrong_shape():
-    target, dim = _std_normal_target(3)
+    """A factor that is not a non-empty square matrix is refused before the
+    target is called; one whose order differs from the robust target's
+    dimension is refused by the target's check of theta."""
+    cfg = HmcConfig(n_samples=10, n_warmup=10)
+    called = []
+
+    def target(t):
+        called.append(t)
+        return -0.5 * float(t @ t), -t
+
+    for factor in (np.ones(3), np.eye(3)[:2], np.zeros((0, 0))):
+        with pytest.raises(DimensionMismatch, match="square"):
+            hmc_sample(target, cfg, factor)
+    assert called == []
+    ds, noise, prior = _problem(9, n=20, d=3)
     with pytest.raises(DimensionMismatch):
-        hmc_sample(target, dim, HmcConfig(n_samples=10, n_warmup=10),
-                   mass_chol=np.eye(2))
+        hmc_sample(
+            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1), cfg, np.eye(2)
+        )
 
 
 def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
@@ -361,7 +361,7 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
         return -0.5 * float(t @ t) / scale**2, -t / scale**2
 
     monkeypatch.setattr(posterior, "_leapfrog", counted)
-    out = hmc_sample(target, 2, cfg)
+    out = hmc_sample(target, cfg, np.eye(2))
     return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
 
 
@@ -378,13 +378,14 @@ def test_hmc_random_length_breaks_resonance():
     and 1416 for seeds 0-2 with a fixed count and +/-20% step jitter. A
     length drawn each iteration from 1 to the warmup-adapted maximum (at
     most 8) keeps every seed above half the draws."""
-    target, dim = _std_normal_target(9)
+    target, unit = _std_normal_target(9)
     for seed in range(3):
         out = hmc_sample(
-            target, dim,
+            target,
             HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=seed),
+            unit,
         )
-        min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(dim))
+        min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(out.dim))
         assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
 
 
@@ -408,8 +409,8 @@ def test_hmc_replay_gives_identical_draws_step_size_and_length():
     cfg = HmcConfig(n_samples=400, n_warmup=300, leapfrog_steps=32, seed=11)
     a, b = (
         hmc_sample(
-            lambda t: (-0.5 * float(t @ (precision @ t)), -(precision @ t)), 3, cfg,
-            mass_chol=np.diag([1.0, 2.0, 4.0]),
+            lambda t: (-0.5 * float(t @ (precision @ t)), -(precision @ t)), cfg,
+            np.diag([1.0, 2.0, 4.0]),
         )
         for _ in range(2)
     )
@@ -424,11 +425,12 @@ def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
     """With M = I on N(0, I) every whitened standard deviation is about 1, so
     the length is the half period pi / eps rounded up, within one step for
     the sampling error of s_max."""
-    target, dim = _std_normal_target(4)
+    target, unit = _std_normal_target(4)
     for seed in range(3):
         out = hmc_sample(
-            target, dim,
+            target,
             HmcConfig(n_samples=100, n_warmup=1000, leapfrog_steps=32, seed=seed),
+            unit,
         )
         want = math.ceil(math.pi / out.step_size)
         assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
@@ -461,8 +463,7 @@ def test_hmc_grad_evals_counts_every_gradient_call():
     ):
         calls[0] = 0
         out = hmc_sample(
-            target, ds.d, cfg,
-            mass_chol=bayes_posterior(ds, noise, prior).precision.chol_lower,
+            target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower
         )
         assert out.grad_evals == calls[0] > cfg.n_warmup + cfg.n_samples
 
