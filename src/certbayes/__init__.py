@@ -59,6 +59,7 @@ from .posterior import (
     HmcConfig,
     RiskEstimate,
     bayes_posterior,
+    default_n_chains,
     expected_risk,
     hmc_sample,
     robust_log_density_grad,

@@ -52,9 +52,10 @@ class PerturbationResult(NamedTuple):
     theta_is_zero: bool
 
 
-def _check_theta(theta, d: int) -> np.ndarray:
+def _check_theta(theta, d: int, *, batch: bool = False) -> np.ndarray:
+    """theta as a float array of shape (d,), or also (C, d) with batch."""
     th = np.asarray(theta, dtype=float)
-    if th.ndim != 1 or th.shape[0] != d:
+    if th.ndim not in ((1, 2) if batch else (1,)) or th.shape[-1] != d:
         raise DimensionMismatch(
             f"theta has shape {th.shape} but the data has {d} features"
         )
@@ -79,14 +80,18 @@ def _gaussian_adv_nll_and_residual(
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """The value of :func:`gaussian_adv_nll`, the residual r = Y - X theta,
     the grown residuals |r| + delta ||theta|| and ||theta||^2, without the
-    per-point signs."""
+    per-point signs.
+
+    theta may also be a (C, d) batch: then r and the grown residuals are
+    (C, n), one row per theta, and the value and ||theta||^2 are (C,).
+    """
     _check_nonnegative("delta", delta)
-    th = _check_theta(theta, data.d)
-    r = data.Y - data.X @ th
-    sq_norm = float(th @ th)
-    grown = np.abs(r) + delta * math.sqrt(sq_norm)
+    th = _check_theta(theta, data.d, batch=True)
+    r = data.Y - th @ data.X.T
+    sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
+    grown = (np.abs(r).T + delta * np.sqrt(sq_norm)).T
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    return const + 0.5 * float((grown * grown).sum()) / noise.sigma_sq, r, grown, sq_norm
+    return const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq, r, grown, sq_norm
 
 
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
@@ -96,8 +101,9 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     (n/2) log(2 pi sigma^2) + || |Y - X theta| + delta ||theta|| ||^2 / (2 sigma^2).
     At delta = 0 this reproduces :func:`gaussian_nll` bit for bit.
     """
-    value, r, _, _ = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
-    return AdvLossValue(value=value, chosen_sign=_sign_plus(-r))  # sign of theta'x - y
+    th = _check_theta(theta, data.d)
+    value, r, _, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    return AdvLossValue(value=float(value), chosen_sign=_sign_plus(-r))  # sign of theta'x - y
 
 
 def gaussian_adv_perturbation(theta, x, y: float, delta: float) -> PerturbationResult:

@@ -67,6 +67,7 @@ from .model import (
 from .posterior import (
     HmcConfig,
     bayes_posterior,
+    default_n_chains,
     expected_risk,
     hmc_sample,
     robust_log_density_grad,
@@ -203,8 +204,9 @@ def _fit_and_score(
 
     ``radii`` maps "bayes" and "robust" to the test radii each posterior is
     scored at, with one expected_risk call. The robust posterior is fitted by
-    HMC at training radius delta, preconditioned by the Bayes precision, only
-    if it has radii. Returns the risks keyed by (posterior, radius) and the
+    HMC at training radius delta, preconditioned by the Bayes precision, with
+    the chains default_n_chains picks for the training size, only if it has
+    radii. Returns the risks keyed by (posterior, radius) and the
     robust draws, or None. hmc_sample and expected_risk are called through
     this module's names so that callers can rebind them: the benchmark
     captures draw sets through ``cli.hmc_sample``, and tests record calls.
@@ -219,6 +221,7 @@ def _fit_and_score(
                 n_warmup=resolved["hmc_warmup"],
                 leapfrog_steps=resolved["leapfrog"],
                 seed=seed,
+                n_chains=default_n_chains(train.n, resolved["hmc_samples"]),
             ),
             exact.precision.chol_lower,
         )
@@ -316,6 +319,7 @@ def _fit_eval_run(train: Dataset, test: Dataset, seed: int, radii: list, resolve
             "accept_rate": hmc.accept_rate,
             "grad_evals": hmc.grad_evals,
             "max_leapfrog": hmc.max_leapfrog,
+            "n_chains": hmc.n_chains,
             "step_size": hmc.step_size,
         },
         "metrics": metrics,

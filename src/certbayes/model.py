@@ -251,21 +251,32 @@ class GaussianPosterior:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Posterior draws from a sampler run, with its diagnostics: grad_evals
-    counts the run's fused log-density-and-gradient calls, one per leapfrog
-    step, and max_leapfrog is its adapted maximum trajectory length; both
-    are 0 for draws no HMC run produced."""
+    """Posterior draws from a sampler run, with its diagnostics.
+
+    draws is (m, d) and chain-major: the m / n_chains draws of chain 0 in
+    order, then those of chain 1, and so on. grad_evals counts the gradient
+    rows the run evaluated, one per point per fused log-density-and-gradient
+    call, and max_leapfrog is its adapted maximum trajectory length; both
+    are 0 for draws no HMC run produced.
+    """
 
     draws: np.ndarray
     accept_rate: float
     step_size: float
     grad_evals: int = 0
     max_leapfrog: int = 0
+    n_chains: int = 1
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
         if draws.ndim != 2:
             raise DimensionMismatch(f"draws must be (m, d), got shape {draws.shape}")
+        if not (isinstance(self.n_chains, (int, np.integer)) and self.n_chains >= 1
+                and draws.shape[0] % self.n_chains == 0):
+            raise ValueError(
+                f"n_chains must be a positive integer dividing the {draws.shape[0]} draws, "
+                f"got {self.n_chains!r}"
+            )
         if not np.all(np.isfinite(draws)):
             raise NonFiniteEntry("draws contain NaN or Inf")
         if not 0.0 <= self.accept_rate <= 1.0:

@@ -9,13 +9,21 @@ dual-averaging step-size adaptation toward a mean acceptance probability of
 from 1 to a maximum on every iteration. Warmup adapts that maximum as well
 and freezes it, together with the step size, when it ends.
 
+Warmup runs one chain from the origin. Sampling then copies that chain's
+final state into C chains and runs them as one (C, d) state, so each
+leapfrog step evaluates the C positions in one call, from one (C, n)
+residual: at small n a batched call costs little more than a single one.
+Warmup stays single-chain because running it on C chains costs C times its
+gradient work, which outweighs what batching saves. default_n_chains picks
+C from the training size.
+
 The mass matrix M = LL' is given by its lower Cholesky factor L. The
 momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
 the leapfrog steps are xi += (eps/2) A'grad(theta) and theta += eps A xi,
 and the kinetic energy stays xi'xi/2. A is formed once per run; on a
 Gaussian target whose precision is M the dynamics are isotropic. The random
 length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
-a fixed leapfrog count has on near-Gaussian targets. The chain carries the
+a fixed leapfrog count has on near-Gaussian targets. Each chain carries the
 log density and gradient of its position, so each leapfrog step makes one
 call.
 
@@ -44,7 +52,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .adversarial_loss import _gaussian_adv_nll_and_residual
+from .adversarial_loss import _check_theta, _gaussian_adv_nll_and_residual
 from .errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
 from .model import _check_nonnegative
@@ -54,6 +62,7 @@ __all__ = [
     "HmcConfig",
     "RiskEstimate",
     "bayes_posterior",
+    "default_n_chains",
     "robust_log_density_grad",
     "hmc_sample",
     "expected_risk",
@@ -73,19 +82,42 @@ _LENGTH_MIN_DRAWS = 20
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Draws kept, warmup iterations, the cap on the warmup-adapted maximum
-    leapfrog steps per iteration, and the seed."""
+    """Draws kept in total, warmup iterations of the one warmup chain, the
+    cap on the warmup-adapted maximum leapfrog steps per iteration, the seed,
+    and the chains that share the kept draws; n_chains must divide
+    n_samples."""
 
     n_samples: int = 4000
     n_warmup: int = 2000
     leapfrog_steps: int = 32
     seed: int = 0
+    n_chains: int = 1
 
     def __post_init__(self):
-        for name in ("n_samples", "n_warmup", "leapfrog_steps"):
+        for name in ("n_samples", "n_warmup", "leapfrog_steps", "n_chains"):
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.n_samples % self.n_chains:
+            raise ValueError(
+                f"n_chains {self.n_chains} must divide n_samples {self.n_samples}"
+            )
+
+
+# Most rows (chains x training points) one batched call of the robust log
+# density may hold. Measured at d = 5 with one BLAS thread, the per-chain
+# cost of a call falls with C up to about 24 000 rows and jumps past it
+# (C = 8: 19 us at n = 3000, 54 us at n = 3500; C = 4: 38 us at n = 6000,
+# 115 us at n = 8192).
+_CHAIN_ROW_BUDGET = 24_576
+
+
+def default_n_chains(n: int, n_samples: int) -> int:
+    """The chains the robust sampler runs for n training points and
+    n_samples kept draws: the largest C in {8, 4, 2, 1} with C * n <= 24576
+    that divides n_samples."""
+    fits = (c for c in (8, 4, 2) if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0)
+    return next(fits, 1)
 
 
 def bayes_posterior(
@@ -106,33 +138,45 @@ def bayes_posterior(
 
 def robust_log_density_grad(
     theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
-) -> tuple[float, np.ndarray]:
+) -> tuple[Union[float, np.ndarray], np.ndarray]:
     """Unnormalized log density of the robust posterior at theta,
     -adv_nll(theta) - ||theta||^2 / (2 sigma_p^2), and its gradient, both
     from one residual.
 
+    theta is one point, shape (d,), which gives a float and a (d,) gradient,
+    or a batch of C points, shape (C, d), which gives a (C,) array and a
+    (C, d) array, one row per point, from one (C, n) residual. Any other
+    shape raises DimensionMismatch.
+
     At the kinks, the |residual| term uses sign(0) := +1 on theta'x - y and
     the delta*||theta|| term uses gradient 0 at theta = 0 — the same
-    selections the losses use, so the sampler sees a consistent field.
+    selections the losses use, for a single point and for each row of a
+    batch, so the sampler sees a consistent field.
     """
-    adv_nll, r, grown, sq_norm = _gaussian_adv_nll_and_residual(theta, data, noise, delta)
-    th = np.asarray(theta, dtype=float)
-    theta_norm = math.sqrt(sq_norm)
-    grad_loss = data.X.T @ np.where(r <= 0.0, grown, -grown)
-    if delta > 0.0 and theta_norm > 0.0:
-        grad_loss = grad_loss + (delta * float(grown.sum()) / theta_norm) * th
+    th = _check_theta(theta, data.d, batch=True)
+    adv_nll, r, grown, sq_norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    # +grown where r <= 0 (0 - r is +0.0 at r = +-0), -grown where r > 0;
+    # branch-free, unlike np.where, whose cost jumps on a (C, n) batch
+    grad_loss = np.copysign(grown, 0.0 - r) @ data.X
+    if delta > 0.0:
+        # delta * sum(grown) / ||theta|| along theta per point; a zero norm
+        # divides by 1 instead, so theta = 0 gets 0
+        theta_norm = np.sqrt(sq_norm)
+        pull = delta * grown.sum(axis=-1) / (theta_norm + (theta_norm == 0.0))
+        grad_loss = grad_loss + (th.T * pull).T
     return (-adv_nll - 0.5 * sq_norm / prior.sigma_p_sq,
             -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
 
 
 def _leapfrog(theta, xi, g, eps, n_steps, value_and_grad, a):
     """Leapfrog with whitened momentum xi, theta velocity A xi and start
-    gradient g = A'grad; n_steps calls. Returns the end's theta, xi, lp, g."""
+    gradient g = A'grad; n_steps calls. Returns the end's theta, xi, lp, g.
+    A (d,) state is one chain and a (C, d) state C chains, one per row."""
     xi = xi + 0.5 * eps * g
     for step in range(n_steps):
-        theta = theta + eps * (a @ xi)
+        theta = theta + eps * (xi @ a.T)
         lp, grad = value_and_grad(theta)
-        g = a.T @ grad
+        g = grad @ a
         if step < n_steps - 1:
             xi = xi + eps * g
     xi = xi + 0.5 * eps * g
@@ -167,7 +211,7 @@ def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[fl
 
 
 def hmc_sample(
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    value_and_grad: Callable[[np.ndarray], tuple],
     config: HmcConfig,
     mass_chol,
 ) -> SampleSet:
@@ -175,15 +219,24 @@ def hmc_sample(
     and the maximum trajectory length by the whitened half period.
 
     value_and_grad(theta) returns the log density and its gradient, as
-    robust_log_density_grad does. The chain carries both for its position,
-    so each leapfrog step makes one call, and a rejection none.
+    robust_log_density_grad does, for theta of shape (d,) during warmup (a
+    float and a (d,) array) and of shape (C, d) during sampling, with
+    C = config.n_chains (a (C,) and a (C, d) array, one row per chain). Each
+    chain carries both for its position, so each leapfrog step makes one
+    call, and a rejection none.
 
-    Deterministic for a fixed config.seed. The chain starts at the origin,
-    where the log density is evaluated once and must be finite. Each
-    iteration runs a trajectory of 1 to max_leapfrog leapfrog steps, drawn
+    Deterministic for a fixed config.seed. Warmup runs one chain from the
+    origin, where the log density is evaluated once and must be finite. Its
+    final position, log density and gradient are then copied into C chains,
+    which run the n_samples / C sampling iterations as one (C, d) state:
+    every iteration draws one trajectory length for all chains and one
+    momentum and one uniform per chain, so each chain accepts or rejects on
+    its own. Each iteration runs 1 to max_leapfrog leapfrog steps, drawn
     uniformly; warmup adapts max_leapfrog as the module docstring sets out,
     from config.leapfrog_steps down, and freezes it with eps. The returned
-    SampleSet carries it and grad_evals, the run's calls of value_and_grad.
+    SampleSet holds the draws chain-major (chain 0's, then chain 1's, ...),
+    max_leapfrog and grad_evals, the gradient rows the run evaluated (one per
+    call during warmup and C per call during sampling).
 
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; its
     order is the target's dimension. A good choice is the factor of an
@@ -197,7 +250,8 @@ def hmc_sample(
     NonFiniteDensity
         if the log density is not finite at the starting point.
     DivergentTrajectory
-        after repeated trajectories with energy error beyond 1000.
+        after repeated trajectories of one chain with energy error beyond
+        1000.
     """
     a, lt = _whitening(mass_chol)
     dim = a.shape[0]
@@ -207,7 +261,7 @@ def hmc_sample(
     if not math.isfinite(lp):
         raise NonFiniteDensity(f"log density at the origin is {lp!r}")
 
-    g = a.T @ grad
+    g = grad @ a
     eps, searched = _find_reasonable_epsilon(theta, lp, g, value_and_grad, a, rng)
     grad_evals = 1 + searched  # the origin's call and the search's
 
@@ -217,17 +271,20 @@ def hmc_sample(
     h_bar = 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
 
-    draws = np.empty((config.n_samples, dim))
-    accept_sum = 0.0
     consecutive_divergences = 0
-    total_iters = config.n_warmup + config.n_samples
+
+    def divergence(count: int) -> DivergentTrajectory:
+        return DivergentTrajectory(
+            f"{count} consecutive divergent trajectories "
+            f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
+        )
 
     # Trajectory-length state: Welford moments of the whitened position.
     max_steps = config.leapfrog_steps
     burn_in = int(_LENGTH_BURN_IN * config.n_warmup)
     w_mean, w_m2 = np.zeros(dim), np.zeros(dim)
 
-    for m in range(1, total_iters + 1):
+    for m in range(1, config.n_warmup + 1):
         n_steps = int(rng.integers(1, max_steps + 1))
         grad_evals += n_steps
         p0 = rng.standard_normal(dim)
@@ -240,10 +297,7 @@ def hmc_sample(
         if log_ratio < -_DIVERGENCE_ENERGY:
             consecutive_divergences += 1
             if consecutive_divergences >= _MAX_CONSECUTIVE_DIVERGENCES:
-                raise DivergentTrajectory(
-                    f"{consecutive_divergences} consecutive divergent trajectories "
-                    f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
-                )
+                raise divergence(consecutive_divergences)
         else:
             consecutive_divergences = 0
 
@@ -251,40 +305,66 @@ def hmc_sample(
         if rng.uniform() < alpha:
             theta, lp, g = theta_prop, lp_prop, g_prop
 
-        if m <= config.n_warmup:
-            frac = 1.0 / (m + t0)
-            h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - alpha)
-            log_eps = mu - math.sqrt(m) / gamma * h_bar
-            eta = m ** (-kappa)
-            log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-            eps = math.exp(log_eps)
-            if m == config.n_warmup:
-                eps = math.exp(log_eps_bar)
-            if m > burn_in:
-                w = lt @ theta
-                w_count = m - burn_in
-                dev = w - w_mean
-                w_mean += dev / w_count
-                w_m2 += dev * (w - w_mean)
-                if w_count >= _LENGTH_MIN_DRAWS:
-                    s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
-                    half_period = math.pi * s_max / eps
-                    # "not <" keeps the cap for an infinite or NaN ratio
-                    max_steps = (
-                        max(1, math.ceil(half_period))
-                        if half_period < config.leapfrog_steps
-                        else config.leapfrog_steps
-                    )
-        else:
-            accept_sum += alpha
-            draws[m - config.n_warmup - 1] = theta
+        frac = 1.0 / (m + t0)
+        h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - alpha)
+        log_eps = mu - math.sqrt(m) / gamma * h_bar
+        eta = m ** (-kappa)
+        log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
+        eps = math.exp(log_eps)
+        if m == config.n_warmup:
+            eps = math.exp(log_eps_bar)
+        if m > burn_in:
+            w = lt @ theta
+            w_count = m - burn_in
+            dev = w - w_mean
+            w_mean += dev / w_count
+            w_m2 += dev * (w - w_mean)
+            if w_count >= _LENGTH_MIN_DRAWS:
+                s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
+                half_period = math.pi * s_max / eps
+                # "not <" keeps the cap for an infinite or NaN ratio
+                max_steps = (
+                    max(1, math.ceil(half_period))
+                    if half_period < config.leapfrog_steps
+                    else config.leapfrog_steps
+                )
+
+    # Sampling: the warmup chain's state fans out into C chains, one per row.
+    chains = config.n_chains
+    theta, g = np.tile(theta, (chains, 1)), np.tile(g, (chains, 1))
+    lp = np.full(chains, lp)
+    divergences = np.full(chains, consecutive_divergences)
+    draws = np.empty((chains, config.n_samples // chains, dim))
+    alpha_sum = np.zeros(chains)
+    for i in range(draws.shape[1]):
+        n_steps = int(rng.integers(1, max_steps + 1))
+        grad_evals += chains * n_steps
+        p0 = rng.standard_normal((chains, dim))
+        h0 = lp - 0.5 * np.einsum("ij,ij->i", p0, p0)
+        theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
+        log_ratio = (lp_prop - 0.5 * np.einsum("ij,ij->i", p1, p1)) - h0
+        # NaN, and +inf from a non-finite density, reject like -inf
+        log_ratio = np.where(log_ratio < math.inf, log_ratio, -math.inf)
+
+        divergences = (divergences + 1) * (log_ratio < -_DIVERGENCE_ENERGY)
+        if divergences.max() >= _MAX_CONSECUTIVE_DIVERGENCES:
+            raise divergence(int(divergences.max()))
+
+        alpha = np.exp(np.minimum(log_ratio, 0.0))
+        alpha_sum += alpha
+        accept = rng.uniform(size=chains) < alpha
+        np.copyto(theta, theta_prop, where=accept[:, None])
+        np.copyto(g, g_prop, where=accept[:, None])
+        np.copyto(lp, lp_prop, where=accept)
+        draws[:, i] = theta
 
     return SampleSet(
-        draws=draws,
-        accept_rate=accept_sum / config.n_samples,
+        draws=draws.reshape(config.n_samples, dim),
+        accept_rate=float(alpha_sum.sum()) / config.n_samples,
         step_size=eps,
         grad_evals=grad_evals,
         max_leapfrog=max_steps,
+        n_chains=chains,
     )
 
 
@@ -295,21 +375,34 @@ class RiskEstimate(NamedTuple):
     std_error: float
 
 
-def _effective_sample_size(series: np.ndarray) -> float:
-    """ESS of a scalar chain via Geyer's initial positive sequence."""
+def _effective_sample_size(series: np.ndarray, n_chains: int = 1) -> float:
+    """ESS of a scalar series made of n_chains equal-length chains laid end
+    to end, via Geyer's initial positive sequence.
+
+    The autocorrelation at lag k is (acov_k + B) / (acov_0 + B): acov_k is
+    the within-chain autocovariance (divided by the chain length) averaged
+    over chains, and B the variance of the chain means, so chains that
+    disagree read as correlated draws (var+ of Gelman et al., with the
+    within-chain variance not rescaled). One chain has B = 0 and gives the
+    single-chain estimator; no lag ever pairs the end of one chain with the
+    start of the next.
+    """
     n = series.shape[0]
     if n < 4:
         return float(n)
-    x = series - series.mean()
-    var = float(x @ x) / n
+    chains = series.reshape(n_chains, -1)
+    length = chains.shape[1]
+    x = chains - chains.mean(axis=1, keepdims=True)
+    between = float(np.var(chains.mean(axis=1), ddof=1)) if n_chains > 1 else 0.0
+    var = float(np.vdot(x, x)) / n + between
     if var <= 0.0:
         return float(n)
-    nfft = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n].real / n
-    rho = acov / acov[0]
+    nfft = 1 << (2 * length - 1).bit_length()
+    f = np.fft.rfft(x, nfft, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), nfft, axis=1)[:, :length].real.mean(axis=0) / length
+    rho = (acov + between) / (acov[0] + between)
     tau = 0.0
-    for k in range(0, n - 1, 2):
+    for k in range(0, length - 1, 2):
         pair = rho[k] + rho[k + 1]
         if pair <= 0.0:
             break
@@ -371,7 +464,7 @@ def expected_risk(
     n_draws fresh draws from ``default_rng(seed)``, the set a call with that
     radius alone draws. A SampleSet scores every radius on its stored draws,
     and each standard error is adjusted by the effective sample size of that
-    radius's per-draw risks along the chain.
+    radius's per-draw risks over the set's chains.
 
     Raises ValueError for a radius that is not finite and >= 0 and for a
     posterior whose dimension differs from the test set's.
@@ -415,7 +508,10 @@ def expected_risk(
             if risks.shape[0] == 1:
                 estimates[dh] = RiskEstimate(value=float(risks[0]), std_error=0.0)
                 continue
-            ess = float(risks.shape[0]) if exact else _effective_sample_size(risks)
+            ess = (
+                float(risks.shape[0]) if exact
+                else _effective_sample_size(risks, samples_or_exact.n_chains)
+            )
             estimates[dh] = RiskEstimate(
                 value=float(np.mean(risks)),
                 std_error=float(np.std(risks, ddof=1) / math.sqrt(ess)),

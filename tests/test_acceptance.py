@@ -28,6 +28,7 @@ from certbayes import (
     cert_robust_adversarial_general,
     cert_robust_adversarial_matched,
     cert_robust_standard,
+    default_n_chains,
     expected_risk,
     expfam_adv_nll_point,
     gaussian_adv_nll,
@@ -66,12 +67,14 @@ def _slice_synthetic(n_train, n_test, d, sigma_sq, theta_norm_sq, seed):
 
 
 def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed):
-    """The CLI's robust sampler: preconditioned by the Bayes posterior precision."""
+    """The CLI's robust sampler: preconditioned by the Bayes posterior
+    precision, with the chains default_n_chains picks."""
     return hmc_sample(
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
         HmcConfig(
             n_samples=n_samples, n_warmup=n_warmup,
             leapfrog_steps=leapfrog, seed=seed,
+            n_chains=default_n_chains(train.n, n_samples),
         ),
         bayes_posterior(train, noise, prior).precision.chol_lower,
     )
@@ -420,7 +423,8 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
 
     def logp_and_grad(th):
         r = th - post.mean
-        return -0.5 * float(r @ (precision @ r)), -(precision @ r)
+        pr = r @ precision  # precision is symmetric
+        return -0.5 * np.sum(r * pr, axis=-1), -pr
 
     config = HmcConfig(n_samples=5000, n_warmup=2000, leapfrog_steps=32, seed=0)
     run_a = hmc_sample(logp_and_grad, config, np.eye(post.dim))

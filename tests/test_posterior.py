@@ -123,8 +123,13 @@ def test_grad_rejects_a_delta_that_is_not_finite_and_nonnegative(delta):
 
 
 def test_grad_rejects_theta_of_the_wrong_length():
+    """A point must have d entries and a batch must be (C, d); a (1, d)
+    batch is valid (see test_batched_call_rows_equal_single_calls)."""
     ds, noise, prior = _problem(9, n=20, d=3)
-    for theta in (np.zeros(ds.d + 1), np.zeros(ds.d - 1), np.zeros((1, ds.d))):
+    for theta in (
+        np.zeros(ds.d + 1), np.zeros(ds.d - 1), np.zeros((4, ds.d + 1)), np.zeros((2, ds.d - 1)),
+        np.zeros((1, 1, ds.d)), np.zeros((2, 4, ds.d)), np.float64(0.0),
+    ):
         with pytest.raises(DimensionMismatch):
             robust_log_density_grad(theta, ds, noise, prior, 0.1)
 
@@ -206,12 +211,70 @@ def test_grad_matches_finite_differences():
             checked += 1
 
 
+def _batch_away_from_kinks(ds, rng, rows):
+    """rows points, none within 1e-3 of a residual kink or 1e-2 of theta = 0."""
+    kept = []
+    while len(kept) < rows:
+        theta = rng.standard_normal(ds.d)
+        if np.min(np.abs(ds.Y - ds.X @ theta)) >= 1e-3 and np.linalg.norm(theta) >= 1e-2:
+            kept.append(theta)
+    return np.array(kept)
+
+
+def test_batched_call_rows_equal_single_calls():
+    ds, noise, prior = _problem(21, n=40, d=4)
+    rng = np.random.default_rng(2)
+    thetas = np.vstack([np.zeros(ds.d), rng.standard_normal((5, ds.d))])
+    for delta in (0.0, 0.4):
+        for batch in (thetas, thetas[:1], thetas[1:2]):
+            values, grads = robust_log_density_grad(batch, ds, noise, prior, delta)
+            assert values.shape == (batch.shape[0],) and grads.shape == batch.shape
+            for theta, value, grad in zip(batch, values, grads):
+                want_value, want_grad = robust_log_density_grad(theta, ds, noise, prior, delta)
+                assert value == pytest.approx(want_value, rel=1e-12)
+                np.testing.assert_allclose(
+                    grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max()
+                )
+
+
+def test_batched_call_gives_theta_zero_the_zero_norm_selection():
+    """A zero row in a batch takes gradient 0 for the delta ||theta|| term,
+    as a single call at theta = 0 does, while the other rows keep it."""
+    ds, noise, prior = _problem(7)
+    batch = np.vstack([np.full(ds.d, 0.5), np.zeros(ds.d), np.full(ds.d, -0.2)])
+    _, grads = robust_log_density_grad(batch, ds, noise, prior, 0.9)
+    u = np.where(-ds.Y >= 0, 1.0, -1.0)
+    want = -(ds.X.T @ (np.abs(ds.Y) * u)) / noise.sigma_sq
+    np.testing.assert_allclose(grads[1], want, rtol=1e-12)
+    assert np.all(np.isfinite(grads))
+    for row in (0, 2):
+        _, want_row = robust_log_density_grad(batch[row], ds, noise, prior, 0.9)
+        np.testing.assert_allclose(grads[row], want_row, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_grad_matches_finite_differences_on_every_row():
+    ds, noise, prior = _problem(8, n=20, d=4)
+    rng = np.random.default_rng(3)
+    for delta in (0.0, 0.25, 1.0):
+        batch = _batch_away_from_kinks(ds, rng, 6)
+        _, grads = robust_log_density_grad(batch, ds, noise, prior, delta)
+        for row in range(batch.shape[0]):
+            def row_value(t, row=row):
+                moved = batch.copy()
+                moved[row] = t
+                return robust_log_density_grad(moved, ds, noise, prior, delta)[0][row]
+
+            fd = central_difference_gradient(row_value, batch[row])
+            np.testing.assert_allclose(grads[row], fd, rtol=1e-4, atol=1e-6)
+
+
 # --- HMC ---------------------------------------------------------------------------
 
 
 def _std_normal_target(dim):
-    """N(0, I) in dim dimensions and the identity mass factor."""
-    return lambda t: (-0.5 * float(t @ t), -t), np.eye(dim)
+    """N(0, I) in dim dimensions, for theta of shape (d,) or (C, d), and the
+    identity mass factor."""
+    return lambda t: (-0.5 * np.sum(t * t, axis=-1), -t), np.eye(dim)
 
 
 def test_hmc_standard_normal_moments():
@@ -273,7 +336,8 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
 
     def target(t):
         r = t - mean
-        return -0.5 * float(r @ (precision @ r)), -(precision @ r)
+        pr = r @ precision  # precision is symmetric
+        return -0.5 * np.sum(r * pr, axis=-1), -pr
 
     out = hmc_sample(
         target,
@@ -296,7 +360,7 @@ def test_hmc_evaluates_its_start_point_once():
     def target(t):
         if not t.any():
             at_origin.append(t.copy())
-        return -0.5 * float(t @ t), -t
+        return -0.5 * np.sum(t * t, axis=-1), -t
 
     hmc_sample(target, HmcConfig(n_samples=50, n_warmup=50, seed=2), np.eye(3))
     assert len(at_origin) == 1
@@ -311,7 +375,7 @@ def test_hmc_evaluates_each_position_once():
 
     def target(t):
         seen.append(t.tobytes())
-        return -0.5 * float(t @ (precision @ t)), -(precision @ t)
+        return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
 
     out = hmc_sample(
         target, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5), np.eye(3)
@@ -330,7 +394,7 @@ def test_hmc_rejects_mass_factor_of_wrong_shape():
 
     def target(t):
         called.append(t)
-        return -0.5 * float(t @ t), -t
+        return -0.5 * np.sum(t * t, axis=-1), -t
 
     for factor in (np.ones(3), np.eye(3)[:2], np.zeros((0, 0))):
         with pytest.raises(DimensionMismatch, match="square"):
@@ -358,7 +422,7 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
 
     def target(t):
         calls[0] += 1
-        return -0.5 * float(t @ t) / scale**2, -t / scale**2
+        return -0.5 * np.sum(t * t, axis=-1) / scale**2, -t / scale**2
 
     monkeypatch.setattr(posterior, "_leapfrog", counted)
     out = hmc_sample(target, cfg, np.eye(2))
@@ -409,7 +473,7 @@ def test_hmc_replay_gives_identical_draws_step_size_and_length():
     cfg = HmcConfig(n_samples=400, n_warmup=300, leapfrog_steps=32, seed=11)
     a, b = (
         hmc_sample(
-            lambda t: (-0.5 * float(t @ (precision @ t)), -(precision @ t)), cfg,
+            lambda t: (-0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)), cfg,
             np.diag([1.0, 2.0, 4.0]),
         )
         for _ in range(2)
@@ -471,6 +535,118 @@ def test_hmc_grad_evals_counts_every_gradient_call():
 def test_hmc_config_validation():
     with pytest.raises(ValueError):
         HmcConfig(n_samples=0)
+
+
+@pytest.mark.parametrize(
+    "fields", [{"n_chains": 0}, {"n_chains": 2.0}, {"n_samples": 50, "n_chains": 4}]
+)
+def test_hmc_config_rejects_chains_that_do_not_divide_the_draws(fields):
+    with pytest.raises(ValueError, match="n_chains"):
+        HmcConfig(**fields)
+
+
+@pytest.mark.parametrize(
+    "n, n_samples, chains",
+    [(100, 2000, 8), (274, 4000, 8), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
+     (274, 49, 1), (3072, 4000, 8), (3073, 4000, 4), (12_288, 4000, 2), (12_289, 4000, 1)],
+)
+def test_default_n_chains_rule(n, n_samples, chains):
+    assert posterior.default_n_chains(n, n_samples) == chains
+
+
+# --- HMC, several chains ------------------------------------------------------------
+
+
+def test_hmc_chains_standard_normal_moments():
+    target, unit = _std_normal_target(2)
+    cfg = HmcConfig(n_samples=5000, n_warmup=1000, seed=42, n_chains=4)
+    out = hmc_sample(target, cfg, unit)
+    assert out.n_chains == 4 and out.draws.shape == (5000, 2)
+    assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
+    cov = np.cov(out.draws.T)
+    assert np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2)) <= 0.10
+
+
+def test_hmc_chains_acceptance_band():
+    target, unit = _std_normal_target(3)
+    out = hmc_sample(target, HmcConfig(n_samples=2000, n_warmup=1000, seed=5, n_chains=4), unit)
+    assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10
+
+
+def test_hmc_chains_replay_and_share_the_warmup():
+    """Two runs with one seed agree bit for bit; the step size and maximum
+    length come from the one warmup chain, so they do not depend on C."""
+    precision = np.diag([1.0, 4.0, 25.0])
+
+    def target(t):
+        return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
+
+    runs = [
+        hmc_sample(target, HmcConfig(n_samples=400, n_warmup=300, seed=11, n_chains=c), np.eye(3))
+        for c in (4, 4, 1, 8)
+    ]
+    a, b = runs[:2]
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert (a.step_size, a.max_leapfrog, a.grad_evals, a.accept_rate) == (
+        b.step_size, b.max_leapfrog, b.grad_evals, b.accept_rate
+    )
+    assert {(r.step_size, r.max_leapfrog) for r in runs} == {(a.step_size, a.max_leapfrog)}
+
+
+def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monkeypatch):
+    """Every chain's first trajectory starts at the warmup chain's last
+    position, and draw k * S + i is chain k's position after its iteration
+    i, S = n_samples / C."""
+    starts, ends = [], []
+    leapfrog = posterior._leapfrog
+
+    def recorded(theta, *args):
+        starts.append(np.array(theta))
+        out = leapfrog(theta, *args)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    target, unit = _std_normal_target(2)
+    cfg = HmcConfig(n_samples=60, n_warmup=40, seed=3, n_chains=3)
+    out = hmc_sample(target, cfg, unit)
+    sampling = starts[-20:]
+    assert all(s.shape == (3, 2) for s in sampling)
+    assert np.all(sampling[0] == sampling[0][0])  # copies of one position
+    per_chain = out.draws.reshape(3, 20, 2)
+    for i, start in enumerate(sampling[1:]):
+        assert np.array_equal(per_chain[:, i], start)
+    moved = [np.all(p == e, axis=1) for p, e in zip(per_chain.transpose(1, 0, 2), ends[-20:])]
+    assert 0 < sum(m.sum() for m in moved) < 60  # some proposals accepted, some not
+
+
+def test_hmc_chains_divergence_error():
+    """Every chain diverges on every trajectory. Warmup's 10 divergences
+    carry over to each chain, which reaches 25 during sampling."""
+    shapes = []
+
+    def target(t):
+        shapes.append(t.shape)
+        finite = np.sum(t * t, axis=-1) == 0.0
+        return np.where(finite, 0.0, -np.inf), np.zeros_like(t)
+
+    with pytest.raises(DivergentTrajectory, match="25 consecutive"):
+        hmc_sample(target, HmcConfig(n_samples=100, n_warmup=10, seed=0, n_chains=4), np.eye(2))
+    assert shapes[-1] == (4, 2)
+
+
+def test_hmc_chains_grad_evals_counts_rows():
+    ds, noise, prior = _problem(15, n=40, d=3)
+    rows, calls = [0], [0]
+
+    def target(t):
+        rows[0] += 1 if t.ndim == 1 else t.shape[0]
+        calls[0] += 1
+        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+
+    cfg = HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6, n_chains=4)
+    out = hmc_sample(target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower)
+    assert out.grad_evals == rows[0] > calls[0] > cfg.n_warmup + cfg.n_samples // 4
 
 
 # --- expected risk -------------------------------------------------------------------
@@ -601,6 +777,24 @@ def test_expected_risk_is_named_tuple():
     est = RiskEstimate(value=1.0, std_error=0.1)
     v, se = est
     assert (v, se) == (1.0, 0.1)
+
+
+def test_effective_sample_size_reads_chains():
+    """Four iid N(0, 1) chains are worth about their total; four whose means
+    sit 3 sd apart are worth far less, whatever each chain's own mixing."""
+    rng = np.random.default_rng(0)
+    chains = rng.standard_normal((4, 1000))
+    assert 0.8 * 4000 <= _effective_sample_size(chains.ravel(), 4) <= 4000
+    shifted = chains + 3.0 * np.arange(4)[:, None]
+    assert _effective_sample_size(shifted.ravel(), 4) < 0.05 * 4000
+
+
+def test_sample_set_chains_must_divide_the_draws():
+    draws = np.zeros((12, 2))
+    assert SampleSet(draws, 0.5, 0.1, n_chains=4).n_chains == 4
+    for bad in (0, 5, 1.0):
+        with pytest.raises(ValueError, match="n_chains"):
+            SampleSet(draws, 0.5, 0.1, n_chains=bad)
 
 
 def test_effective_sample_size_bounds():
