@@ -76,17 +76,16 @@ def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
 
 
 def _gaussian_adv_nll_and_residual(
-    theta, data: Dataset, noise: NoiseModel, delta: float
-) -> tuple[float, np.ndarray, np.ndarray, float]:
+    th: np.ndarray, data: Dataset, noise: NoiseModel, delta: float
+) -> tuple:
     """The value of :func:`gaussian_adv_nll`, the residual r = Y - X theta,
     the grown residuals |r| + delta ||theta|| and ||theta||^2, without the
-    per-point signs.
+    per-point signs, for th from :func:`_check_theta`.
 
-    theta may also be a (C, d) batch: then r and the grown residuals are
+    th may also be a (C, d) batch: then r and the grown residuals are
     (C, n), one row per theta, and the value and ||theta||^2 are (C,).
     """
     _check_nonnegative("delta", delta)
-    th = _check_theta(theta, data.d, batch=True)
     r = data.Y - th @ data.X.T
     sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
     grown = (np.abs(r).T + delta * np.sqrt(sq_norm)).T

@@ -789,6 +789,22 @@ def test_effective_sample_size_reads_chains():
     assert _effective_sample_size(shifted.ravel(), 4) < 0.05 * 4000
 
 
+def test_expected_risk_standard_error_reads_the_chains():
+    """Four chains whose draws sit apart: the standard error uses the
+    multi-chain ESS of the per-draw risks, not the one of their
+    concatenation."""
+    ds, noise, _ = _problem(12, n=60, d=3)
+    rng = np.random.default_rng(5)
+    centres = rng.standard_normal((4, 1, 3))
+    draws = (centres + 0.05 * rng.standard_normal((4, 200, 3))).reshape(800, 3)
+    risks = _per_draw_reference(draws, ds, noise, 0.1)
+    for chains in (4, 1):
+        got = expected_risk(SampleSet(draws, 0.8, 0.1, n_chains=chains), ds, noise, 0.1)
+        want = np.std(risks, ddof=1) / math.sqrt(_effective_sample_size(risks, chains))
+        assert got.std_error == pytest.approx(want, rel=1e-9)
+    assert _effective_sample_size(risks, 4) != _effective_sample_size(risks)
+
+
 def test_sample_set_chains_must_divide_the_draws():
     draws = np.zeros((12, 2))
     assert SampleSet(draws, 0.5, 0.1, n_chains=4).n_chains == 4
