@@ -106,15 +106,15 @@ class HmcConfig:
 
 # Most rows (chains x training points) one batched call of the robust log
 # density may hold. Measured at d = 5 with one BLAS thread, the per-chain
-# cost of a call falls with C up to about 24 000 rows and jumps past it
-# (C = 8: 19 us at n = 3000, 54 us at n = 3500; C = 4: 38 us at n = 6000,
-# 115 us at n = 8192).
-_CHAIN_ROW_BUDGET = 24_576
+# cost of a call at C = 4 and 8 fell with C up to 20 480 rows in every run,
+# and from about 24 000 rows it jumped in some runs (C = 8 at n = 3000:
+# 19 to 83 us; at n = 2560: 18.6 us).
+_CHAIN_ROW_BUDGET = 20_480
 
 
 def default_n_chains(n: int, n_samples: int) -> int:
     """The chains the robust sampler runs for n training points and
-    n_samples kept draws: the largest C in {8, 4, 2, 1} with C * n <= 24576
+    n_samples kept draws: the largest C in {8, 4, 2, 1} with C * n <= 20480
     that divides n_samples."""
     fits = (c for c in (8, 4, 2) if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0)
     return next(fits, 1)

@@ -548,7 +548,7 @@ def test_hmc_config_rejects_chains_that_do_not_divide_the_draws(fields):
 @pytest.mark.parametrize(
     "n, n_samples, chains",
     [(100, 2000, 8), (274, 4000, 8), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
-     (274, 49, 1), (3072, 4000, 8), (3073, 4000, 4), (12_288, 4000, 2), (12_289, 4000, 1)],
+     (274, 49, 1), (2560, 4000, 8), (2561, 4000, 4), (10_240, 4000, 2), (10_241, 4000, 1)],
 )
 def test_default_n_chains_rule(n, n_samples, chains):
     assert posterior.default_n_chains(n, n_samples) == chains
