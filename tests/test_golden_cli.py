@@ -10,9 +10,13 @@ value, and any output that is not JSON or CSV, must match exactly. The
 byte, because the sidecar's digest is the SHA-256 of those bytes.
 
 The recordings are the gate for refactors that must not change results.
-Regenerate them only for an intended change of output:
+Regenerate them only for an intended change of output, naming the cases
+whose output is meant to change (a new case is recorded the same way):
 
-    PYTHONPATH=src python tests/test_golden_cli.py --write
+    PYTHONPATH=src python tests/test_golden_cli.py --write CASE [CASE ...]
+
+A bare ``--write`` rewrites every case. That also rewrites any file whose
+floats have drifted within the 1e-12 tolerance, so prefer naming cases.
 """
 
 import contextlib
@@ -186,22 +190,26 @@ def test_golden_gen_data_csv_loads_bit_for_bit(tmp_path):
     assert loaded.Y.tobytes() == data.Y.tobytes()
 
 
-def _write_all() -> None:
+def _write(names) -> None:
+    """Record the named cases, overwriting their golden files."""
     import os
     import tempfile
 
     os.environ.pop("CERTBAYES_SEED", None)
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
-            record = _run(argv, Path(tmp))
+            record = _run(CASES[name], Path(tmp))
         text = json.dumps(record, indent=2, sort_keys=True) + "\n"
         (GOLDEN / f"{name}.json").write_text(text, encoding="utf-8")
         print(f"wrote {name}: exit {record['exit_code']}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_cli.py --write")
-    _write_all()
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_cli.py --write [CASE ...]")
+    unknown = [name for name in sys.argv[2:] if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; choose from {', '.join(sorted(CASES))}")
+    _write(sys.argv[2:] or list(CASES))
