@@ -79,6 +79,16 @@ CASES = {
         "fit-eval", "--data", "data/auto_mpg.csv", "--target", "mpg",
         "--sigma-p-sq", "0.05", *_HMC,
     ],
+    "fit_eval_train_test": [
+        "fit-eval", "--train", "data/auto_mpg.csv", "--test", "data/auto_mpg.csv",
+        "--target", "mpg", "--sigma-p-sq", "0.05", *_HMC, "--delta", "0.1",
+        "--delta-hat", "0,0.1",
+    ],
+    "fit_eval_two_seeds": [
+        "fit-eval", "--data", "data/auto_mpg.csv", "--target", "mpg", "--seeds", "2",
+        "--no-standardize", "--sigma-p-sq", "0.05", *_HMC, "--delta", "0.1",
+        "--delta-hat", "0,0.1",
+    ],
     "gen_data_n200_d3": [
         "gen-data", "--n", "200", "--d", "3", "--sigma-sq", "0.1111111111111111",
         "--sigma-x-sq", "1.0", "--theta-star-norm-sq", "0.5", "--seed", "0",
