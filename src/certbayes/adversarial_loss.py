@@ -68,11 +68,10 @@ def _sign_plus(z: np.ndarray) -> np.ndarray:
 
 
 def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
-    """Exact Gaussian NLL, (n/2) log(2 pi sigma^2) + ||Y - X theta||^2 / (2 sigma^2)."""
+    """Exact Gaussian NLL, (n/2) log(2 pi sigma^2) + ||Y - X theta||^2 / (2 sigma^2):
+    the adversarial NLL at delta = 0."""
     th = _check_theta(theta, data.d)
-    r = data.Y - data.X @ th
-    const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    return const + 0.5 * float(np.sum(r * r)) / noise.sigma_sq
+    return float(_gaussian_adv_nll_and_residual(th, data, noise, 0.0)[0])
 
 
 def _gaussian_adv_nll_and_residual(
@@ -105,22 +104,31 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     return AdvLossValue(value=float(value), chosen_sign=_sign_plus(-r))  # sign of theta'x - y
 
 
+def _point(theta, x, delta: float) -> tuple:
+    """One point's x and theta as float arrays, theta'x and ||theta||, checked."""
+    _check_nonnegative("delta", delta)
+    xv = np.asarray(x, dtype=float)
+    th = _check_theta(theta, xv.shape[0])
+    return xv, th, float(th @ xv), float(np.linalg.norm(th))
+
+
+def _worst_input(xv, th, theta_norm: float, delta: float, s: float) -> np.ndarray:
+    """The adversary's input x + delta * s * theta/||theta|| on branch s; a copy
+    of x when theta = 0, where the loss does not depend on the input."""
+    if theta_norm == 0.0:
+        return xv.copy()
+    return xv + (delta * s / theta_norm) * th
+
+
 def gaussian_adv_perturbation(theta, x, y: float, delta: float) -> PerturbationResult:
     """Worst-case input for one point: x + delta * sign(theta'x - y) * theta/||theta||.
 
     When theta = 0 the loss does not depend on the input at all; x is returned
     unchanged with theta_is_zero set.
     """
-    _check_nonnegative("delta", delta)
-    xv = np.asarray(x, dtype=float)
-    th = _check_theta(theta, xv.shape[0])
-    theta_norm = float(np.linalg.norm(th))
-    if theta_norm == 0.0:
-        return PerturbationResult(x_tilde=xv.copy(), theta_is_zero=True)
-    s = 1.0 if float(th @ xv) - y >= 0.0 else -1.0
-    return PerturbationResult(
-        x_tilde=xv + (delta * s / theta_norm) * th, theta_is_zero=False
-    )
+    xv, th, eta, theta_norm = _point(theta, x, delta)
+    s = 1.0 if eta - y >= 0.0 else -1.0
+    return PerturbationResult(_worst_input(xv, th, theta_norm, delta, s), theta_norm == 0.0)
 
 
 def _psi_checked(fam: ExponentialFamily, eta: float) -> float:
@@ -141,27 +149,16 @@ def expfam_adv_nll_point(
     and keeps the larger NLL psi(eta) - y*eta - base_log_measure(y). Ties go
     to the +1 branch.
     """
-    _check_nonnegative("delta", delta)
-    xv = np.asarray(x, dtype=float)
-    th = _check_theta(theta, xv.shape[0])
-    eta = float(th @ xv)
-    theta_norm = float(np.linalg.norm(th))
+    xv, th, eta, theta_norm = _point(theta, x, delta)
     shift = delta * theta_norm
     log_h = fam.base_log_measure(y)
     value_plus = _psi_checked(fam, eta + shift) - y * (eta + shift) - log_h
     value_minus = _psi_checked(fam, eta - shift) - y * (eta - shift) - log_h
-    if value_plus >= value_minus:
-        s, value = 1.0, value_plus
-    else:
-        s, value = -1.0, value_minus
-    if theta_norm > 0.0:
-        x_tilde = xv + (delta * s / theta_norm) * th
-    else:
-        x_tilde = xv.copy()
+    s, value = (1.0, value_plus) if value_plus >= value_minus else (-1.0, value_minus)
     return AdvLossValue(
         value=float(value),
         chosen_sign=np.array([s]),
-        perturbed_points=x_tilde[None, :],
+        perturbed_points=_worst_input(xv, th, theta_norm, delta, s)[None, :],
     )
 
 
@@ -186,10 +183,9 @@ def adv_loss_sandwich(
                                   <= 2 r_i^2 + 2 delta^2 ||theta||^2
     summed and scaled by 1/(2 sigma^2), plus the shared log constant.
     """
-    _check_nonnegative("delta", delta)
     th = _check_theta(theta, data.d)
-    r = data.Y - data.X @ th
-    m_sq = (delta ** 2) * float(th @ th)
+    _, r, _, sq_norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    m_sq = (delta ** 2) * float(sq_norm)
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
     sum_r_sq = float(np.sum(r * r))
     lower = const + 0.5 * (sum_r_sq + data.n * m_sq) / noise.sigma_sq
