@@ -298,41 +298,13 @@ def cmd_certify(resolved: dict) -> int:
 # fit-eval
 
 
-def _fit_eval_run(train: Dataset, test: Dataset, seed: int, radii: list, resolved: dict) -> dict:
-    """Fit both posteriors on one train/test pair and evaluate every radius."""
-    if resolved["standardize"]:
-        train, test = standardize_fit_transform(train, test)
-    risks, hmc = _fit_and_score(
-        train, test, NoiseModel(resolved["sigma_sq"]),
-        IsotropicPrior(resolved["sigma_p_sq"]), resolved["delta"],
-        {"bayes": radii, "robust": radii}, seed, resolved,
-    )
-    metrics = [
-        {"delta_hat": dh, **{w: risks[w, dh]._asdict() for w in ("bayes", "robust")}}
-        for dh in radii
-    ]
-    return {
-        "seed": seed,
-        "n_train": train.n,
-        "n_test": test.n,
-        "hmc": {
-            "accept_rate": hmc.accept_rate,
-            "grad_evals": hmc.grad_evals,
-            "max_leapfrog": hmc.max_leapfrog,
-            "n_chains": hmc.n_chains,
-            "step_size": hmc.step_size,
-        },
-        "metrics": metrics,
-    }
-
-
 def cmd_fit_eval(resolved: dict) -> int:
     # The radii are checked before any file is read or any chain is run.
     _check_nonnegative("delta", resolved["delta"])
     radii = [0.0] + [dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0]
     for dh in radii:
         _check_nonnegative("delta_test", dh)
-    runs = []
+    # (train, test, seed) of each run: the given split, or one split per seed.
     if resolved["train"] or resolved["test"]:
         if not (resolved["train"] and resolved["test"]):
             raise ValueError("--train and --test must be given together")
@@ -341,20 +313,42 @@ def cmd_fit_eval(resolved: dict) -> int:
         train = load_csv(resolved["train"], resolved["target"])
         test = load_csv(resolved["test"], resolved["target"])
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
-        runs.append(_fit_eval_run(train, test, resolved["seed"], radii, resolved))
+        pairs = [(train, test, resolved["seed"])]
         unread = ("seeds", "train_fraction", "data")  # the split is given
     else:
         if not resolved["data"]:
             raise ValueError("fit-eval requires --data or --train/--test")
         data = load_csv(resolved["data"], resolved["target"])
         digest = _digest_file(resolved["data"])
+        seeds = range(resolved["seed"], resolved["seed"] + resolved["seeds"])
+        pairs = [
+            (*split(data, SplitSpec(train_fraction=resolved["train_fraction"], seed=seed)), seed)
+            for seed in seeds
+        ]
         unread = ("train", "test")
-        for rep in range(resolved["seeds"]):
-            seed = resolved["seed"] + rep
-            train, test = split(
-                data, SplitSpec(train_fraction=resolved["train_fraction"], seed=seed)
-            )
-            runs.append(_fit_eval_run(train, test, seed, radii, resolved))
+
+    runs = []
+    for train, test, seed in pairs:
+        if resolved["standardize"]:
+            train, test = standardize_fit_transform(train, test)
+        risks, hmc = _fit_and_score(
+            train, test, NoiseModel(resolved["sigma_sq"]),
+            IsotropicPrior(resolved["sigma_p_sq"]), resolved["delta"],
+            {"bayes": radii, "robust": radii}, seed, resolved,
+        )
+        runs.append({
+            "seed": seed,
+            "n_train": train.n,
+            "n_test": test.n,
+            "hmc": {
+                key: getattr(hmc, key)
+                for key in ("accept_rate", "grad_evals", "max_leapfrog", "n_chains", "step_size")
+            },
+            "metrics": [
+                {"delta_hat": dh, **{w: risks[w, dh]._asdict() for w in ("bayes", "robust")}}
+                for dh in radii
+            ],
+        })
 
     # Across-seed mean and standard deviation per (posterior, delta_hat).
     summary = []
