@@ -17,7 +17,6 @@ from .adversarial_loss import (
 )
 from .certificates import (
     CgfConstants,
-    CgfKind,
     cert_bayes_adversarial,
     cert_bayes_standard,
     cert_robust_adversarial_general,

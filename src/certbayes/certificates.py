@@ -56,7 +56,6 @@ from .model import (
 from .numerics import SpdMatrix, quad_form_inv, spd_logdet, spd_solve
 
 __all__ = [
-    "CgfKind",
     "CgfConstants",
     "PreconditionCheck",
     "cgf_standard",
@@ -74,18 +73,12 @@ __all__ = [
 DEFAULT_BETA = 0.05
 
 
-class CgfKind(enum.Enum):
-    STANDARD = "Standard"
-    ADVERSARIAL = "Adversarial"
-
-
 @dataclass(frozen=True)
 class CgfConstants:
-    """Sub-gamma scale c in (0, 1) and variance proxy s^2, with their flavor."""
+    """Sub-gamma scale c in (0, 1) and variance proxy s^2."""
 
     c: float
     s_sq: float
-    kind: CgfKind
 
     def __post_init__(self):
         if not (0.0 < self.c < 1.0):
@@ -98,23 +91,24 @@ class CgfConstants:
         return self.s_sq / (2.0 * (1.0 - self.c))
 
 
-def _scale(kind: CgfKind, noise, prior, dist, delta_test: float) -> tuple[float, str]:
-    """Sub-gamma scale c of the NLL flavor, with its formula for diagnostics."""
-    if kind is CgfKind.STANDARD:
+def _scale(adversarial: bool, noise, prior, dist, delta_test: float) -> tuple[float, str]:
+    """Sub-gamma scale c of the standard or adversarial NLL, with its formula
+    for diagnostics."""
+    if not adversarial:
         c = prior.sigma_p_sq * dist.sigma_x_sq / noise.sigma_sq
         return c, "sigma_p_sq*sigma_x_sq/sigma_sq"
     c = 2.0 * prior.sigma_p_sq * (dist.sigma_x_sq + delta_test ** 2) / noise.sigma_sq
     return c, "2*sigma_p_sq*(sigma_x_sq + delta_test^2)/sigma_sq"
 
 
-def _cgf(kind: CgfKind, noise, prior, dist, d: int, delta_test: float):
-    """Sub-gamma constants of either flavor; s^2 doubles for the adversarial NLL."""
-    c, formula = _scale(kind, noise, prior, dist, delta_test)
+def _cgf(adversarial: bool, noise, prior, dist, d: int, delta_test: float):
+    """Sub-gamma constants of either NLL; s^2 doubles for the adversarial one."""
+    c, formula = _scale(adversarial, noise, prior, dist, delta_test)
     if not c < 1.0:
         raise CgfRangeViolation(f"sub-gamma scale c = {formula} = {c:g} must be < 1")
-    factor = 1.0 if kind is CgfKind.STANDARD else 2.0
+    factor = 2.0 if adversarial else 1.0
     bracket = c * d - c + 1.0 + dist.sigma_x_sq * dist.theta_star_norm_sq / noise.sigma_sq
-    return CgfConstants(c=c, s_sq=factor * bracket, kind=kind)
+    return CgfConstants(c=c, s_sq=factor * bracket)
 
 
 def cgf_standard(
@@ -129,7 +123,7 @@ def cgf_standard(
     s^2 = c d - c + 1 + sigma_x^2 ||theta*||^2 / sigma^2.
     Raises :class:`CgfRangeViolation` when c >= 1.
     """
-    return _cgf(CgfKind.STANDARD, noise, prior, dist, d, 0.0)
+    return _cgf(False, noise, prior, dist, d, 0.0)
 
 
 def cgf_adversarial(
@@ -146,7 +140,7 @@ def cgf_adversarial(
     Raises :class:`CgfRangeViolation` when c >= 1.
     """
     _check_nonnegative("delta_test", delta_test)
-    return _cgf(CgfKind.ADVERSARIAL, noise, prior, dist, d, delta_test)
+    return _cgf(True, noise, prior, dist, d, delta_test)
 
 
 def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
@@ -222,7 +216,7 @@ class _Gap(enum.Enum):
 class _Theorem:
     """One certificate's row of the bound in the module docstring."""
 
-    kind: CgfKind  # CGF flavor; the adversarial one is taken at delta_test
+    adversarial: bool  # CGF of the adversarial NLL at delta_test, else the standard one
     robust_u: bool  # U = k I + 2 r G with k from delta_train, else U = I + r G
     scale: float  # s, the multiplier on the U data terms
     minus_v: bool = False  # subtract the V = k I + r G data terms
@@ -230,14 +224,13 @@ class _Theorem:
     matched: bool = False  # requires delta_test == delta_train
 
 
-_STD, _ADV = CgfKind.STANDARD, CgfKind.ADVERSARIAL
 _THEOREMS = {
-    TheoremId.BAYES_STD: _Theorem(_STD, robust_u=False, scale=1.0),
-    TheoremId.BAYES_ADV: _Theorem(_ADV, robust_u=False, scale=2.0, gap=_Gap.TEST),
-    TheoremId.ROBUST_STD: _Theorem(_STD, robust_u=True, scale=2.0, minus_v=True),
-    TheoremId.ROBUST_ADV_MATCHED: _Theorem(_ADV, robust_u=True, scale=1.0, matched=True),
+    TheoremId.BAYES_STD: _Theorem(False, robust_u=False, scale=1.0),
+    TheoremId.BAYES_ADV: _Theorem(True, robust_u=False, scale=2.0, gap=_Gap.TEST),
+    TheoremId.ROBUST_STD: _Theorem(False, robust_u=True, scale=2.0, minus_v=True),
+    TheoremId.ROBUST_ADV_MATCHED: _Theorem(True, robust_u=True, scale=1.0, matched=True),
     TheoremId.ROBUST_ADV_GENERAL: _Theorem(
-        _ADV, robust_u=True, scale=2.0, gap=_Gap.TEST_MINUS_TRAIN
+        True, robust_u=True, scale=2.0, gap=_Gap.TEST_MINUS_TRAIN
     ),
 }
 _NO_BUDGET = PerturbationBudget(delta_train=0.0, delta_test=0.0)
@@ -282,7 +275,7 @@ def validate_preconditions(
     if row.matched:
         detail = f"delta_test={dt:g} == delta_train={d_train:g}"
         checks.append(PreconditionCheck("matched_budget", dt == d_train, detail))
-    c, formula = _scale(row.kind, noise, prior, dist, dt)
+    c, formula = _scale(row.adversarial, noise, prior, dist, dt)
     checks.append(PreconditionCheck("cgf_scale_lt_one", c < 1.0, f"{formula} = {c:g} < 1"))
     if row.gap is not None:
         gap = row.gap.size(budget)
@@ -323,7 +316,7 @@ def _certify(theorem_id: TheoremId, data: Dataset, noise, prior, dist, budget, b
     row = _THEOREMS[theorem_id]
     n, d = data.n, data.d
     diagnostics = _require_preconditions(theorem_id, noise, prior, dist, budget, n, d, beta)
-    cgf = _cgf(row.kind, noise, prior, dist, d, budget.delta_test)
+    cgf = _cgf(row.adversarial, noise, prior, dist, d, budget.delta_test)
     sigma_sq, sigma_p_sq = noise.sigma_sq, prior.sigma_p_sq
     r = sigma_p_sq / sigma_sq
     k = _k_delta(data, noise, prior, budget.delta_train) if row.robust_u else 1.0

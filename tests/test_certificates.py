@@ -22,7 +22,7 @@ from certbayes import (
     validate_dataset,
     validate_preconditions,
 )
-from certbayes.certificates import CgfKind, _gram_terms
+from certbayes.certificates import _gram_terms
 from certbayes.errors import BudgetMismatch, CgfRangeViolation, PreconditionViolated
 
 import oracles as orc
@@ -57,7 +57,6 @@ def test_cgf_standard_hand_values():
     )
     assert out.c == pytest.approx(0.5)
     assert out.s_sq == pytest.approx(1.0)
-    assert out.kind is CgfKind.STANDARD
 
     out = cgf_standard(
         NoiseModel(1.0 / 9.0),
@@ -92,7 +91,6 @@ def test_cgf_adversarial_hand_values():
     )
     assert out.c == pytest.approx(0.1818, rel=1e-9)
     assert out.s_sq == pytest.approx(12.4544, rel=1e-9)
-    assert out.kind is CgfKind.ADVERSARIAL
 
 
 def test_cgf_adversarial_delta_zero_doubles_scale():
