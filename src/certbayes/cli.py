@@ -312,6 +312,8 @@ def cmd_fit_eval(resolved: dict) -> int:
             raise ValueError("fit-eval takes --data or --train/--test, not both")
         train = load_csv(resolved["train"], resolved["target"])
         test = load_csv(resolved["test"], resolved["target"])
+        if test.d != train.d:  # before any fit, standardized or not
+            raise ValueError(f"train has {train.d} features but test has {test.d}")
         digest = _digest_file(resolved["train"]) + "+" + _digest_file(resolved["test"])
         pairs = [(train, test, resolved["seed"])]
         unread = ("seeds", "train_fraction", "data")  # the split is given

@@ -703,6 +703,29 @@ def test_fit_eval_data_with_train_and_test_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("standardize", [[], ["--no-standardize"]])
+def test_fit_eval_width_mismatch_exits_1_before_sampling(
+    standardize, tmp_path, monkeypatch, capsys
+):
+    """Train and test files of different widths are refused, with one
+    message, before any chain runs, whether or not they are standardized."""
+    train, test = _gen(tmp_path, "tr.csv", n=60, d=3), _gen(tmp_path, "te.csv", n=30, d=4)
+
+    def never(*args, **kwargs):
+        raise AssertionError("hmc_sample was called")
+
+    monkeypatch.setattr(cli, "hmc_sample", never)
+    out = tmp_path / "fe.json"
+    rc = cli.main([
+        "fit-eval", "--train", str(train), "--test", str(test), "--sigma-p-sq", "0.25",
+        *standardize, "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "certbayes: error: train has 3 features but test has 4" in err
+    assert not out.exists()
+
+
 def test_sweep_requires_out(capsys):
     rc = cli.main(["sweep", "--sigma-p-sq", "0.25"])
     assert rc == 1
