@@ -10,9 +10,10 @@ from 1 to a maximum on every iteration. Warmup adapts that maximum as well
 and freezes it, together with the step size, when it ends.
 
 Warmup runs one chain from the origin. Sampling then copies that chain's
-final state into C chains and runs them as one (C, d) state, so each
-leapfrog step evaluates the C positions in one call, from one (C, n)
-residual: at small n a batched call costs little more than a single one.
+final state into C chains and runs them as one state, (d,) for one chain
+and (C, d) for C > 1, so each leapfrog step evaluates the C positions in
+one call, from one (C, n) residual: at small n a batched call costs little
+more than a single one, and a (d,) call less than a (1, d) batch.
 Warmup stays single-chain because running it on C chains costs C times its
 gradient work, which outweighs what batching saves. default_n_chains picks
 C from the training size.
@@ -219,16 +220,18 @@ def hmc_sample(
     and the maximum trajectory length by the whitened half period.
 
     value_and_grad(theta) returns the log density and its gradient, as
-    robust_log_density_grad does, for theta of shape (d,) during warmup (a
-    float and a (d,) array) and of shape (C, d) during sampling, with
-    C = config.n_chains (a (C,) and a (C, d) array, one row per chain). Each
+    robust_log_density_grad does, for theta of shape (d,) during warmup and
+    one chain's sampling (a float and a (d,) array), and of shape (C, d)
+    during sampling with C = config.n_chains > 1 (a (C,) and a (C, d) array,
+    one row per chain). Each
     chain carries both for its position, so each leapfrog step makes one
     call, and a rejection none.
 
     Deterministic for a fixed config.seed. Warmup runs one chain from the
     origin, where the log density is evaluated once and must be finite. Its
     final position, log density and gradient are then copied into C chains,
-    which run the n_samples / C sampling iterations as one (C, d) state:
+    which run the n_samples / C sampling iterations as one state, (d,) for
+    one chain and (C, d) for C > 1:
     every iteration draws one trajectory length for all chains and one
     momentum and one uniform per chain, so each chain accepts or rejects on
     its own. Each iteration runs 1 to max_leapfrog leapfrog steps, drawn
@@ -329,20 +332,22 @@ def hmc_sample(
                     else config.leapfrog_steps
                 )
 
-    # Sampling: the warmup chain's state fans out into C chains, one per row.
+    # Sampling: the warmup chain's state fans out into C chains, one per row
+    # of a (C, d) state; one chain keeps its (d,) state, a cheaper call.
     chains = config.n_chains
-    theta, g = np.tile(theta, (chains, 1)), np.tile(g, (chains, 1))
-    lp = np.full(chains, lp)
-    divergences = np.full(chains, consecutive_divergences)
+    shape = (chains, dim) if chains > 1 else (dim,)
+    theta, g = np.broadcast_to(theta, shape).copy(), np.broadcast_to(g, shape).copy()
+    lp = np.full(shape[:-1], lp)
+    divergences = np.full(lp.shape, consecutive_divergences)
     draws = np.empty((chains, config.n_samples // chains, dim))
-    alpha_sum = np.zeros(chains)
+    alpha_sum = np.zeros(lp.shape)
     for i in range(draws.shape[1]):
         n_steps = int(rng.integers(1, max_steps + 1))
         grad_evals += chains * n_steps
-        p0 = rng.standard_normal((chains, dim))
-        h0 = lp - 0.5 * np.einsum("ij,ij->i", p0, p0)
+        p0 = rng.standard_normal(shape)
+        h0 = lp - 0.5 * np.einsum("...i,...i->...", p0, p0)
         theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
-        log_ratio = (lp_prop - 0.5 * np.einsum("ij,ij->i", p1, p1)) - h0
+        log_ratio = (lp_prop - 0.5 * np.einsum("...i,...i->...", p1, p1)) - h0
         # NaN, and +inf from a non-finite density, reject like -inf
         log_ratio = np.where(log_ratio < math.inf, log_ratio, -math.inf)
 
@@ -352,9 +357,9 @@ def hmc_sample(
 
         alpha = np.exp(np.minimum(log_ratio, 0.0))
         alpha_sum += alpha
-        accept = rng.uniform(size=chains) < alpha
-        np.copyto(theta, theta_prop, where=accept[:, None])
-        np.copyto(g, g_prop, where=accept[:, None])
+        accept = rng.uniform(size=lp.shape) < alpha
+        np.copyto(theta, theta_prop, where=accept[..., None])
+        np.copyto(g, g_prop, where=accept[..., None])
         np.copyto(lp, lp_prop, where=accept)
         draws[:, i] = theta
 

@@ -649,6 +649,23 @@ def test_hmc_chains_grad_evals_counts_rows():
     assert out.grad_evals == rows[0] > calls[0] > cfg.n_warmup + cfg.n_samples // 4
 
 
+def test_hmc_one_chain_never_sees_a_batch():
+    """With one chain, sampling calls the target on (d,) points, as warmup
+    does, never on a (1, d) batch, which costs more per call."""
+    ds, noise, prior = _problem(16, n=40, d=3)
+    shapes = set()
+
+    def target(t):
+        shapes.add(t.shape)
+        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+
+    cfg = HmcConfig(n_samples=100, n_warmup=50, leapfrog_steps=8, seed=7)
+    out = hmc_sample(target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower)
+    assert shapes == {(3,)}
+    assert out.n_chains == 1 and out.draws.shape == (100, 3)
+    assert 0.0 < out.accept_rate < 1.0
+
+
 # --- expected risk -------------------------------------------------------------------
 
 
