@@ -307,6 +307,35 @@ def test_expfam_gaussian_self_duality():
         assert diff_exp == pytest.approx(diff_gauss, rel=1e-9, abs=1e-9)
 
 
+def test_gaussian_and_expfam_adversaries_pick_the_same_point():
+    """With |theta'x - y| well away from 0, the unit-variance Gaussian family's
+    adversary takes the branch s = sign(theta'x - y), as the closed-form
+    Gaussian one does, and moves x to the same point bit for bit; at
+    theta = 0 both leave x where it is."""
+    fam = gaussian_family(1.0)
+    rng = np.random.default_rng(21)
+    compared = 0
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        theta, x = rng.standard_normal(d), rng.standard_normal(d)
+        y = float(rng.standard_normal())
+        delta = float(rng.uniform(0.05, 1.0))
+        if abs(float(theta @ x) - y) < 0.1:
+            continue
+        closed = gaussian_adv_perturbation(theta, x, y, delta)
+        general = expfam_adv_nll_point(theta, x, y, delta, fam)
+        assert general.chosen_sign[0] == (1.0 if float(theta @ x) - y >= 0.0 else -1.0)
+        assert closed.x_tilde.tobytes() == general.perturbed_points[0].tobytes()
+        compared += 1
+    assert compared > 200
+
+    x, y = rng.standard_normal(3), float(rng.standard_normal())
+    closed = gaussian_adv_perturbation(np.zeros(3), x, y, 0.7)
+    general = expfam_adv_nll_point(np.zeros(3), x, y, 0.7, fam)
+    assert closed.theta_is_zero
+    assert closed.x_tilde.tobytes() == general.perturbed_points[0].tobytes() == x.tobytes()
+
+
 # --- Bregman divergence ----------------------------------------------------------
 
 
