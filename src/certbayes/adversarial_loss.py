@@ -87,7 +87,8 @@ def _gaussian_adv_nll_and_residual(
     _check_nonnegative("delta", delta)
     r = data.Y - th @ data.X.T
     sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
-    grown = (np.abs(r).T + delta * np.sqrt(sq_norm)).T
+    # at delta = 0, |r| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
+    grown = np.abs(r) if delta == 0.0 else (np.abs(r).T + delta * np.sqrt(sq_norm)).T
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
     return const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq, r, grown, sq_norm
 

@@ -74,6 +74,15 @@ def test_adv_nll_delta_zero_is_bit_identical():
     assert gaussian_adv_nll(theta, ds, noise, 0.0).value == gaussian_nll(theta, ds, noise)
 
 
+def test_nll_is_infinite_where_the_norm_of_theta_overflows():
+    """||theta||^2 = inf must not turn the delta = 0 loss into 0 * inf = NaN."""
+    ds, _ = _random_problem(2, d=2)
+    theta, noise = np.array([1e200, -1e200]), NoiseModel(1.0)
+    with np.errstate(over="ignore"):
+        assert gaussian_nll(theta, ds, noise) == math.inf
+        assert gaussian_adv_nll(theta, ds, noise, 0.0).value == math.inf
+
+
 def test_adv_nll_hand_value():
     ds = validate_dataset(np.array([[0.0, 0.0]]), np.array([1.0]))
     out = gaussian_adv_nll(np.array([1.0, 0.0]), ds, NoiseModel(1.0), 0.5)
