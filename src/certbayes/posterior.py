@@ -223,9 +223,8 @@ def hmc_sample(
     robust_log_density_grad does, for theta of shape (d,) during warmup and
     one chain's sampling (a float and a (d,) array), and of shape (C, d)
     during sampling with C = config.n_chains > 1 (a (C,) and a (C, d) array,
-    one row per chain). Each
-    chain carries both for its position, so each leapfrog step makes one
-    call, and a rejection none.
+    one row per chain). Each chain carries both for its position, so each
+    leapfrog step makes one call, and a rejection none.
 
     Deterministic for a fixed config.seed. Warmup runs one chain from the
     origin, where the log density is evaluated once and must be finite. Its
