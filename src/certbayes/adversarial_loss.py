@@ -186,7 +186,8 @@ def adv_loss_sandwich(
     """
     th = _check_theta(theta, data.d)
     _, r, _, sq_norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    m_sq = (delta ** 2) * float(sq_norm)
+    # 0 at delta = 0, not 0 * inf = NaN once ||theta||^2 overflows
+    m_sq = (delta ** 2) * float(sq_norm) if delta > 0.0 else 0.0
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
     sum_r_sq = float(np.sum(r * r))
     lower = const + 0.5 * (sum_r_sq + data.n * m_sq) / noise.sigma_sq

@@ -382,6 +382,16 @@ def test_sandwich_tight_at_delta_zero():
     assert upper == pytest.approx(2 * nll - const, rel=1e-12)
 
 
+def test_sandwich_is_infinite_at_delta_zero_where_the_norm_of_theta_overflows():
+    """The delta = 0 adversarial term is exactly 0, not 0 * inf = NaN, so
+    both bounds follow the NLL to inf."""
+    ds = validate_dataset(np.eye(2), np.array([1.0, 2.0]))
+    theta, noise = np.array([1e200, 1e200]), NoiseModel(1.0)
+    with np.errstate(over="ignore"):
+        assert gaussian_nll(theta, ds, noise) == math.inf
+        assert adv_loss_sandwich(theta, ds, noise, 0.0) == (math.inf, math.inf)
+
+
 def test_sandwich_gap_at_theta_zero():
     ds, _ = _random_problem(13)
     noise = NoiseModel(0.9)
