@@ -204,10 +204,11 @@ def _fit_and_score(
 
     ``radii`` maps "bayes" and "robust" to the test radii each posterior is
     scored at, with one expected_risk call. The robust posterior is fitted by
-    HMC at training radius delta, preconditioned by the Bayes precision, with
-    the chains default_n_chains picks for the training size, only if it has
-    radii. Returns the risks keyed by (posterior, radius) and the
-    robust draws, or None. hmc_sample and expected_risk are called through
+    HMC at training radius delta, preconditioned by the Bayes precision and
+    started from draws of the Bayes posterior, with the chains
+    default_n_chains picks for the training size, only if it has radii.
+    Returns the risks keyed by (posterior, radius) and the robust draws, or
+    None. hmc_sample and expected_risk are called through
     this module's names so that callers can rebind them: the benchmark
     captures draw sets through ``cli.hmc_sample``, and tests record calls.
     """
@@ -224,6 +225,7 @@ def _fit_and_score(
                 n_chains=default_n_chains(train.n, resolved["hmc_samples"]),
             ),
             exact.precision.chol_lower,
+            exact.mean,
         )
     risks = {}
     for which, posterior in posteriors.items():
@@ -344,7 +346,10 @@ def cmd_fit_eval(resolved: dict) -> int:
             "n_test": test.n,
             "hmc": {
                 key: getattr(hmc, key)
-                for key in ("accept_rate", "grad_evals", "max_leapfrog", "n_chains", "step_size")
+                for key in (
+                    "accept_rate", "divergences", "grad_evals", "max_leapfrog", "n_chains",
+                    "step_size",
+                )
             },
             "metrics": [
                 {"delta_hat": dh, **{w: risks[w, dh]._asdict() for w in ("bayes", "robust")}}
@@ -522,7 +527,7 @@ _OPTIONS = {
     "train_fraction": _Option(float, "share of rows in each training split"),
     "standardize": _Option(bool, "skip zero-mean unit-variance standardization"),
     "hmc_samples": _Option(int, "HMC draws kept", minimum=1),
-    "hmc_warmup": _Option(int, "HMC warmup iterations", minimum=1),
+    "hmc_warmup": _Option(int, "HMC warmup iterations, summed over the chains", minimum=1),
     "leapfrog": _Option(
         int, "upper bound on the warmup-adapted leapfrog steps per HMC iteration", minimum=1
     ),

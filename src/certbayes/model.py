@@ -256,8 +256,10 @@ class SampleSet:
     draws is (m, d) and chain-major: the m / n_chains draws of chain 0 in
     order, then those of chain 1, and so on. grad_evals counts the gradient
     rows the run evaluated, one per point per fused log-density-and-gradient
-    call, and max_leapfrog is its adapted maximum trajectory length; both
-    are 0 for draws no HMC run produced.
+    call, max_leapfrog is its adapted maximum trajectory length, and
+    divergences counts the sampling transitions, over all chains, whose
+    energy error exceeded 1000; all three are 0 for draws no HMC run
+    produced.
     """
 
     draws: np.ndarray
@@ -266,6 +268,7 @@ class SampleSet:
     grad_evals: int = 0
     max_leapfrog: int = 0
     n_chains: int = 1
+    divergences: int = 0
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)

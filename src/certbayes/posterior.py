@@ -9,14 +9,17 @@ dual-averaging step-size adaptation toward a mean acceptance probability of
 from 1 to a maximum on every iteration. Warmup adapts that maximum as well
 and freezes it, together with the step size, when it ends.
 
-Warmup runs one chain from the origin. Sampling then copies that chain's
-final state into C chains and runs them as one state, (d,) for one chain
-and (C, d) for C > 1, so each leapfrog step evaluates the C positions in
-one call, from one (C, n) residual: at small n a batched call costs little
-more than a single one, and a (d,) call less than a (1, d) batch.
-Warmup stays single-chain because running it on C chains costs C times its
-gradient work, which outweighs what batching saves. default_n_chains picks
-C from the training size.
+The sampler runs C chains as one state, (d,) for one chain and (C, d) for
+C > 1, through warmup and sampling alike, so each leapfrog step evaluates
+the C positions in one call, from one (C, n) residual: at small n a batched
+call costs little more than a single one, and a (d,) call less than a
+(1, d) batch. The chains start from C draws of N(center, M^{-1}), which
+with the Bayes posterior's mean and precision are draws of the Bayes
+posterior, so R-hat over them can show a warmup that has not converged.
+Warmup's iterations are shared out, ceil(n_warmup / C) per chain, and its
+adaptation is pooled over the chains, as ChEES (Hoffman, Radul & Sountsov,
+AISTATS 2021) and MEADS (Hoffman & Sountsov, AISTATS 2022) adapt from many
+short chains. default_n_chains picks C from the training size.
 
 The mass matrix M = LL' is given by its lower Cholesky factor L. The
 momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
@@ -29,13 +32,14 @@ log density and gradient of its position, so each leapfrog step makes one
 call.
 
 The maximum length starts at the cap, config.leapfrog_steps, and stays there
-for the first 15% of warmup, while the chain travels from the origin. From
-then on a Welford running variance of the whitened position w = L'theta is
-kept, and once 20 positions are in, every warmup iteration sets the maximum
-to min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the largest
+for the first 15% of each chain's warmup iterations, while the chains move
+from their starts into the bulk. From then on a Welford running variance of
+the whitened positions w = L'theta of every chain is kept, and once 20
+positions are in, every warmup iteration sets the maximum to
+min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the largest
 whitened standard deviation: a Gaussian's half period, the length that
-ChEES (Hoffman, Radul & Sountsov, AISTATS 2021) targets, estimated from the
-one chain. A warmup too short to collect 20 positions keeps the cap.
+ChEES targets, estimated from all the chains. A warmup too short to collect
+20 positions keeps the cap.
 
 expected_risk scores a posterior at one test radius or at a sequence of
 them. The residual r = y - x'theta does not depend on the radius dh, and the
@@ -83,10 +87,11 @@ _LENGTH_MIN_DRAWS = 20
 
 @dataclass(frozen=True)
 class HmcConfig:
-    """Draws kept in total, warmup iterations of the one warmup chain, the
-    cap on the warmup-adapted maximum leapfrog steps per iteration, the seed,
-    and the chains that share the kept draws; n_chains must divide
-    n_samples."""
+    """Draws kept in total, warmup iterations in total, the cap on the
+    warmup-adapted maximum leapfrog steps per iteration, the seed, and the
+    chains that share both: each chain keeps n_samples / n_chains draws,
+    which n_chains must divide, after ceil(n_warmup / n_chains) warmup
+    iterations."""
 
     n_samples: int = 4000
     n_warmup: int = 2000
@@ -215,57 +220,76 @@ def hmc_sample(
     value_and_grad: Callable[[np.ndarray], tuple],
     config: HmcConfig,
     mass_chol,
+    center,
 ) -> SampleSet:
-    """Sample with HMC, adapting the step size during warmup by dual averaging
-    and the maximum trajectory length by the whitened half period.
+    """Sample with HMC on C = config.n_chains chains, adapting the step size
+    during warmup by dual averaging and the maximum trajectory length by the
+    whitened half period.
 
     value_and_grad(theta) returns the log density and its gradient, as
-    robust_log_density_grad does, for theta of shape (d,) during warmup and
-    one chain's sampling (a float and a (d,) array), and of shape (C, d)
-    during sampling with C = config.n_chains > 1 (a (C,) and a (C, d) array,
-    one row per chain). Each chain carries both for its position, so each
-    leapfrog step makes one call, and a rejection none.
+    robust_log_density_grad does: for theta of shape (d,), which one chain
+    and the step-size search pass, a float and a (d,) array, and for theta of
+    shape (C, d), which C > 1 chains pass, a (C,) and a (C, d) array, one row
+    per chain. Each chain carries both for its position, so each leapfrog
+    step makes one call, and a rejection none.
 
-    Deterministic for a fixed config.seed. Warmup runs one chain from the
-    origin, where the log density is evaluated once and must be finite. Its
-    final position, log density and gradient are then copied into C chains,
-    which run the n_samples / C sampling iterations as one state, (d,) for
-    one chain and (C, d) for C > 1:
-    every iteration draws one trajectory length for all chains and one
-    momentum and one uniform per chain, so each chain accepts or rejects on
-    its own. Each iteration runs 1 to max_leapfrog leapfrog steps, drawn
-    uniformly; warmup adapts max_leapfrog as the module docstring sets out,
-    from config.leapfrog_steps down, and freezes it with eps. The returned
-    SampleSet holds the draws chain-major (chain 0's, then chain 1's, ...),
-    max_leapfrog and grad_evals, the gradient rows the run evaluated (one per
-    call during warmup and C per call during sampling).
+    Chain c starts at center + L^{-T} z_c with z_c ~ N(0, I), a draw of
+    N(center, M^{-1}); all C starts are evaluated in one call, and each must
+    have a finite log density. With the Bayes posterior's mean and precision
+    factor, the CLI's choice, the starts are draws of the Bayes posterior.
+    The chains then run as one state, (d,) for one chain and (C, d) for
+    C > 1: ceil(n_warmup / C) warmup iterations and n_samples / C sampling
+    iterations, each of which draws one trajectory length for all chains and
+    one momentum and one uniform per chain, so each chain accepts or rejects
+    on its own. Warmup's step size starts from a search on chain 0, and its
+    dual averaging follows the chains' mean acceptance. Each iteration runs 1
+    to max_leapfrog leapfrog steps, drawn uniformly; warmup adapts
+    max_leapfrog as the module docstring sets out, from
+    config.leapfrog_steps down, and freezes it with eps. Sampling continues
+    each chain from its own warmup state.
+
+    Deterministic for a fixed config.seed. The returned SampleSet holds the
+    draws chain-major (chain 0's, then chain 1's, ...), max_leapfrog,
+    grad_evals, the gradient rows the run evaluated (one per chain per call,
+    and one per call of the search), and divergences, the sampling
+    transitions over all chains whose energy error exceeded 1000.
 
     mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; its
     order is the target's dimension. A good choice is the factor of an
     approximation of the target's precision, such as
-    ``bayes_posterior(...).precision.chol_lower`` for the robust posterior.
+    ``bayes_posterior(...).precision.chol_lower`` for the robust posterior,
+    with that posterior's mean as center.
 
     Raises
     ------
     DimensionMismatch
-        if mass_chol is not a non-empty square matrix.
+        if mass_chol is not a non-empty square matrix, or center is not a
+        vector of its order.
     NonFiniteDensity
-        if the log density is not finite at the starting point.
+        if the log density is not finite at some chain's start.
     DivergentTrajectory
         after repeated trajectories of one chain with energy error beyond
         1000.
     """
     a, lt = _whitening(mass_chol)
     dim = a.shape[0]
+    if np.shape(center) != (dim,):
+        raise DimensionMismatch(f"center must have shape ({dim},), got {np.shape(center)}")
+    chains = config.n_chains
+    shape = (chains, dim) if chains > 1 else (dim,)
     rng = np.random.default_rng(config.seed)
-    theta = np.zeros(dim)
+    theta = center + rng.standard_normal(shape) @ a.T
     lp, grad = value_and_grad(theta)
-    if not math.isfinite(lp):
-        raise NonFiniteDensity(f"log density at the origin is {lp!r}")
-
+    lp = np.array(lp, dtype=float)
+    if not np.all(np.isfinite(lp)):
+        raise NonFiniteDensity(f"log density at the chains' starts is {lp!r}")
     g = grad @ a
-    eps, searched = _find_reasonable_epsilon(theta, lp, g, value_and_grad, a, rng)
-    grad_evals = 1 + searched  # the origin's call and the search's
+
+    eps, searched = _find_reasonable_epsilon(
+        theta.reshape(-1, dim)[0], float(lp.flat[0]), g.reshape(-1, dim)[0],
+        value_and_grad, a, rng,
+    )
+    grad_evals = chains + searched  # the starts' call and the search's
 
     # Dual-averaging state (shrinkage toward mu, decaying adaptation).
     mu = math.log(10.0 * eps)
@@ -273,54 +297,59 @@ def hmc_sample(
     h_bar = 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
 
-    consecutive_divergences = 0
-
-    def divergence(count: int) -> DivergentTrajectory:
-        return DivergentTrajectory(
-            f"{count} consecutive divergent trajectories "
-            f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
-        )
-
-    # Trajectory-length state: Welford moments of the whitened position.
+    # Trajectory-length state: Welford moments of the whitened positions,
+    # pooled over the chains.
     max_steps = config.leapfrog_steps
-    burn_in = int(_LENGTH_BURN_IN * config.n_warmup)
-    w_mean, w_m2 = np.zeros(dim), np.zeros(dim)
+    n_warmup = -(-config.n_warmup // chains)
+    burn_in = int(_LENGTH_BURN_IN * n_warmup)
+    w_count, w_mean, w_m2 = 0, np.zeros(dim), np.zeros(dim)
 
-    for m in range(1, config.n_warmup + 1):
+    consecutive = np.zeros(lp.shape, dtype=int)
+    divergences = 0
+    draws = np.empty((chains, config.n_samples // chains, dim))
+    alpha_sum = np.zeros(lp.shape)
+    for m in range(1, n_warmup + draws.shape[1] + 1):
         n_steps = int(rng.integers(1, max_steps + 1))
-        grad_evals += n_steps
-        p0 = rng.standard_normal(dim)
-        h0 = lp - 0.5 * float(p0 @ p0)
+        grad_evals += chains * n_steps
+        p0 = rng.standard_normal(shape)
+        h0 = lp - 0.5 * np.einsum("...i,...i->...", p0, p0)
         theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
-        log_ratio = (lp_prop - 0.5 * float(p1 @ p1)) - h0 if math.isfinite(lp_prop) else -math.inf
-        if math.isnan(log_ratio):
-            log_ratio = -math.inf
+        log_ratio = (lp_prop - 0.5 * np.einsum("...i,...i->...", p1, p1)) - h0
+        # NaN, and +inf from a non-finite density, reject like -inf
+        log_ratio = np.where(log_ratio < math.inf, log_ratio, -math.inf)
 
-        if log_ratio < -_DIVERGENCE_ENERGY:
-            consecutive_divergences += 1
-            if consecutive_divergences >= _MAX_CONSECUTIVE_DIVERGENCES:
-                raise divergence(consecutive_divergences)
-        else:
-            consecutive_divergences = 0
+        diverged = log_ratio < -_DIVERGENCE_ENERGY
+        consecutive = (consecutive + 1) * diverged
+        if consecutive.max() >= _MAX_CONSECUTIVE_DIVERGENCES:
+            raise DivergentTrajectory(
+                f"{int(consecutive.max())} consecutive divergent trajectories "
+                f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
+            )
 
-        alpha = min(1.0, math.exp(min(log_ratio, 0.0)))
-        if rng.uniform() < alpha:
-            theta, lp, g = theta_prop, lp_prop, g_prop
+        alpha = np.exp(np.minimum(log_ratio, 0.0))
+        accept = rng.uniform(size=lp.shape) < alpha
+        np.copyto(theta, theta_prop, where=accept[..., None])
+        np.copyto(g, g_prop, where=accept[..., None])
+        np.copyto(lp, lp_prop, where=accept)
 
+        if m > n_warmup:
+            draws[:, m - n_warmup - 1] = theta
+            alpha_sum += alpha
+            divergences += int(diverged.sum())
+            continue
         frac = 1.0 / (m + t0)
-        h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - alpha)
+        h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - float(alpha.sum()) / chains)
         log_eps = mu - math.sqrt(m) / gamma * h_bar
         eta = m ** (-kappa)
         log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
-        eps = math.exp(log_eps)
-        if m == config.n_warmup:
-            eps = math.exp(log_eps_bar)
+        eps = math.exp(log_eps if m < n_warmup else log_eps_bar)
         if m > burn_in:
-            w = lt @ theta
-            w_count = m - burn_in
+            # Welford's update, summed over this iteration's C positions
+            w = (theta @ lt.T).reshape(-1, dim)
             dev = w - w_mean
-            w_mean += dev / w_count
-            w_m2 += dev * (w - w_mean)
+            w_count += w.shape[0]
+            w_mean += dev.sum(axis=0) / w_count
+            w_m2 += (dev * (w - w_mean)).sum(axis=0)
             if w_count >= _LENGTH_MIN_DRAWS:
                 s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
                 half_period = math.pi * s_max / eps
@@ -331,37 +360,6 @@ def hmc_sample(
                     else config.leapfrog_steps
                 )
 
-    # Sampling: the warmup chain's state fans out into C chains, one per row
-    # of a (C, d) state; one chain keeps its (d,) state, a cheaper call.
-    chains = config.n_chains
-    shape = (chains, dim) if chains > 1 else (dim,)
-    theta, g = np.broadcast_to(theta, shape).copy(), np.broadcast_to(g, shape).copy()
-    lp = np.full(shape[:-1], lp)
-    divergences = np.full(lp.shape, consecutive_divergences)
-    draws = np.empty((chains, config.n_samples // chains, dim))
-    alpha_sum = np.zeros(lp.shape)
-    for i in range(draws.shape[1]):
-        n_steps = int(rng.integers(1, max_steps + 1))
-        grad_evals += chains * n_steps
-        p0 = rng.standard_normal(shape)
-        h0 = lp - 0.5 * np.einsum("...i,...i->...", p0, p0)
-        theta_prop, p1, lp_prop, g_prop = _leapfrog(theta, p0, g, eps, n_steps, value_and_grad, a)
-        log_ratio = (lp_prop - 0.5 * np.einsum("...i,...i->...", p1, p1)) - h0
-        # NaN, and +inf from a non-finite density, reject like -inf
-        log_ratio = np.where(log_ratio < math.inf, log_ratio, -math.inf)
-
-        divergences = (divergences + 1) * (log_ratio < -_DIVERGENCE_ENERGY)
-        if divergences.max() >= _MAX_CONSECUTIVE_DIVERGENCES:
-            raise divergence(int(divergences.max()))
-
-        alpha = np.exp(np.minimum(log_ratio, 0.0))
-        alpha_sum += alpha
-        accept = rng.uniform(size=lp.shape) < alpha
-        np.copyto(theta, theta_prop, where=accept[..., None])
-        np.copyto(g, g_prop, where=accept[..., None])
-        np.copyto(lp, lp_prop, where=accept)
-        draws[:, i] = theta
-
     return SampleSet(
         draws=draws.reshape(config.n_samples, dim),
         accept_rate=float(alpha_sum.sum()) / config.n_samples,
@@ -369,6 +367,7 @@ def hmc_sample(
         grad_evals=grad_evals,
         max_leapfrog=max_steps,
         n_chains=chains,
+        divergences=divergences,
     )
 
 

@@ -68,7 +68,9 @@ def _slice_synthetic(n_train, n_test, d, sigma_sq, theta_norm_sq, seed):
 
 def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed):
     """The CLI's robust sampler: preconditioned by the Bayes posterior
-    precision, with the chains default_n_chains picks."""
+    precision and started from draws of the Bayes posterior, with the chains
+    default_n_chains picks."""
+    exact = bayes_posterior(train, noise, prior)
     return hmc_sample(
         lambda th: robust_log_density_grad(th, train, noise, prior, delta),
         HmcConfig(
@@ -76,7 +78,8 @@ def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed)
             leapfrog_steps=leapfrog, seed=seed,
             n_chains=default_n_chains(train.n, n_samples),
         ),
-        bayes_posterior(train, noise, prior).precision.chol_lower,
+        exact.precision.chol_lower,
+        exact.mean,
     )
 
 
@@ -427,8 +430,8 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
         return -0.5 * np.sum(r * pr, axis=-1), -pr
 
     config = HmcConfig(n_samples=5000, n_warmup=2000, leapfrog_steps=32, seed=0)
-    run_a = hmc_sample(logp_and_grad, config, np.eye(post.dim))
-    run_b = hmc_sample(logp_and_grad, config, np.eye(post.dim))
+    run_a = hmc_sample(logp_and_grad, config, np.eye(post.dim), np.zeros(post.dim))
+    run_b = hmc_sample(logp_and_grad, config, np.eye(post.dim), np.zeros(post.dim))
     deterministic = (
         np.array_equal(run_a.draws, run_b.draws)
         and run_a.step_size == run_b.step_size

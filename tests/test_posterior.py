@@ -279,7 +279,9 @@ def _std_normal_target(dim):
 
 def test_hmc_standard_normal_moments():
     target, unit = _std_normal_target(2)
-    out = hmc_sample(target, HmcConfig(n_samples=5000, n_warmup=1000, seed=42), unit)
+    out = hmc_sample(
+        target, HmcConfig(n_samples=5000, n_warmup=1000, seed=42), unit, np.zeros(2)
+    )
     assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
     cov = np.cov(out.draws.T)
     assert np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2)) <= 0.10
@@ -288,15 +290,15 @@ def test_hmc_standard_normal_moments():
 def test_hmc_acceptance_band():
     target, unit = _std_normal_target(3)
     cfg = HmcConfig(n_samples=2000, n_warmup=1000, seed=5)
-    out = hmc_sample(target, cfg, unit)
+    out = hmc_sample(target, cfg, unit, np.zeros(3))
     assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10  # warmup targets 0.8
 
 
 def test_hmc_deterministic():
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=500, n_warmup=300, seed=123)
-    a = hmc_sample(target, cfg, unit)
-    b = hmc_sample(target, cfg, unit)
+    a = hmc_sample(target, cfg, unit, np.zeros(2))
+    b = hmc_sample(target, cfg, unit, np.zeros(2))
     assert np.array_equal(a.draws, b.draws)
     assert a.accept_rate == b.accept_rate and a.step_size == b.step_size
 
@@ -307,20 +309,38 @@ def test_hmc_rejects_nonfinite_origin():
             lambda t: (-math.inf, np.zeros_like(t)),
             HmcConfig(n_samples=10, n_warmup=10, seed=0),
             np.eye(2),
+            np.zeros(2),
         )
 
 
-def test_hmc_divergence_error():
-    # finite only exactly at the origin: every proposal is rejected with an
-    # infinite energy error, which must eventually raise
-    def target(t):
-        return 0.0 if float(t @ t) == 0.0 else -math.inf, np.zeros_like(t)
+def _finite_only_at_the_starts():
+    """A target whose log density is 0 at the chains' starts, the rows of
+    its first call, and -inf everywhere else, and the shapes it was called
+    with. Its gradient at the starts, 1e150 per coordinate, moves every
+    trajectory off them even at the tiny step size that the step-size
+    search ends on here, and is small enough that no energy overflows."""
+    starts, shapes = [], []
 
-    with pytest.raises(DivergentTrajectory):
+    def target(t):
+        shapes.append(t.shape)
+        if not starts:
+            starts.append(t.reshape(-1, t.shape[-1]).copy())
+        at_start = (t[..., None, :] == starts[0]).all(axis=-1).any(axis=-1)
+        return np.where(at_start, 0.0, -np.inf), np.where(at_start[..., None], 1e150, np.zeros_like(t))
+
+    return target, shapes
+
+
+def test_hmc_divergence_error():
+    # finite only at the start: every proposal is rejected with an infinite
+    # energy error, which must eventually raise
+    target, _ = _finite_only_at_the_starts()
+    with pytest.raises(DivergentTrajectory, match="25 consecutive"):
         hmc_sample(
             target,
             HmcConfig(n_samples=100, n_warmup=100, seed=0),
             np.eye(2),
+            np.zeros(2),
         )
 
 
@@ -343,6 +363,7 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
         target,
         HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=7),
         np.linalg.cholesky(precision),
+        np.zeros(4),
     )
     for j in range(mean.shape[0]):
         series = out.draws[:, j]
@@ -353,17 +374,22 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
 
 
 def test_hmc_evaluates_its_start_point_once():
-    """The origin's log density and gradient come from one call, shared by
-    the start check, the step-size search and the first trajectory."""
-    at_origin = []
+    """The chains' starts are evaluated in one call, the first, whose log
+    densities and gradients serve the start check, the step-size search and
+    the first trajectories; no later call evaluates a start again."""
+    for chains in (1, 2):
+        calls = []
 
-    def target(t):
-        if not t.any():
-            at_origin.append(t.copy())
-        return -0.5 * np.sum(t * t, axis=-1), -t
+        def target(t):
+            calls.append(t.copy())
+            return -0.5 * np.sum(t * t, axis=-1), -t
 
-    hmc_sample(target, HmcConfig(n_samples=50, n_warmup=50, seed=2), np.eye(3))
-    assert len(at_origin) == 1
+        cfg = HmcConfig(n_samples=50, n_warmup=50, seed=2, n_chains=chains)
+        hmc_sample(target, cfg, np.eye(3), np.zeros(3))
+        starts = calls[0].reshape(-1, 3)
+        assert starts.shape == (chains, 3)
+        later = np.concatenate([c.reshape(-1, 3) for c in calls[1:]])
+        assert not (later[:, None, :] == starts).all(axis=-1).any()
 
 
 def test_hmc_evaluates_each_position_once():
@@ -378,7 +404,8 @@ def test_hmc_evaluates_each_position_once():
         return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
 
     out = hmc_sample(
-        target, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5), np.eye(3)
+        target, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5),
+        np.eye(3), np.zeros(3),
     )
     assert 0.0 < out.accept_rate < 1.0  # both branches ran
     assert len(seen) == out.grad_evals
@@ -398,12 +425,13 @@ def test_hmc_rejects_mass_factor_of_wrong_shape():
 
     for factor in (np.ones(3), np.eye(3)[:2], np.zeros((0, 0))):
         with pytest.raises(DimensionMismatch, match="square"):
-            hmc_sample(target, cfg, factor)
+            hmc_sample(target, cfg, factor, np.zeros(3))
     assert called == []
     ds, noise, prior = _problem(9, n=20, d=3)
     with pytest.raises(DimensionMismatch):
         hmc_sample(
-            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1), cfg, np.eye(2)
+            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1), cfg,
+            np.eye(2), np.zeros(2),
         )
 
 
@@ -425,7 +453,7 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
         return -0.5 * np.sum(t * t, axis=-1) / scale**2, -t / scale**2
 
     monkeypatch.setattr(posterior, "_leapfrog", counted)
-    out = hmc_sample(target, cfg, np.eye(2))
+    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
     return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
 
 
@@ -448,6 +476,7 @@ def test_hmc_random_length_breaks_resonance():
             target,
             HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=seed),
             unit,
+            np.zeros(9),
         )
         min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(out.dim))
         assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
@@ -475,6 +504,7 @@ def test_hmc_replay_gives_identical_draws_step_size_and_length():
         hmc_sample(
             lambda t: (-0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)), cfg,
             np.diag([1.0, 2.0, 4.0]),
+            np.zeros(3),
         )
         for _ in range(2)
     )
@@ -495,6 +525,7 @@ def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
             target,
             HmcConfig(n_samples=100, n_warmup=1000, leapfrog_steps=32, seed=seed),
             unit,
+            np.zeros(4),
         )
         want = math.ceil(math.pi / out.step_size)
         assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
@@ -527,7 +558,7 @@ def test_hmc_grad_evals_counts_every_gradient_call():
     ):
         calls[0] = 0
         out = hmc_sample(
-            target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower
+            target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
         )
         assert out.grad_evals == calls[0] > cfg.n_warmup + cfg.n_samples
 
@@ -560,7 +591,7 @@ def test_default_n_chains_rule(n, n_samples, chains):
 def test_hmc_chains_standard_normal_moments():
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=5000, n_warmup=1000, seed=42, n_chains=4)
-    out = hmc_sample(target, cfg, unit)
+    out = hmc_sample(target, cfg, unit, np.zeros(2))
     assert out.n_chains == 4 and out.draws.shape == (5000, 2)
     assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
     cov = np.cov(out.draws.T)
@@ -569,34 +600,35 @@ def test_hmc_chains_standard_normal_moments():
 
 def test_hmc_chains_acceptance_band():
     target, unit = _std_normal_target(3)
-    out = hmc_sample(target, HmcConfig(n_samples=2000, n_warmup=1000, seed=5, n_chains=4), unit)
+    out = hmc_sample(
+        target, HmcConfig(n_samples=2000, n_warmup=1000, seed=5, n_chains=4), unit, np.zeros(3)
+    )
     assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10
 
 
 def test_hmc_chains_replay_and_share_the_warmup():
-    """Two runs with one seed agree bit for bit; the step size and maximum
-    length come from the one warmup chain, so they do not depend on C."""
+    """Two runs with one seed agree bit for bit, at every C; the chains of a
+    run share one warmup, which adapts one step size and one maximum length
+    from all of them."""
     precision = np.diag([1.0, 4.0, 25.0])
 
     def target(t):
         return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
 
-    runs = [
-        hmc_sample(target, HmcConfig(n_samples=400, n_warmup=300, seed=11, n_chains=c), np.eye(3))
-        for c in (4, 4, 1, 8)
-    ]
-    a, b = runs[:2]
-    assert a.draws.tobytes() == b.draws.tobytes()
-    assert (a.step_size, a.max_leapfrog, a.grad_evals, a.accept_rate) == (
-        b.step_size, b.max_leapfrog, b.grad_evals, b.accept_rate
-    )
-    assert {(r.step_size, r.max_leapfrog) for r in runs} == {(a.step_size, a.max_leapfrog)}
+    for c in (4, 1, 8):
+        cfg = HmcConfig(n_samples=400, n_warmup=300, seed=11, n_chains=c)
+        a, b = (hmc_sample(target, cfg, np.eye(3), np.zeros(3)) for _ in range(2))
+        assert a.draws.tobytes() == b.draws.tobytes()
+        assert (a.step_size, a.max_leapfrog, a.grad_evals, a.accept_rate, a.divergences) == (
+            b.step_size, b.max_leapfrog, b.grad_evals, b.accept_rate, b.divergences
+        )
+        assert a.max_leapfrog < cfg.leapfrog_steps  # the adaptation ran
 
 
 def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monkeypatch):
-    """Every chain's first trajectory starts at the warmup chain's last
-    position, and draw k * S + i is chain k's position after its iteration
-    i, S = n_samples / C."""
+    """Every chain's first sampling trajectory starts at its own last warmup
+    position, and draw k * S + i is chain k's position after its sampling
+    iteration i, S = n_samples / C."""
     starts, ends = [], []
     leapfrog = posterior._leapfrog
 
@@ -609,10 +641,16 @@ def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monke
     monkeypatch.setattr(posterior, "_leapfrog", recorded)
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=60, n_warmup=40, seed=3, n_chains=3)
-    out = hmc_sample(target, cfg, unit)
+    out = hmc_sample(target, cfg, unit, np.zeros(2))
     sampling = starts[-20:]
     assert all(s.shape == (3, 2) for s in sampling)
-    assert np.all(sampling[0] == sampling[0][0])  # copies of one position
+    # the last warmup iteration (ceil(40 / 3) = 14 per chain) left each
+    # chain at its proposal or at its start, and the chains apart
+    last_start, last_end = starts[-21], ends[-21]
+    assert last_start.shape == (3, 2)
+    kept = np.all(sampling[0] == last_start, axis=1) | np.all(sampling[0] == last_end, axis=1)
+    assert kept.all()
+    assert len({row.tobytes() for row in sampling[0]}) == 3
     per_chain = out.draws.reshape(3, 20, 2)
     for i, start in enumerate(sampling[1:]):
         assert np.array_equal(per_chain[:, i], start)
@@ -620,19 +658,26 @@ def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monke
     assert 0 < sum(m.sum() for m in moved) < 60  # some proposals accepted, some not
 
 
-def test_hmc_chains_divergence_error():
-    """Every chain diverges on every trajectory. Warmup's 10 divergences
-    carry over to each chain, which reaches 25 during sampling."""
-    shapes = []
+def test_hmc_chains_divergence_error(monkeypatch):
+    """Every chain diverges on every trajectory. Each chain's ceil(10 / 4) = 3
+    warmup divergences carry over into sampling, where it reaches 25 on the
+    22nd iteration."""
+    trajectories = []
+    leapfrog = posterior._leapfrog
 
-    def target(t):
-        shapes.append(t.shape)
-        finite = np.sum(t * t, axis=-1) == 0.0
-        return np.where(finite, 0.0, -np.inf), np.zeros_like(t)
+    def recorded(theta, *args):
+        trajectories.append(theta.shape)
+        return leapfrog(theta, *args)
 
+    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    target, shapes = _finite_only_at_the_starts()
     with pytest.raises(DivergentTrajectory, match="25 consecutive"):
-        hmc_sample(target, HmcConfig(n_samples=100, n_warmup=10, seed=0, n_chains=4), np.eye(2))
+        hmc_sample(
+            target, HmcConfig(n_samples=100, n_warmup=10, seed=0, n_chains=4),
+            np.eye(2), np.zeros(2),
+        )
     assert shapes[-1] == (4, 2)
+    assert trajectories.count((4, 2)) == 3 + 22
 
 
 def test_hmc_chains_grad_evals_counts_rows():
@@ -645,7 +690,9 @@ def test_hmc_chains_grad_evals_counts_rows():
         return robust_log_density_grad(t, ds, noise, prior, 0.3)
 
     cfg = HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6, n_chains=4)
-    out = hmc_sample(target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower)
+    out = hmc_sample(
+        target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
+    )
     assert out.grad_evals == rows[0] > calls[0] > cfg.n_warmup + cfg.n_samples // 4
 
 
@@ -660,10 +707,142 @@ def test_hmc_one_chain_never_sees_a_batch():
         return robust_log_density_grad(t, ds, noise, prior, 0.3)
 
     cfg = HmcConfig(n_samples=100, n_warmup=50, leapfrog_steps=8, seed=7)
-    out = hmc_sample(target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower)
+    out = hmc_sample(
+        target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
+    )
     assert shapes == {(3,)}
     assert out.n_chains == 1 and out.draws.shape == (100, 3)
     assert 0.0 < out.accept_rate < 1.0
+
+
+def test_hmc_chains_start_at_draws_of_the_center_and_mass():
+    """The first call evaluates all C starts as one (C, d) batch, and row c
+    is center + L^{-T} z_c, z_c the seed's first standard normal draws: a
+    draw of N(center, M^{-1})."""
+    calls = []
+
+    def target(t):
+        calls.append(t.copy())
+        return -0.5 * np.sum(t * t, axis=-1), -t
+
+    chol = np.array([[2.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.2, 0.5]])
+    center = np.array([0.5, -1.0, 2.0])
+    cfg = HmcConfig(n_samples=40, n_warmup=20, seed=9, n_chains=4)
+    hmc_sample(target, cfg, chol, center)
+    z = np.random.default_rng(cfg.seed).standard_normal((4, 3))
+    assert calls[0].shape == (4, 3)
+    np.testing.assert_allclose(calls[0], center + np.linalg.solve(chol.T, z.T).T, rtol=1e-14)
+
+
+def test_hmc_rejects_a_nonfinite_start_and_a_center_of_the_wrong_shape():
+    """One start outside the support refuses the run, before any trajectory."""
+    def target(t):
+        return np.where(t[..., 0] < 10.0, -0.5 * np.sum(t * t, axis=-1), -np.inf), -t
+
+    cfg = HmcConfig(n_samples=40, n_warmup=20, seed=0, n_chains=4)
+    with pytest.raises(NonFiniteDensity):
+        hmc_sample(target, cfg, np.eye(2), np.array([10.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="center"):
+        hmc_sample(target, cfg, np.eye(2), np.zeros(3))
+
+
+def _record_iterations(monkeypatch, before=lambda i: None):
+    """The state shape of each HMC iteration's trajectory, in order, leaving
+    out the step-size search's; before(i) runs ahead of iteration i's."""
+    shapes, searching = [], [False]
+    leapfrog, search = posterior._leapfrog, posterior._find_reasonable_epsilon
+
+    def searched(*args):
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
+
+    def recorded(theta, *args):
+        if not searching[0]:
+            before(len(shapes))
+            shapes.append(theta.shape)
+        return leapfrog(theta, *args)
+
+    monkeypatch.setattr(posterior, "_find_reasonable_epsilon", searched)
+    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("n_warmup, chains", [(40, 3), (2, 4), (10, 1), (300, 8)])
+def test_hmc_each_chain_runs_its_share_of_the_warmup(n_warmup, chains, monkeypatch):
+    """Each chain runs ceil(n_warmup / C) warmup iterations, one when
+    n_warmup < C, and grad_evals is the rows the target saw."""
+    rows = [0]
+
+    def target(t):
+        rows[0] += 1 if t.ndim == 1 else t.shape[0]
+        return -0.5 * np.sum(t * t, axis=-1), -t
+
+    shapes = _record_iterations(monkeypatch)
+    # 8 sampling iterations: a step size adapted in one warmup iteration
+    # diverges on the unit Gaussian, but not 25 times in a row
+    cfg = HmcConfig(n_samples=8 * chains, n_warmup=n_warmup, seed=1, n_chains=chains)
+    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
+    assert shapes == [(chains, 2) if chains > 1 else (2,)] * (math.ceil(n_warmup / chains) + 8)
+    assert out.grad_evals == rows[0]
+
+
+@pytest.mark.parametrize("chains", [1, 4])
+def test_hmc_divergences_count_the_divergent_sampling_transitions(chains, monkeypatch):
+    """A unit Gaussian whose log density is -inf, for chosen chains, along
+    chosen trajectories, each of which then ends with an infinite energy
+    error. divergences counts those of sampling over all chains, not those
+    of warmup (its first 10 iterations)."""
+    poisoned = {4: {0, 3}, 13: {0, 2}, 17: {1}, 25: {0, 1, 2, 3}}  # iteration -> chains
+    current = [set()]
+
+    def target(t):
+        rows = np.arange(t.shape[0]) if t.ndim == 2 else 0
+        hit = np.isin(rows, sorted(current[0]))
+        return np.where(hit, -np.inf, -0.5 * np.sum(t * t, axis=-1)), -t
+
+    _record_iterations(monkeypatch, lambda i: current.__setitem__(0, poisoned.get(i, set())))
+    cfg = HmcConfig(n_samples=20 * chains, n_warmup=10 * chains, seed=2, n_chains=chains)
+    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
+    want = {1: 2, 4: 7}[chains]  # iterations 13, 17 and 25; 4 is warmup
+    assert out.divergences == want
+
+
+def _max_split_rhat(draws, chains):
+    """Largest split-R-hat over coordinates (Gelman et al., Bayesian Data
+    Analysis, 3rd ed., section 11.4): each of the chains' chain-major runs
+    is cut in two halves, and R-hat = sqrt(var+ / W) over the halves."""
+    per_chain = draws.reshape(chains, -1, draws.shape[1])
+    half = per_chain.shape[1] // 2
+    halves = np.concatenate((per_chain[:, :half], per_chain[:, half:2 * half]))
+    n = halves.shape[1]
+    within = halves.var(axis=1, ddof=1).mean(axis=0)
+    between_over_n = halves.mean(axis=1).var(axis=0, ddof=1)
+    return float(np.max(np.sqrt(((n - 1) / n * within + between_over_n) / within)))
+
+
+def test_hmc_chains_agree_on_auto_mpg():
+    """At fit-eval's default HMC settings (4000 draws, 2000 warmup
+    iterations, cap 32) on the standardized auto-mpg split, the chains,
+    started from draws of the Bayes posterior, agree: max split-R-hat over
+    the coordinates is at most 1.01 on every seed."""
+    data = load_csv(AUTO_MPG, "mpg")
+    noise, prior, delta = NoiseModel(1.0), IsotropicPrior(1.0 / 9.0), 0.1
+    for seed in range(3):
+        train, _ = standardize_fit_transform(
+            *split(data, SplitSpec(train_fraction=0.7, seed=seed))
+        )
+        exact = bayes_posterior(train, noise, prior)
+        cfg = HmcConfig(n_samples=4000, n_warmup=2000, leapfrog_steps=32, seed=seed,
+                        n_chains=posterior.default_n_chains(train.n, 4000))
+        out = hmc_sample(
+            lambda t: robust_log_density_grad(t, train, noise, prior, delta), cfg,
+            exact.precision.chol_lower, exact.mean,
+        )
+        assert out.n_chains == 8
+        assert _max_split_rhat(out.draws, out.n_chains) <= 1.01, seed
 
 
 # --- expected risk -------------------------------------------------------------------
