@@ -326,7 +326,8 @@ def _finite_only_at_the_starts():
         if not starts:
             starts.append(t.reshape(-1, t.shape[-1]).copy())
         at_start = (t[..., None, :] == starts[0]).all(axis=-1).any(axis=-1)
-        return np.where(at_start, 0.0, -np.inf), np.where(at_start[..., None], 1e150, np.zeros_like(t))
+        grad = np.where(at_start[..., None], 1e150, np.zeros_like(t))
+        return np.where(at_start, 0.0, -np.inf), grad
 
     return target, shapes
 
@@ -542,6 +543,17 @@ def test_hmc_warmup_shorter_than_the_adaptation_window_keeps_the_cap(monkeypatch
     assert adapted.max_leapfrog < short.leapfrog_steps
 
 
+def test_hmc_length_pools_the_positions_of_every_chain():
+    """With 10 warmup iterations per chain, int(0.15 * 10) = 1 at the cap
+    leaves 9 positions per chain: too few for one chain to set the length,
+    enough once 4 chains pool theirs."""
+    target, unit = _std_normal_target(2)
+    one = hmc_sample(target, HmcConfig(n_samples=40, n_warmup=10, seed=1), unit, np.zeros(2))
+    assert one.max_leapfrog == 32
+    pooled = HmcConfig(n_samples=40, n_warmup=40, seed=1, n_chains=4)
+    assert hmc_sample(target, pooled, unit, np.zeros(2)).max_leapfrog < 32
+
+
 def test_hmc_grad_evals_counts_every_gradient_call():
     """The origin, the initial step-size search, warmup and sampling all
     count, one call per leapfrog step."""
@@ -658,18 +670,35 @@ def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monke
     assert 0 < sum(m.sum() for m in moved) < 60  # some proposals accepted, some not
 
 
+def _record_iterations(monkeypatch, before=lambda i: None):
+    """The state shape of each HMC iteration's trajectory, in order, leaving
+    out the step-size search's; before(i) runs ahead of iteration i's."""
+    shapes, searching = [], [False]
+    leapfrog, search = posterior._leapfrog, posterior._find_reasonable_epsilon
+
+    def searched(*args):
+        searching[0] = True
+        try:
+            return search(*args)
+        finally:
+            searching[0] = False
+
+    def recorded(theta, *args):
+        if not searching[0]:
+            before(len(shapes))
+            shapes.append(theta.shape)
+        return leapfrog(theta, *args)
+
+    monkeypatch.setattr(posterior, "_find_reasonable_epsilon", searched)
+    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    return shapes
+
+
 def test_hmc_chains_divergence_error(monkeypatch):
     """Every chain diverges on every trajectory. Each chain's ceil(10 / 4) = 3
     warmup divergences carry over into sampling, where it reaches 25 on the
     22nd iteration."""
-    trajectories = []
-    leapfrog = posterior._leapfrog
-
-    def recorded(theta, *args):
-        trajectories.append(theta.shape)
-        return leapfrog(theta, *args)
-
-    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    iterations = _record_iterations(monkeypatch)
     target, shapes = _finite_only_at_the_starts()
     with pytest.raises(DivergentTrajectory, match="25 consecutive"):
         hmc_sample(
@@ -677,7 +706,7 @@ def test_hmc_chains_divergence_error(monkeypatch):
             np.eye(2), np.zeros(2),
         )
     assert shapes[-1] == (4, 2)
-    assert trajectories.count((4, 2)) == 3 + 22
+    assert iterations == [(4, 2)] * (3 + 22)
 
 
 def test_hmc_chains_grad_evals_counts_rows():
@@ -744,30 +773,6 @@ def test_hmc_rejects_a_nonfinite_start_and_a_center_of_the_wrong_shape():
         hmc_sample(target, cfg, np.eye(2), np.array([10.0, 0.0]))
     with pytest.raises(DimensionMismatch, match="center"):
         hmc_sample(target, cfg, np.eye(2), np.zeros(3))
-
-
-def _record_iterations(monkeypatch, before=lambda i: None):
-    """The state shape of each HMC iteration's trajectory, in order, leaving
-    out the step-size search's; before(i) runs ahead of iteration i's."""
-    shapes, searching = [], [False]
-    leapfrog, search = posterior._leapfrog, posterior._find_reasonable_epsilon
-
-    def searched(*args):
-        searching[0] = True
-        try:
-            return search(*args)
-        finally:
-            searching[0] = False
-
-    def recorded(theta, *args):
-        if not searching[0]:
-            before(len(shapes))
-            shapes.append(theta.shape)
-        return leapfrog(theta, *args)
-
-    monkeypatch.setattr(posterior, "_find_reasonable_epsilon", searched)
-    monkeypatch.setattr(posterior, "_leapfrog", recorded)
-    return shapes
 
 
 @pytest.mark.parametrize("n_warmup, chains", [(40, 3), (2, 4), (10, 1), (300, 8)])
