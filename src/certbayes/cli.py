@@ -224,8 +224,7 @@ def _fit_and_score(
                 seed=seed,
                 n_chains=default_n_chains(train.n, resolved["hmc_samples"]),
             ),
-            exact.precision.chol_lower,
-            exact.mean,
+            exact,
         )
     risks = {}
     for which, posterior in posteriors.items():

@@ -220,7 +220,10 @@ def poisson_family() -> ExponentialFamily:
 
 @dataclass(frozen=True, eq=False)
 class GaussianPosterior:
-    """Exact Gaussian posterior: mean vector and precision matrix."""
+    """Exact Gaussian posterior: mean vector and precision matrix.
+
+    Also the reference that hmc_sample takes: its precision is the mass
+    matrix and its draws are the chains' starts."""
 
     mean: np.ndarray
     precision: SpdMatrix

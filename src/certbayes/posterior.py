@@ -13,23 +13,24 @@ The sampler runs C chains as one state, (d,) for one chain and (C, d) for
 C > 1, through warmup and sampling alike, so each leapfrog step evaluates
 the C positions in one call, from one (C, n) residual: at small n a batched
 call costs little more than a single one, and a (d,) call less than a
-(1, d) batch. The chains start from C draws of N(center, M^{-1}), which
-with the Bayes posterior's mean and precision are draws of the Bayes
-posterior, so R-hat over them can show a warmup that has not converged.
-Warmup's iterations are shared out, ceil(n_warmup / C) per chain, and its
-adaptation is pooled over the chains, as ChEES (Hoffman, Radul & Sountsov,
-AISTATS 2021) and MEADS (Hoffman & Sountsov, AISTATS 2022) adapt from many
-short chains. default_n_chains picks C from the training size.
+(1, d) batch. The chains start from C draws of a reference Gaussian, the
+Bayes posterior in the CLI, so R-hat over them can show a warmup that has
+not converged. Warmup's iterations are shared out, ceil(n_warmup / C) per
+chain, and its adaptation is pooled over the chains, as ChEES (Hoffman,
+Radul & Sountsov, AISTATS 2021) and MEADS (Hoffman & Sountsov, AISTATS
+2022) adapt from many short chains. default_n_chains picks C from the
+training size.
 
-The mass matrix M = LL' is given by its lower Cholesky factor L. The
-momentum is kept in whitened coordinates, xi ~ N(0, I), so with A = L^{-T}
-the leapfrog steps are xi += (eps/2) A'grad(theta) and theta += eps A xi,
-and the kinetic energy stays xi'xi/2. A is formed once per run; on a
-Gaussian target whose precision is M the dynamics are isotropic. The random
-length (Neal, "MCMC using Hamiltonian dynamics", 2011) breaks the resonance
-a fixed leapfrog count has on near-Gaussian targets. Each chain carries the
-log density and gradient of its position, so each leapfrog step makes one
-call.
+The mass matrix M = LL' is the reference's precision, an approximation of
+the target's (Neal, "MCMC using Hamiltonian dynamics", 2011), and L its
+lower Cholesky factor. The momentum is kept in whitened coordinates,
+xi ~ N(0, I), so with A = L^{-T} the leapfrog steps are
+xi += (eps/2) A'grad(theta) and theta += eps A xi, and the kinetic energy
+stays xi'xi/2. A is formed once per run; on a Gaussian target whose
+precision is M the dynamics are isotropic. The random length (Neal, 2011)
+breaks the resonance a fixed leapfrog count has on near-Gaussian targets.
+Each chain carries the log density and gradient of its position, so each
+leapfrog step makes one call.
 
 The maximum length starts at the cap, config.leapfrog_steps, and stays there
 for the first 15% of each chain's warmup iterations, while the chains move
@@ -58,7 +59,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .adversarial_loss import _check_theta, _gaussian_adv_nll_and_residual
-from .errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
+from .errors import DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
 from .model import _check_nonnegative
 from .numerics import SpdMatrix, spd_solve
@@ -189,15 +190,6 @@ def _leapfrog(theta, xi, g, eps, n_steps, value_and_grad, a):
     return theta, xi, lp, g
 
 
-def _whitening(mass_chol) -> tuple[np.ndarray, np.ndarray]:
-    """(A, L') from the lower Cholesky factor L of the mass matrix, with
-    A = L^{-T}: one triangular solve per run, so no gradient step solves."""
-    chol = np.asarray(mass_chol, dtype=float)
-    if chol.ndim != 2 or chol.shape[0] != chol.shape[1] or chol.size == 0:
-        raise DimensionMismatch(f"mass_chol must be a non-empty square matrix, got {chol.shape}")
-    return solve_triangular(chol, np.eye(chol.shape[0]), lower=True).T, chol.T
-
-
 def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[float, int]:
     """Double/halve a unit step from theta, whose log density is lp0 and
     whitened gradient g0, until the one-step acceptance crosses 1/2; returns
@@ -219,8 +211,7 @@ def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[fl
 def hmc_sample(
     value_and_grad: Callable[[np.ndarray], tuple],
     config: HmcConfig,
-    mass_chol,
-    center,
+    reference: GaussianPosterior,
 ) -> SampleSet:
     """Sample with HMC on C = config.n_chains chains, adapting the step size
     during warmup by dual averaging and the maximum trajectory length by the
@@ -233,10 +224,13 @@ def hmc_sample(
     per chain. Each chain carries both for its position, so each leapfrog
     step makes one call, and a rejection none.
 
-    Chain c starts at center + L^{-T} z_c with z_c ~ N(0, I), a draw of
-    N(center, M^{-1}); all C starts are evaluated in one call, and each must
-    have a finite log density. With the Bayes posterior's mean and precision
-    factor, the CLI's choice, the starts are draws of the Bayes posterior.
+    reference is a Gaussian approximation of the target, N(mu, M^{-1}) with
+    M = LL'. Its precision M is the mass matrix, its order is the dimension
+    sampled in, and chain c starts at mu + L^{-T} z_c with z_c ~ N(0, I), a
+    draw of the reference; all C starts are evaluated in one call, and each
+    must have a finite log density. The CLI passes the Bayes posterior
+    whole, whose precision matches the robust posterior's scale far better
+    than the identity, so the chains start from draws of it.
     The chains then run as one state, (d,) for one chain and (C, d) for
     C > 1: ceil(n_warmup / C) warmup iterations and n_samples / C sampling
     iterations, each of which draws one trajectory length for all chains and
@@ -254,31 +248,21 @@ def hmc_sample(
     and one per call of the search), and divergences, the sampling
     transitions over all chains whose energy error exceeded 1000.
 
-    mass_chol is the lower Cholesky factor L of the mass matrix M = LL'; its
-    order is the target's dimension. A good choice is the factor of an
-    approximation of the target's precision, such as
-    ``bayes_posterior(...).precision.chol_lower`` for the robust posterior,
-    with that posterior's mean as center.
-
     Raises
     ------
-    DimensionMismatch
-        if mass_chol is not a non-empty square matrix, or center is not a
-        vector of its order.
     NonFiniteDensity
         if the log density is not finite at some chain's start.
     DivergentTrajectory
         after repeated trajectories of one chain with energy error beyond
         1000.
     """
-    a, lt = _whitening(mass_chol)
-    dim = a.shape[0]
-    if np.shape(center) != (dim,):
-        raise DimensionMismatch(f"center must have shape ({dim},), got {np.shape(center)}")
+    chol = reference.precision.chol_lower
+    dim = reference.dim
+    a = solve_triangular(chol, np.eye(dim), lower=True).T  # A = L^{-T}
     chains = config.n_chains
     shape = (chains, dim) if chains > 1 else (dim,)
     rng = np.random.default_rng(config.seed)
-    theta = center + rng.standard_normal(shape) @ a.T
+    theta = reference.mean + rng.standard_normal(shape) @ a.T
     lp, grad = value_and_grad(theta)
     lp = np.array(lp, dtype=float)
     if not np.all(np.isfinite(lp)):
@@ -345,7 +329,7 @@ def hmc_sample(
         eps = math.exp(log_eps if m < n_warmup else log_eps_bar)
         if m > burn_in:
             # Welford's update, summed over this iteration's C positions
-            w = (theta @ lt.T).reshape(-1, dim)
+            w = (theta @ chol).reshape(-1, dim)
             dev = w - w_mean
             w_count += w.shape[0]
             w_mean += dev.sum(axis=0) / w_count

@@ -15,11 +15,13 @@ import numpy as np
 import oracles
 from certbayes import (
     DataDistributionSpec,
+    GaussianPosterior,
     HmcConfig,
     IsotropicPrior,
     NoiseModel,
     PerturbationBudget,
     SplitSpec,
+    SpdMatrix,
     SyntheticSpec,
     bayes_posterior,
     bernoulli_family,
@@ -78,8 +80,7 @@ def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed)
             leapfrog_steps=leapfrog, seed=seed,
             n_chains=default_n_chains(train.n, n_samples),
         ),
-        exact.precision.chol_lower,
-        exact.mean,
+        exact,
     )
 
 
@@ -430,8 +431,9 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
         return -0.5 * np.sum(r * pr, axis=-1), -pr
 
     config = HmcConfig(n_samples=5000, n_warmup=2000, leapfrog_steps=32, seed=0)
-    run_a = hmc_sample(logp_and_grad, config, np.eye(post.dim), np.zeros(post.dim))
-    run_b = hmc_sample(logp_and_grad, config, np.eye(post.dim), np.zeros(post.dim))
+    unit = GaussianPosterior(np.zeros(post.dim), SpdMatrix.from_array(np.eye(post.dim)))
+    run_a = hmc_sample(logp_and_grad, config, unit)
+    run_b = hmc_sample(logp_and_grad, config, unit)
     deterministic = (
         np.array_equal(run_a.draws, run_b.draws)
         and run_a.step_size == run_b.step_size

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from certbayes import (
+    GaussianPosterior,
     HmcConfig,
     IsotropicPrior,
     NoiseModel,
     RiskEstimate,
     SampleSet,
     SplitSpec,
+    SpdMatrix,
     bayes_posterior,
     expected_risk,
     gaussian_adv_nll,
@@ -271,16 +273,22 @@ def test_batched_grad_matches_finite_differences_on_every_row():
 # --- HMC ---------------------------------------------------------------------------
 
 
+def _at_origin(precision):
+    """The sampler's reference N(0, precision^{-1}): mass matrix precision,
+    chains started around the origin."""
+    return GaussianPosterior(np.zeros(len(precision)), SpdMatrix.from_array(precision))
+
+
 def _std_normal_target(dim):
-    """N(0, I) in dim dimensions, for theta of shape (d,) or (C, d), and the
-    identity mass factor."""
-    return lambda t: (-0.5 * np.sum(t * t, axis=-1), -t), np.eye(dim)
+    """N(0, I) in dim dimensions, for theta of shape (d,) or (C, d), and
+    itself as the reference: identity mass, starts around the origin."""
+    return lambda t: (-0.5 * np.sum(t * t, axis=-1), -t), _at_origin(np.eye(dim))
 
 
 def test_hmc_standard_normal_moments():
     target, unit = _std_normal_target(2)
     out = hmc_sample(
-        target, HmcConfig(n_samples=5000, n_warmup=1000, seed=42), unit, np.zeros(2)
+        target, HmcConfig(n_samples=5000, n_warmup=1000, seed=42), unit
     )
     assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
     cov = np.cov(out.draws.T)
@@ -290,15 +298,15 @@ def test_hmc_standard_normal_moments():
 def test_hmc_acceptance_band():
     target, unit = _std_normal_target(3)
     cfg = HmcConfig(n_samples=2000, n_warmup=1000, seed=5)
-    out = hmc_sample(target, cfg, unit, np.zeros(3))
+    out = hmc_sample(target, cfg, unit)
     assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10  # warmup targets 0.8
 
 
 def test_hmc_deterministic():
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=500, n_warmup=300, seed=123)
-    a = hmc_sample(target, cfg, unit, np.zeros(2))
-    b = hmc_sample(target, cfg, unit, np.zeros(2))
+    a = hmc_sample(target, cfg, unit)
+    b = hmc_sample(target, cfg, unit)
     assert np.array_equal(a.draws, b.draws)
     assert a.accept_rate == b.accept_rate and a.step_size == b.step_size
 
@@ -308,8 +316,7 @@ def test_hmc_rejects_nonfinite_origin():
         hmc_sample(
             lambda t: (-math.inf, np.zeros_like(t)),
             HmcConfig(n_samples=10, n_warmup=10, seed=0),
-            np.eye(2),
-            np.zeros(2),
+            _at_origin(np.eye(2)),
         )
 
 
@@ -340,8 +347,7 @@ def test_hmc_divergence_error():
         hmc_sample(
             target,
             HmcConfig(n_samples=100, n_warmup=100, seed=0),
-            np.eye(2),
-            np.zeros(2),
+            _at_origin(np.eye(2)),
         )
 
 
@@ -363,8 +369,7 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
     out = hmc_sample(
         target,
         HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=7),
-        np.linalg.cholesky(precision),
-        np.zeros(4),
+        _at_origin(precision),
     )
     for j in range(mean.shape[0]):
         series = out.draws[:, j]
@@ -386,7 +391,7 @@ def test_hmc_evaluates_its_start_point_once():
             return -0.5 * np.sum(t * t, axis=-1), -t
 
         cfg = HmcConfig(n_samples=50, n_warmup=50, seed=2, n_chains=chains)
-        hmc_sample(target, cfg, np.eye(3), np.zeros(3))
+        hmc_sample(target, cfg, _at_origin(np.eye(3)))
         starts = calls[0].reshape(-1, 3)
         assert starts.shape == (chains, 3)
         later = np.concatenate([c.reshape(-1, 3) for c in calls[1:]])
@@ -406,33 +411,21 @@ def test_hmc_evaluates_each_position_once():
 
     out = hmc_sample(
         target, HmcConfig(n_samples=300, n_warmup=200, leapfrog_steps=8, seed=5),
-        np.eye(3), np.zeros(3),
+        _at_origin(np.eye(3)),
     )
     assert 0.0 < out.accept_rate < 1.0  # both branches ran
     assert len(seen) == out.grad_evals
     assert len(set(seen)) == len(seen)
 
 
-def test_hmc_rejects_mass_factor_of_wrong_shape():
-    """A factor that is not a non-empty square matrix is refused before the
-    target is called; one whose order differs from the robust target's
-    dimension is refused by the target's check of theta."""
-    cfg = HmcConfig(n_samples=10, n_warmup=10)
-    called = []
-
-    def target(t):
-        called.append(t)
-        return -0.5 * np.sum(t * t, axis=-1), -t
-
-    for factor in (np.ones(3), np.eye(3)[:2], np.zeros((0, 0))):
-        with pytest.raises(DimensionMismatch, match="square"):
-            hmc_sample(target, cfg, factor, np.zeros(3))
-    assert called == []
+def test_hmc_rejects_a_reference_of_another_order():
+    """A reference whose order differs from the robust target's dimension is
+    refused by the target's check of theta."""
     ds, noise, prior = _problem(9, n=20, d=3)
     with pytest.raises(DimensionMismatch):
         hmc_sample(
-            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1), cfg,
-            np.eye(2), np.zeros(2),
+            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1),
+            HmcConfig(n_samples=10, n_warmup=10), _at_origin(np.eye(2)),
         )
 
 
@@ -454,7 +447,7 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
         return -0.5 * np.sum(t * t, axis=-1) / scale**2, -t / scale**2
 
     monkeypatch.setattr(posterior, "_leapfrog", counted)
-    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
+    out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
     return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
 
 
@@ -477,7 +470,6 @@ def test_hmc_random_length_breaks_resonance():
             target,
             HmcConfig(n_samples=4000, n_warmup=1000, leapfrog_steps=8, seed=seed),
             unit,
-            np.zeros(9),
         )
         min_ess = min(_effective_sample_size(out.draws[:, j]) for j in range(out.dim))
         assert min_ess >= 2000, f"seed {seed}: min-ESS {min_ess:.0f} of 4000"
@@ -504,8 +496,7 @@ def test_hmc_replay_gives_identical_draws_step_size_and_length():
     a, b = (
         hmc_sample(
             lambda t: (-0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)), cfg,
-            np.diag([1.0, 2.0, 4.0]),
-            np.zeros(3),
+            _at_origin(np.diag([1.0, 4.0, 16.0])),
         )
         for _ in range(2)
     )
@@ -526,7 +517,6 @@ def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
             target,
             HmcConfig(n_samples=100, n_warmup=1000, leapfrog_steps=32, seed=seed),
             unit,
-            np.zeros(4),
         )
         want = math.ceil(math.pi / out.step_size)
         assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
@@ -548,10 +538,10 @@ def test_hmc_length_pools_the_positions_of_every_chain():
     leaves 9 positions per chain: too few for one chain to set the length,
     enough once 4 chains pool theirs."""
     target, unit = _std_normal_target(2)
-    one = hmc_sample(target, HmcConfig(n_samples=40, n_warmup=10, seed=1), unit, np.zeros(2))
+    one = hmc_sample(target, HmcConfig(n_samples=40, n_warmup=10, seed=1), unit)
     assert one.max_leapfrog == 32
     pooled = HmcConfig(n_samples=40, n_warmup=40, seed=1, n_chains=4)
-    assert hmc_sample(target, pooled, unit, np.zeros(2)).max_leapfrog < 32
+    assert hmc_sample(target, pooled, unit).max_leapfrog < 32
 
 
 def test_hmc_grad_evals_counts_every_gradient_call():
@@ -569,9 +559,8 @@ def test_hmc_grad_evals_counts_every_gradient_call():
         HmcConfig(n_samples=5, n_warmup=3, leapfrog_steps=1, seed=0),
     ):
         calls[0] = 0
-        out = hmc_sample(
-            target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
-        )
+        bayes = bayes_posterior(ds, noise, prior)
+        out = hmc_sample(target, cfg, GaussianPosterior(np.zeros(3), bayes.precision))
         assert out.grad_evals == calls[0] > cfg.n_warmup + cfg.n_samples
 
 
@@ -603,7 +592,7 @@ def test_default_n_chains_rule(n, n_samples, chains):
 def test_hmc_chains_standard_normal_moments():
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=5000, n_warmup=1000, seed=42, n_chains=4)
-    out = hmc_sample(target, cfg, unit, np.zeros(2))
+    out = hmc_sample(target, cfg, unit)
     assert out.n_chains == 4 and out.draws.shape == (5000, 2)
     assert np.all(np.abs(out.draws.mean(axis=0)) <= 3.0 / math.sqrt(5000) * 3)
     cov = np.cov(out.draws.T)
@@ -613,7 +602,7 @@ def test_hmc_chains_standard_normal_moments():
 def test_hmc_chains_acceptance_band():
     target, unit = _std_normal_target(3)
     out = hmc_sample(
-        target, HmcConfig(n_samples=2000, n_warmup=1000, seed=5, n_chains=4), unit, np.zeros(3)
+        target, HmcConfig(n_samples=2000, n_warmup=1000, seed=5, n_chains=4), unit
     )
     assert 0.8 - 0.15 <= out.accept_rate <= 0.8 + 0.10
 
@@ -629,7 +618,7 @@ def test_hmc_chains_replay_and_share_the_warmup():
 
     for c in (4, 1, 8):
         cfg = HmcConfig(n_samples=400, n_warmup=300, seed=11, n_chains=c)
-        a, b = (hmc_sample(target, cfg, np.eye(3), np.zeros(3)) for _ in range(2))
+        a, b = (hmc_sample(target, cfg, _at_origin(np.eye(3))) for _ in range(2))
         assert a.draws.tobytes() == b.draws.tobytes()
         assert (a.step_size, a.max_leapfrog, a.grad_evals, a.accept_rate, a.divergences) == (
             b.step_size, b.max_leapfrog, b.grad_evals, b.accept_rate, b.divergences
@@ -653,7 +642,7 @@ def test_hmc_chains_start_from_the_warmup_state_and_are_stored_chain_major(monke
     monkeypatch.setattr(posterior, "_leapfrog", recorded)
     target, unit = _std_normal_target(2)
     cfg = HmcConfig(n_samples=60, n_warmup=40, seed=3, n_chains=3)
-    out = hmc_sample(target, cfg, unit, np.zeros(2))
+    out = hmc_sample(target, cfg, unit)
     sampling = starts[-20:]
     assert all(s.shape == (3, 2) for s in sampling)
     # the last warmup iteration (ceil(40 / 3) = 14 per chain) left each
@@ -703,7 +692,7 @@ def test_hmc_chains_divergence_error(monkeypatch):
     with pytest.raises(DivergentTrajectory, match="25 consecutive"):
         hmc_sample(
             target, HmcConfig(n_samples=100, n_warmup=10, seed=0, n_chains=4),
-            np.eye(2), np.zeros(2),
+            _at_origin(np.eye(2)),
         )
     assert shapes[-1] == (4, 2)
     assert iterations == [(4, 2)] * (3 + 22)
@@ -719,9 +708,8 @@ def test_hmc_chains_grad_evals_counts_rows():
         return robust_log_density_grad(t, ds, noise, prior, 0.3)
 
     cfg = HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6, n_chains=4)
-    out = hmc_sample(
-        target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
-    )
+    bayes = bayes_posterior(ds, noise, prior)
+    out = hmc_sample(target, cfg, GaussianPosterior(np.zeros(3), bayes.precision))
     assert out.grad_evals == rows[0] > calls[0] > cfg.n_warmup + cfg.n_samples // 4
 
 
@@ -736,9 +724,8 @@ def test_hmc_one_chain_never_sees_a_batch():
         return robust_log_density_grad(t, ds, noise, prior, 0.3)
 
     cfg = HmcConfig(n_samples=100, n_warmup=50, leapfrog_steps=8, seed=7)
-    out = hmc_sample(
-        target, cfg, bayes_posterior(ds, noise, prior).precision.chol_lower, np.zeros(3)
-    )
+    bayes = bayes_posterior(ds, noise, prior)
+    out = hmc_sample(target, cfg, GaussianPosterior(np.zeros(3), bayes.precision))
     assert shapes == {(3,)}
     assert out.n_chains == 1 and out.draws.shape == (100, 3)
     assert 0.0 < out.accept_rate < 1.0
@@ -746,8 +733,8 @@ def test_hmc_one_chain_never_sees_a_batch():
 
 def test_hmc_chains_start_at_draws_of_the_center_and_mass():
     """The first call evaluates all C starts as one (C, d) batch, and row c
-    is center + L^{-T} z_c, z_c the seed's first standard normal draws: a
-    draw of N(center, M^{-1})."""
+    is mu + L^{-T} z_c, z_c the seed's first standard normal draws: a draw
+    of the reference N(mu, M^{-1}), M = LL'."""
     calls = []
 
     def target(t):
@@ -756,23 +743,23 @@ def test_hmc_chains_start_at_draws_of_the_center_and_mass():
 
     chol = np.array([[2.0, 0.0, 0.0], [0.5, 1.0, 0.0], [-0.3, 0.2, 0.5]])
     center = np.array([0.5, -1.0, 2.0])
+    reference = GaussianPosterior(center, SpdMatrix.from_array(chol @ chol.T))
     cfg = HmcConfig(n_samples=40, n_warmup=20, seed=9, n_chains=4)
-    hmc_sample(target, cfg, chol, center)
+    hmc_sample(target, cfg, reference)
     z = np.random.default_rng(cfg.seed).standard_normal((4, 3))
+    lower = reference.precision.chol_lower
     assert calls[0].shape == (4, 3)
-    np.testing.assert_allclose(calls[0], center + np.linalg.solve(chol.T, z.T).T, rtol=1e-14)
+    np.testing.assert_allclose(calls[0], center + np.linalg.solve(lower.T, z.T).T, rtol=1e-14)
 
 
-def test_hmc_rejects_a_nonfinite_start_and_a_center_of_the_wrong_shape():
+def test_hmc_rejects_a_nonfinite_start():
     """One start outside the support refuses the run, before any trajectory."""
     def target(t):
         return np.where(t[..., 0] < 10.0, -0.5 * np.sum(t * t, axis=-1), -np.inf), -t
 
     cfg = HmcConfig(n_samples=40, n_warmup=20, seed=0, n_chains=4)
     with pytest.raises(NonFiniteDensity):
-        hmc_sample(target, cfg, np.eye(2), np.array([10.0, 0.0]))
-    with pytest.raises(DimensionMismatch, match="center"):
-        hmc_sample(target, cfg, np.eye(2), np.zeros(3))
+        hmc_sample(target, cfg, replace(_at_origin(np.eye(2)), mean=np.array([10.0, 0.0])))
 
 
 @pytest.mark.parametrize("n_warmup, chains", [(40, 3), (2, 4), (10, 1), (300, 8)])
@@ -789,7 +776,7 @@ def test_hmc_each_chain_runs_its_share_of_the_warmup(n_warmup, chains, monkeypat
     # 8 sampling iterations: a step size adapted in one warmup iteration
     # diverges on the unit Gaussian, but not 25 times in a row
     cfg = HmcConfig(n_samples=8 * chains, n_warmup=n_warmup, seed=1, n_chains=chains)
-    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
+    out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
     assert shapes == [(chains, 2) if chains > 1 else (2,)] * (math.ceil(n_warmup / chains) + 8)
     assert out.grad_evals == rows[0]
 
@@ -810,7 +797,7 @@ def test_hmc_divergences_count_the_divergent_sampling_transitions(chains, monkey
 
     _record_iterations(monkeypatch, lambda i: current.__setitem__(0, poisoned.get(i, set())))
     cfg = HmcConfig(n_samples=20 * chains, n_warmup=10 * chains, seed=2, n_chains=chains)
-    out = hmc_sample(target, cfg, np.eye(2), np.zeros(2))
+    out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
     want = {1: 2, 4: 7}[chains]  # iterations 13, 17 and 25; 4 is warmup
     assert out.divergences == want
 
@@ -844,7 +831,7 @@ def test_hmc_chains_agree_on_auto_mpg():
                         n_chains=posterior.default_n_chains(train.n, 4000))
         out = hmc_sample(
             lambda t: robust_log_density_grad(t, train, noise, prior, delta), cfg,
-            exact.precision.chol_lower, exact.mean,
+            exact,
         )
         assert out.n_chains == 8
         assert _max_split_rhat(out.draws, out.n_chains) <= 1.01, seed
