@@ -530,7 +530,7 @@ _OPTIONS = {
     "leapfrog": _Option(
         int, "upper bound on the warmup-adapted leapfrog steps per HMC iteration", minimum=1
     ),
-    "jobs": _Option(int, "parallel (n, seed) cells", embed=False),
+    "jobs": _Option(int, "parallel (n, seed) cells", minimum=1, embed=False),
 }
 
 _COMMANDS = {

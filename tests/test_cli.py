@@ -579,10 +579,12 @@ _SWEEP = ["sweep", "--sigma-p-sq", "0.25", "--n-grid", "100"]
         (_SWEEP, "--leapfrog", "-1"),
         (_SWEEP, "--n-test", "0"),
         (_SWEEP, "--n-test", "-200"),
+        (_SWEEP, "--jobs", "0"),
     ],
     ids=[
         "fit-eval", "sweep", "fit-eval-hmc-samples", "fit-eval-hmc-warmup",
         "fit-eval-leapfrog", "sweep-leapfrog", "sweep-n-test-0", "sweep-n-test-negative",
+        "sweep-jobs-0",
     ],
 )
 def test_seeds_below_one_exits_1(argv, flag, value, tmp_path, monkeypatch, capsys):
