@@ -300,9 +300,10 @@ def cmd_certify(resolved: dict) -> int:
 
 
 def cmd_fit_eval(resolved: dict) -> int:
-    # The radii are checked before any file is read or any chain is run.
+    # The radii, 0 and then each given one once, in order, are checked before
+    # any file is read or any chain is run.
     _check_nonnegative("delta", resolved["delta"])
-    radii = [0.0] + [dh for dh in _parse_list(resolved["delta_hat"], float) if dh != 0.0]
+    radii = list(dict.fromkeys([0.0, *_parse_list(resolved["delta_hat"], float)]))
     for dh in radii:
         _check_nonnegative("delta_test", dh)
     # (train, test, seed) of each run: the given split, or one split per seed.
@@ -430,7 +431,7 @@ def _sweep_cell(payload: tuple) -> list[dict]:
 
 def cmd_sweep(resolved: dict) -> int:
     theorems = _parse_theorems(resolved["theorem"])
-    sizes = _parse_list(resolved["n_grid"], int)
+    sizes = list(dict.fromkeys(_parse_list(resolved["n_grid"], int)))  # each once, in order
     if not sizes:
         raise ValueError(f"--n-grid lists no training sizes: {resolved['n_grid']!r}")
     # Refuse in cell order, before the first fit, what a cell would refuse

@@ -489,6 +489,36 @@ def test_sweep_scores_each_posterior_once_per_cell(theorem, expected, tmp_path, 
     assert counted.read_bytes() == plain.read_bytes()
 
 
+def test_fit_eval_writes_each_radius_once(tmp_path):
+    """A repeated radius, 0 among them, gets one entry, at its first place;
+    the embedded config keeps the list as given."""
+    out = tmp_path / "fe.json"
+    argv = [*FIT_EVAL, "--hmc-samples", "20", "--delta-hat", "0.1,0,0.1,0.2,0.1"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    (run,) = payload["runs"]
+    assert [m["delta_hat"] for m in run["metrics"]] == [0.0, 0.1, 0.2]
+    assert [s["delta_hat"] for s in payload["summary"]] == [0.0, 0.1, 0.2]
+    assert payload["config"]["delta_hat"] == "0.1,0,0.1,0.2,0.1"
+
+
+def test_sweep_runs_each_size_once(tmp_path, monkeypatch):
+    """A repeated size is fitted and written once per seed; the embedded
+    config keeps the grid as given."""
+    sampled = _record_hmc_calls(monkeypatch)
+    out = tmp_path / "sw.csv"
+    rc = cli.main([
+        "sweep", "--n-grid", "10,20,10", "--d", "2", "--n-test", "50", "--sigma-p-sq", "0.25",
+        "--delta", "0.1", "--delta-hat", "0.1", "--seeds", "1", "--theorem", "robust-std",
+        "--hmc-samples", "30", "--hmc-warmup", "30", "--leapfrog", "4", "--out", str(out),
+    ])
+    assert rc == 0
+    assert len(sampled) == 2
+    lines = out.read_text().splitlines()
+    assert '"n_grid": "10,20,10"' in lines[0]
+    assert [line.split(",")[:2] for line in lines[2:]] == [["10", "0"], ["20", "0"]]
+
+
 def test_fit_eval_divergence_exits_3(tmp_path, monkeypatch, capsys):
     data = _gen(tmp_path, "dv.csv", n=20, d=2)
 
