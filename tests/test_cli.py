@@ -192,6 +192,24 @@ def test_certify_field_over_csv_limit_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify", "--sigma-p-sq", "0.1", "--sigma-x-sq", "1", "--theta-star-norm-sq", "1"],
+         "provide --data or a synthetic spec (--n and --d)"),
+        (["fit-eval", "--train", AUTO_MPG, "--sigma-p-sq", "0.25"],
+         "--train and --test must be given together"),
+        (["fit-eval", "--sigma-p-sq", "0.25"], "fit-eval requires --data or --train/--test"),
+    ],
+    ids=["certify-no-data", "fit-eval-train-only", "fit-eval-no-data"],
+)
+def test_missing_input_exits_1(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert f"certbayes: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_1(capsys):
     rc = cli.main(["certify", "--bogus", "1"])
     assert rc == 1

@@ -116,6 +116,14 @@ def test_load_csv_non_numeric_column(tmp_path):
         load_csv(p, "y")
 
 
+def test_load_csv_empty_file(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("")
+    with pytest.raises(ParseError, match="file is empty") as info:
+        load_csv(p, "y")
+    assert info.value.row == 1
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,b\n1,2\n3\n")
@@ -315,6 +323,13 @@ def test_standardize_rejects_constant_column():
     train = validate_dataset(np.array([[1.0, 0.0], [1.0, 1.0]]), np.array([0.0, 1.0]))
     test = validate_dataset(np.array([[1.0, 2.0]]), np.array([3.0]))
     with pytest.raises(ZeroVarianceColumn):
+        standardize_fit_transform(train, test)
+
+
+def test_standardize_rejects_constant_label():
+    train = validate_dataset(np.array([[0.0], [1.0]]), np.array([2.0, 2.0]))
+    test = validate_dataset(np.array([[1.0]]), np.array([3.0]))
+    with pytest.raises(ZeroVarianceColumn, match="label column is constant"):
         standardize_fit_transform(train, test)
 
 
