@@ -522,6 +522,27 @@ def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
         assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
 
 
+def test_hmc_length_burn_in_keeps_a_distant_start_out_of_the_half_period():
+    """Chains started 20 standard deviations from a unit Gaussian's mean
+    (reference: identity at the origin) still find its half period pi / eps,
+    within one step, because the first 15% of warmup, run at the cap, carries
+    them into the bulk before the whitened positions are recorded. Without
+    that burn-in the travel inflates s_max: 7-12 steps against 3-4."""
+    mean = np.array([20.0, 0.0])
+
+    def target(t):
+        r = t - mean
+        return -0.5 * np.sum(r * r, axis=-1), -r
+
+    for chains, n_warmup in ((1, 200), (4, 400)):
+        for seed in range(5):
+            cfg = HmcConfig(n_samples=40, n_warmup=n_warmup, leapfrog_steps=32, seed=seed,
+                            n_chains=chains)
+            out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
+            want = math.ceil(math.pi / out.step_size)
+            assert abs(out.max_leapfrog - want) <= 1, (chains, seed, out.max_leapfrog, want)
+
+
 def test_hmc_warmup_shorter_than_the_adaptation_window_keeps_the_cap(monkeypatch):
     """int(0.15 * 22) = 3 iterations at the cap leave 19 positions, one short
     of the 20 the length needs; 23 iterations leave exactly 20."""
