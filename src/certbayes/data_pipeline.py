@@ -5,9 +5,9 @@ quoting of numerics. Numbers are written with enough digits ('%.17g') that a
 write/read round trip is bit-identical for finite doubles. Rows with missing
 fields are rejected rather than imputed.
 
-save_csv writes the fixed header x1,...,xd,y through csv.writer and formats
-the rows in blocks of _SAVE_BLOCK_ROWS, each with one '%' on a row template;
-every line, the header's too, ends in CRLF, as csv.writer ends lines.
+save_csv writes the fixed header x1,...,xd,y and formats the rows in blocks
+of _SAVE_BLOCK_ROWS, each with one '%' on a row template; every line, the
+header's too, ends in CRLF, as csv.writer ends lines.
 
 load_csv reads the header with csv.reader and parses the remaining lines with
 np.loadtxt. It keeps that result only when loadtxt raised and warned nothing
@@ -17,12 +17,32 @@ csv module's limit, or one of the separators U+001C to U+001F, which loadtxt
 strips and float() does not) it parses the lines again with csv.reader and
 float(), cell by cell. That parser alone raises ParseError and
 NonNumericColumn, with their rows and columns.
+
+Both spend their time converting numbers one at a time in code that holds
+the GIL, so threads would not overlap. A large call is therefore cut into
+contiguous row ranges, one part per usable CPU and at most one per
+_CELLS_PER_PART cells (_row_ranges). This process runs the first range and
+a child forked with multiprocessing's "fork" context runs each other range,
+sending its bytes back through a pipe: save_csv writes the header and then
+the parts in order, so the file is the same byte for byte, and load_csv
+applies every check above to each range and keeps the rows only if every
+range passed, so a file the fast path refuses still reaches the cell-by-cell
+parser whole. A call below 2 * _CELLS_PER_PART cells, or on a machine with
+one usable CPU, starts no process. A child runs only '%' formatting or
+np.loadtxt and one pipe write: no BLAS call and no lock that another thread
+of this process could hold at the fork, so forking a process that has
+OpenBLAS threads is safe here, though Python 3.12 and later warn about such
+forks. A child that cannot start, or ends without sending its range, leaves
+that range to this process, and no child outlives the call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import numbers
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -138,6 +158,81 @@ def _parse_fast(lines: list, width: int) -> Optional[np.ndarray]:
     return values if values.shape == (len(lines), width) else None
 
 
+# Cells per part: a call gets a second part from 2 * _CELLS_PER_PART cells.
+_CELLS_PER_PART = 100_000
+
+
+def _send(sender, work, start: int, stop: int) -> None:
+    sender.send_bytes(work(start, stop))
+
+
+@contextlib.contextmanager
+def _row_ranges(rows: int, width: int, work):
+    """range(rows) cut into contiguous ranges, one per part, as a list of
+    (start, stop, connection).
+
+    The first range has connection None: the caller runs it. Each other
+    range runs work(start, stop) in a forked child, which sends the
+    bytes-like result through a pipe that the connection reads. Where the
+    child did not start, or ended without sending, reading raises EOFError,
+    and the caller runs that range too. On exit every child is ended and
+    reaped, whether or not its bytes were read.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = max(1, min(cpus, rows * width // _CELLS_PER_PART, rows))
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    ranges, children = [(0, bounds[1], None)], []
+    try:
+        for start, stop in zip(bounds[1:], bounds[2:]):
+            import multiprocessing  # here, so that a call in one part does not load it
+
+            context = multiprocessing.get_context("fork")
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_send, args=(sender, work, start, stop))
+            try:
+                child.start()
+                children.append(child)
+            except (OSError, AssertionError):  # a daemonic process may start no child
+                pass  # with the sender closed, the receiver reads end of file
+            finally:
+                sender.close()
+            ranges.append((start, stop, receiver))
+        yield ranges
+    finally:
+        for child in children:
+            child.kill()
+            child.join()
+        for _, _, receiver in ranges:
+            if receiver is not None:
+                receiver.close()
+
+
+def _parse_parts(lines: list, width: int) -> Optional[np.ndarray]:
+    """_parse_fast over the row ranges of _row_ranges: the rows of every
+    range, or None if any range fails."""
+
+    def parse(start, stop):
+        values = _parse_fast(lines[start:stop], width)
+        return b"" if values is None else values
+
+    values = np.empty((len(lines), width))
+    with _row_ranges(len(lines), width, parse) as ranges:
+        for start, stop, receiver in ranges:
+            if receiver is not None:
+                rows = memoryview(values[start:stop]).cast("B")
+                try:
+                    if receiver.recv_bytes_into(rows) < rows.nbytes:
+                        return None  # the child's range failed
+                    continue
+                except EOFError:  # no child sent this range
+                    pass
+            part = _parse_fast(lines[start:stop], width)
+            if part is None:
+                return None
+            values[start:stop] = part
+    return values
+
+
 def _parse_rows(rows: list, header: list) -> np.ndarray:
     """The csv.reader rows as an array, parsed cell by cell with float().
 
@@ -184,12 +279,14 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
     """Load a delimited numeric table; features are all non-target columns in
     file order.
 
-    target_column may be a header name or a 0-based column index.
+    target_column may be a header name or a 0-based column index, any
+    integer but a bool.
 
     Raises
     ------
     MissingTarget
-        if the named column is absent (or the index out of range).
+        if the named column is absent, the index out of range, or
+        target_column a bool.
     NonNumericColumn
         if a column fails to parse in every row.
     ParseError
@@ -202,17 +299,21 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
         except StopIteration:
             raise ParseError(f"{path}: file is empty", row=1) from None
         lines = fh.readlines()
-    values = _parse_fast(lines, len(header))
+    values = _parse_parts(lines, len(header))
     # csv.reader's own errors come before MissingTarget, as they always have.
     rows = list(csv.reader(lines)) if values is None else None
 
     header = [h.strip() for h in header]
-    if isinstance(target_column, int):
+    if isinstance(target_column, (bool, np.bool_)):
+        raise MissingTarget(
+            f"target column {target_column!r} is neither a name nor an index"
+        )
+    if isinstance(target_column, numbers.Integral):
         if not 0 <= target_column < len(header):
             raise MissingTarget(
                 f"target index {target_column} out of range for {len(header)} columns"
             )
-        target_idx = target_column
+        target_idx = int(target_column)
     else:
         if target_column not in header:
             raise MissingTarget(
@@ -231,17 +332,33 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
 _SAVE_BLOCK_ROWS = 4096
 
 
+def _format_rows(data: Dataset, start: int, stop: int):
+    """The CSV lines of rows start to stop, as bytes, one block of
+    _SAVE_BLOCK_ROWS rows at a time."""
+    # The rows as csv.writer would write them: no numeral needs quoting.
+    row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
+    for lo in range(start, stop, _SAVE_BLOCK_ROWS):
+        hi = min(lo + _SAVE_BLOCK_ROWS, stop)
+        block = np.column_stack((data.X[lo:hi], data.Y[lo:hi]))
+        yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
+
+
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV under the header x1,...,xd,y; values round-trip
     bit-identically via load_csv."""
-    # The rows as csv.writer would write them: no numeral needs quoting.
-    row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([f"x{j + 1}" for j in range(data.d)] + ["y"])
-        for start in range(0, data.n, _SAVE_BLOCK_ROWS):
-            stop = start + _SAVE_BLOCK_ROWS
-            block = np.column_stack((data.X[start:stop], data.Y[start:stop]))
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"]) + "\r\n"
+    with open(path, "wb") as fh, _row_ranges(
+        data.n, data.d + 1, lambda start, stop: b"".join(_format_rows(data, start, stop))
+    ) as ranges:
+        fh.write(header.encode("ascii"))
+        for start, stop, receiver in ranges:
+            if receiver is not None:
+                try:
+                    fh.write(receiver.recv_bytes())
+                    continue
+                except EOFError:  # no child sent this range
+                    pass
+            fh.writelines(_format_rows(data, start, stop))
 
 
 def standardize_fit_transform(

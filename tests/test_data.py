@@ -1,4 +1,6 @@
 import csv
+import multiprocessing
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -99,6 +101,24 @@ def test_load_csv_missing_target(tmp_path):
         load_csv(p, "y")
     with pytest.raises(MissingTarget):
         load_csv(p, 5)
+
+
+def test_load_csv_target_by_numpy_integer(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b,c\n1,2,3\n4,5,7\n")
+    ds = load_csv(p, np.int64(2))
+    np.testing.assert_array_equal(ds.Y, [3.0, 7.0])
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [4.0, 5.0]])
+    with pytest.raises(MissingTarget, match="out of range"):
+        load_csv(p, np.int32(3))
+
+
+@pytest.mark.parametrize("target", [True, False, np.True_])
+def test_load_csv_refuses_a_bool_target(target, tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n3,5\n")
+    with pytest.raises(MissingTarget, match="neither a name nor an index"):
+        load_csv(p, target)
 
 
 def test_load_csv_bad_cell_location(tmp_path):
@@ -275,6 +295,147 @@ def test_load_csv_fast_path_matches_cell_parser(data, width, final_end):
         body = body[: -len(ends[-1])] + final_end
     fast, cells = _fast_and_cell_outcomes(header + "\n" + body)
     assert fast == cells
+
+
+# --- row ranges in forked children ------------------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The processes started during a test; no child may outlive a call."""
+    processes = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(process):
+        processes.append(process)
+        start(process)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    yield processes
+    assert multiprocessing.active_children() == []
+
+
+def _cut(monkeypatch, parts):
+    """Cut save_csv and load_csv calls into `parts` row ranges, whatever the
+    machine, from as few as `parts` rows."""
+    monkeypatch.setattr(data_pipeline.os, "sched_getaffinity", lambda pid: set(range(parts)),
+                        raising=False)
+    monkeypatch.setattr(data_pipeline, "_CELLS_PER_PART", 1)
+
+
+def _parts_table():
+    """13 rows of extremes and random values, formatted in blocks of 4 rows
+    so that blocks and ranges both end inside the table."""
+    rng = np.random.default_rng(11)
+    table = rng.standard_normal((13, 4)) * 10.0 ** rng.integers(-300, 300, (13, 4))
+    table.ravel()[: len(_EXTREMES)] = _EXTREMES
+    return validate_dataset(table[:, :3], table[:, 3])
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_save_csv_in_parts_writes_the_one_part_bytes(parts, tmp_path, monkeypatch, started):
+    ds = _parts_table()
+    monkeypatch.setattr(data_pipeline, "_SAVE_BLOCK_ROWS", 4)
+    one, cut = tmp_path / "one.csv", tmp_path / "cut.csv"
+    save_csv(ds, one)
+    assert started == []
+    _cut(monkeypatch, parts)
+    save_csv(ds, cut)
+    assert len(started) == parts - 1
+    oracle = "x1,x2,x3,y\r\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\r\n"
+        for row in np.column_stack((ds.X, ds.Y)).tolist()
+    )
+    assert cut.read_bytes() == one.read_bytes() == oracle.encode("ascii")
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_load_csv_in_parts_reads_the_one_part_arrays(parts, tmp_path, monkeypatch, started):
+    ds = _parts_table()
+    p = tmp_path / "t.csv"
+    save_csv(ds, p)
+    one = _outcome(p)
+    _cut(monkeypatch, parts)
+    assert _outcome(p) == one == (ds.X.shape, ds.X.tobytes(), ds.Y.tobytes())
+    assert len(started) == parts - 1
+
+
+# Bodies with a defect of _EDGE_FILES after 12 good rows, so in the last
+# range, and one whose every range fails.
+_GOOD_ROWS = "1,2\n" * 12
+_LAST_PART_DEFECTS = {
+    "blank_line": _GOOD_ROWS + "\n3,4\n",
+    "bad_cell": _GOOD_ROWS + "3,x\n",
+    "quoted_cell": _GOOD_ROWS + '3,"4"\n',
+    "cr_ends": _GOOD_ROWS + "3,4\r5,6\r",
+    "ragged_row": _GOOD_ROWS + "3,4,5\n",
+    "non_numeric_column": "a,2\n" * 13,
+}
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("defect", sorted(_LAST_PART_DEFECTS))
+def test_load_csv_in_parts_gives_the_one_part_outcome(defect, parts, tmp_path,
+                                                      monkeypatch, started):
+    p = tmp_path / "edge.csv"
+    p.write_bytes(("x,y\n" + _LAST_PART_DEFECTS[defect]).encode("utf-8"))
+    one = _outcome(p)
+    _cut(monkeypatch, parts)
+    assert _outcome(p) == one
+    assert len(started) == parts - 1
+
+
+def _in_this_process_only(monkeypatch, name, effect):
+    """Make data_pipeline.<name> call effect() first, in this process alone:
+    a forked child runs the real function."""
+    real, parent = getattr(data_pipeline, name), os.getpid()
+
+    def patched(*args):
+        if os.getpid() == parent:
+            effect()
+        return real(*args)
+
+    monkeypatch.setattr(data_pipeline, name, patched)
+
+
+def _raise_here():
+    raise RuntimeError("this process's range failed")
+
+
+def test_a_failing_range_here_leaves_no_child(tmp_path, monkeypatch, started):
+    ds = _parts_table()
+    p = tmp_path / "t.csv"
+    save_csv(ds, p)
+    _cut(monkeypatch, 3)
+    _in_this_process_only(monkeypatch, "_parse_fast", _raise_here)
+    with pytest.raises(RuntimeError, match="range failed"):
+        load_csv(p, "y")
+    assert multiprocessing.active_children() == []
+    _in_this_process_only(monkeypatch, "_format_rows", _raise_here)
+    with pytest.raises(RuntimeError, match="range failed"):
+        save_csv(ds, tmp_path / "u.csv")
+    assert len(started) == 4
+
+
+def _unstartable(process):
+    raise OSError("cannot fork")
+
+
+@pytest.mark.parametrize("fault", ["cannot_start", "ends_without_sending"])
+def test_a_range_whose_child_fails_runs_here(fault, tmp_path, monkeypatch):
+    ds = _parts_table()
+    one, cut = tmp_path / "one.csv", tmp_path / "cut.csv"
+    save_csv(ds, one)
+    loaded = _outcome(one)
+    _cut(monkeypatch, 3)
+    if fault == "cannot_start":
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _unstartable)
+    else:
+        monkeypatch.setattr(data_pipeline, "_send", lambda *args: None)
+    save_csv(ds, cut)
+    assert cut.read_bytes() == one.read_bytes()
+    assert _outcome(cut) == loaded
+    assert multiprocessing.active_children() == []
 
 
 # --- standardization ----------------------------------------------------------------

@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -174,6 +175,20 @@ def _from_root(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
+    _check_case(name, tmp_path)
+
+
+def _no_process(process):
+    raise RuntimeError("a process was started")
+
+
+@pytest.mark.parametrize("name", ["certify_all_auto_mpg", "gen_data_n200_d3"])
+def test_small_csv_files_start_no_process(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _no_process)
+    _check_case(name, tmp_path)
+
+
+def _check_case(name, tmp_path):
     want = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert want["argv"] == CASES[name], "case changed; its golden file is stale"
     got = _run(CASES[name], tmp_path)
