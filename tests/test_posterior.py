@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -912,8 +914,9 @@ def _per_draw_reference(draws, test, noise, dh):
 
 
 def test_expected_risk_matches_straight_line_reference_across_chunks():
-    """5000 test points make the residual buffer hold 838 draws, so 1000 iid
-    draws run as one full and one partial chunk."""
+    """5000 test points and 1000 iid draws make 38 blocks of 26 or 27 draws
+    (5 000 000 residuals in blocks of about 2^17), run in one part per
+    usable CPU, at most 19."""
     test, noise, _ = _problem(20, n=5000, d=3, sigma_sq=0.3)
     rng = np.random.default_rng(21)
     draws = 0.5 + 0.1 * rng.standard_normal((1000, 3))
@@ -922,6 +925,99 @@ def test_expected_risk_matches_straight_line_reference_across_chunks():
         got = expected_risk(ss, test, noise, dh)
         ref = _per_draw_reference(draws, test, noise, dh)
         assert got.value == pytest.approx(ref.mean(), rel=1e-12)
+
+
+def _cut_risk(monkeypatch, cpus, block_cells):
+    """Run _residual_moments on `cpus` usable CPUs in blocks of about
+    `block_cells` residuals, and record the parts it hands to threads."""
+    monkeypatch.setattr(posterior.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(posterior, "_BLOCK_CELLS", block_cells)
+    handed = []
+    submit = concurrent.futures.ThreadPoolExecutor.submit
+
+    def recording(pool, fn, *args):
+        handed.append(args)
+        return submit(pool, fn, *args)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", recording)
+    return handed
+
+
+def _moments_leaving_no_thread(draws, test):
+    before = threading.active_count()
+    found = posterior._residual_moments(draws, test)
+    assert threading.active_count() == before
+    return found
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_residual_moments_in_parts_match_one_block_bit_for_bit(parts, monkeypatch):
+    """37 draws x 50 test points are one block at the real block size; in
+    blocks of 200 residuals they are 9 blocks of 4 or 5 draws, in `parts`
+    parts."""
+    test, _, _ = _problem(25, n=50, d=3)
+    draws = 0.5 + 0.1 * np.random.default_rng(26).standard_normal((37, 3))
+    one = _moments_leaving_no_thread(draws, test)
+    handed = _cut_risk(monkeypatch, 1, 4 * test.n)
+    assert all(np.array_equal(a, b) for a, b in zip(_moments_leaving_no_thread(draws, test), one))
+    assert handed == []
+    handed = _cut_risk(monkeypatch, parts, 4 * test.n)
+    cut = _moments_leaving_no_thread(draws, test)
+    assert len(handed) == parts - 1
+    assert all(np.array_equal(a, b) for a, b in zip(cut, one))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 17])
+def test_expected_risk_runs_no_one_draw_block_but_a_lone_draw(m, monkeypatch):
+    """In blocks of about 4 draws on 2 CPUs: 1, 2 and 3 draws are one block,
+    and 17, one past a multiple of 4, are blocks of 4, 4, 4 and 5 in 2
+    parts. numpy's product of a 1-row block takes another path (gemv), whose
+    last bits can differ."""
+    test, noise, _ = _problem(27, n=50, d=3, sigma_sq=0.3)
+    draws = 0.5 + 0.1 * np.random.default_rng(28).standard_normal((m, 3))
+    handed = _cut_risk(monkeypatch, 2, 4 * test.n)
+    rows = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        rows.append(a.shape[0])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    ss = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
+    for dh in (0.0, 2.0):
+        before = threading.active_count()
+        got = expected_risk(ss, test, noise, dh)
+        assert threading.active_count() == before
+        assert got.value == pytest.approx(_per_draw_reference(draws, test, noise, dh).mean(),
+                                          rel=1e-12)
+    assert sorted(rows) == sorted(2 * ([1] if m == 1 else [m] if m < 4 else [4, 4, 4, 5]))
+    assert len(handed) == (2 if m == 17 else 0)  # one part handed on per call
+
+
+@pytest.mark.parametrize("m, n, parts", [(4000, 118, 1), (511, 1024, 1), (512, 1024, 2)])
+def test_residual_moments_second_part_starts_at_four_blocks(m, n, parts, monkeypatch):
+    """A part holds at least 2 blocks of 2^17 residuals: auto-mpg's 4000
+    draws x 118 test points (3.6 blocks) and 511 x 1024 run in the caller,
+    512 x 1024 (4 blocks) in 2 parts."""
+    test, _, _ = _problem(29, n=n, d=3)
+    draws = np.random.default_rng(30).standard_normal((m, 3))
+    handed = _cut_risk(monkeypatch, 2, posterior._BLOCK_CELLS)
+    _moments_leaving_no_thread(draws, test)
+    assert len(handed) == parts - 1
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_expected_risk_rejects_a_draw_count_below_one_or_not_an_integer(bad, monkeypatch):
+    ds, noise, prior = _problem(31)
+    post = bayes_posterior(ds, noise, prior)
+    chain = SampleSet(draws=post.sample(50, np.random.default_rng(0)),
+                      accept_rate=1.0, step_size=1.0)
+    monkeypatch.setattr(GaussianPosterior, "sample", None)  # no draw may be made
+    for posterior_ in (post, chain):
+        with pytest.raises(ValueError, match=f"n_draws must be a positive integer, got {bad}"):
+            expected_risk(posterior_, ds, noise, 0.1, n_draws=bad)
 
 
 def test_expected_risk_sequence_matches_per_radius_calls():
