@@ -77,20 +77,28 @@ def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
 def _gaussian_adv_nll_and_residual(
     th: np.ndarray, data: Dataset, noise: NoiseModel, delta: float
 ) -> tuple:
-    """The value of :func:`gaussian_adv_nll`, the residual r = Y - X theta,
-    the grown residuals |r| + delta ||theta|| and ||theta||^2, without the
-    per-point signs, for th from :func:`_check_theta`.
+    """The value of :func:`gaussian_adv_nll`, the prediction error
+    e = X theta - Y (the residual negated), the grown residuals
+    |e| + delta ||theta||, ||theta||^2 and ||theta|| (None at delta = 0,
+    where nothing reads it), without the per-point signs, for th from
+    :func:`_check_theta`.
 
-    th may also be a (C, d) batch: then r and the grown residuals are
-    (C, n), one row per theta, and the value and ||theta||^2 are (C,).
+    th may also be a (C, d) batch: then e and the grown residuals are
+    (C, n), one row per theta, and the value and both norms are (C,).
     """
     _check_nonnegative("delta", delta)
-    r = data.Y - th @ data.X.T
+    e = th @ data.X.T
+    e -= data.Y
     sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
-    # at delta = 0, |r| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
-    grown = np.abs(r) if delta == 0.0 else (np.abs(r).T + delta * np.sqrt(sq_norm)).T
+    grown = np.abs(e)
+    # at delta = 0, |e| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
+    norm = None
+    if delta > 0.0:
+        norm = np.sqrt(sq_norm)
+        np.add(grown.T, delta * norm, out=grown.T)
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    return const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq, r, grown, sq_norm
+    value = const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq
+    return value, e, grown, sq_norm, norm
 
 
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
@@ -101,8 +109,8 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     At delta = 0 this reproduces :func:`gaussian_nll` bit for bit.
     """
     th = _check_theta(theta, data.d)
-    value, r, _, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    return AdvLossValue(value=float(value), chosen_sign=_sign_plus(-r))  # sign of theta'x - y
+    value, e, _, _, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    return AdvLossValue(value=float(value), chosen_sign=_sign_plus(e))  # sign of theta'x - y
 
 
 def _point(theta, x, delta: float) -> tuple:
@@ -185,11 +193,11 @@ def adv_loss_sandwich(
     summed and scaled by 1/(2 sigma^2), plus the shared log constant.
     """
     th = _check_theta(theta, data.d)
-    _, r, _, sq_norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    _, e, _, sq_norm, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
     # 0 at delta = 0, not 0 * inf = NaN once ||theta||^2 overflows
     m_sq = (delta ** 2) * float(sq_norm) if delta > 0.0 else 0.0
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    sum_r_sq = float(np.sum(r * r))
+    sum_r_sq = float(np.sum(e * e))
     lower = const + 0.5 * (sum_r_sq + data.n * m_sq) / noise.sigma_sq
     upper = const + (sum_r_sq + data.n * m_sq) / noise.sigma_sq
     return lower, upper

@@ -131,15 +131,23 @@ class HmcConfig:
 # density may hold. Measured at d = 5 with one BLAS thread, the per-chain
 # cost of a call at C = 4 and 8 fell with C up to 20 480 rows in every run,
 # and from about 24 000 rows it jumped in some runs (C = 8 at n = 3000:
-# 19 to 83 us; at n = 2560: 18.6 us).
+# 19 to 83 us; at n = 2560: 18.6 us). Below the budget a call is bound by
+# numpy dispatch, not by its rows: at n = 274, d = 9 one took 64-81 us at
+# C = 8, 80-96 us at 16 and 83-138 us at 32 (Xeon, one BLAS thread), so 16
+# chains make about half the calls of 8 for the same gradient rows.
+# default_n_chains stops at 16 all the same: 32 chains share 2000 warmup
+# iterations 63 each, and at 4000 draws, over 12 seeds, their max
+# split-R-hat reached 1.006 on auto-mpg at delta = 0.1 and 1.024 on
+# synthetic n = 200, d = 5 at delta = 1.0, against 1.0045 and 1.011 at 16
+# and 1.0025 and 1.008 at 8.
 _CHAIN_ROW_BUDGET = 20_480
 
 
 def default_n_chains(n: int, n_samples: int) -> int:
     """The chains the robust sampler runs for n training points and
-    n_samples kept draws: the largest C in {8, 4, 2, 1} with C * n <= 20480
-    that divides n_samples."""
-    fits = (c for c in (8, 4, 2) if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0)
+    n_samples kept draws: the largest C in {16, 8, 4, 2, 1} with
+    C * n <= 20480 that divides n_samples."""
+    fits = (c for c in (16, 8, 4, 2) if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0)
     return next(fits, 1)
 
 
@@ -177,16 +185,16 @@ def robust_log_density_grad(
     batch, so the sampler sees a consistent field.
     """
     th = _check_theta(theta, data.d, batch=True)
-    adv_nll, r, grown, sq_norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    # +grown where r <= 0 (0 - r is +0.0 at r = +-0), -grown where r > 0;
-    # branch-free, unlike np.where, whose cost jumps on a (C, n) batch
-    grad_loss = np.copysign(grown, 0.0 - r) @ data.X
+    adv_nll, e, grown, sq_norm, norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    # +grown where e >= 0, -grown where e < 0, branch-free, unlike np.where,
+    # whose cost jumps on a (C, n) batch. A tie takes +grown: e = X theta - Y
+    # is -0.0 only where X theta is -0.0, and matmul sums from +0.0.
+    grad_loss = np.copysign(grown, e) @ data.X
     if delta > 0.0:
         # delta * sum(grown) / ||theta|| along theta per point; a zero norm
         # divides by 1 instead, so theta = 0 gets 0
-        theta_norm = np.sqrt(sq_norm)
-        pull = delta * grown.sum(axis=-1) / (theta_norm + (theta_norm == 0.0))
-        grad_loss = grad_loss + (th.T * pull).T
+        pull = delta * grown.sum(axis=-1) / (norm + (norm == 0.0))
+        grad_loss += (th.T * pull).T
     return (-adv_nll - 0.5 * sq_norm / prior.sigma_p_sq,
             -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
 
