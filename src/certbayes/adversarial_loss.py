@@ -78,10 +78,9 @@ def _gaussian_adv_nll_and_residual(
     th: np.ndarray, data: Dataset, noise: NoiseModel, delta: float
 ) -> tuple:
     """The value of :func:`gaussian_adv_nll`, the prediction error
-    e = X theta - Y (the residual negated), the grown residuals
-    |e| + delta ||theta||, ||theta||^2 and ||theta|| (None at delta = 0,
-    where nothing reads it), without the per-point signs, for th from
-    :func:`_check_theta`.
+    e = X theta - Y, the grown residuals |e| + delta ||theta||, ||theta||^2
+    and ||theta|| (None at delta = 0), without the per-point signs, for th
+    from :func:`_check_theta`.
 
     th may also be a (C, d) batch: then e and the grown residuals are
     (C, n), one row per theta, and the value and both norms are (C,).
@@ -90,15 +89,11 @@ def _gaussian_adv_nll_and_residual(
     e = th @ data.X.T
     e -= data.Y
     sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
-    grown = np.abs(e)
     # at delta = 0, |e| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
-    norm = None
-    if delta > 0.0:
-        norm = np.sqrt(sq_norm)
-        np.add(grown.T, delta * norm, out=grown.T)
+    norm = np.sqrt(sq_norm) if delta > 0.0 else None
+    grown = np.abs(e) if norm is None else (np.abs(e).T + delta * norm).T
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    value = const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq
-    return value, e, grown, sq_norm, norm
+    return const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq, e, grown, sq_norm, norm
 
 
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
