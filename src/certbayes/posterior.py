@@ -19,7 +19,7 @@ not converged. Warmup's iterations are shared out, ceil(n_warmup / C) per
 chain, and its adaptation is pooled over the chains, as ChEES (Hoffman,
 Radul & Sountsov, AISTATS 2021) and MEADS (Hoffman & Sountsov, AISTATS
 2022) adapt from many short chains. default_n_chains picks C from the
-training size.
+training size and the draws kept.
 
 The mass matrix M = LL' is the reference's precision, an approximation of
 the target's (Neal, "MCMC using Hamiltonian dynamics", 2011), and L its
@@ -135,19 +135,28 @@ class HmcConfig:
 # numpy dispatch, not by its rows: at n = 274, d = 9 one took 64-81 us at
 # C = 8, 80-96 us at 16 and 83-138 us at 32 (Xeon, one BLAS thread), so 16
 # chains make about half the calls of 8 for the same gradient rows.
-# default_n_chains stops at 16 all the same: 32 chains share 2000 warmup
-# iterations 63 each, and at 4000 draws, over 12 seeds, their max
-# split-R-hat reached 1.006 on auto-mpg at delta = 0.1 and 1.024 on
-# synthetic n = 200, d = 5 at delta = 1.0, against 1.0045 and 1.011 at 16
-# and 1.0025 and 1.008 at 8.
 _CHAIN_ROW_BUDGET = 20_480
+
+# Fewest kept draws per chain at which default_n_chains goes past 8 chains.
+# Split-R-hat over short chains follows the draws each chain keeps, not C
+# or its warmup: on synthetic n = 200, d = 5 at delta = 1.0 (12 HMC seeds),
+# it exceeded 1.01 on 7-11 seeds at 125 draws per chain (C = 8, 16, 32),
+# on 3 at 250 (C = 8 and 16, with 125-500 warmup iterations each) and on
+# none at 500 (C = 8, 16, and 32 with 63 warmup iterations each). 250 is
+# the shortest chain the C <= 8 rule already runs at sweep's defaults
+# (2000 draws), so 16 chains keep chains no shorter than that: at
+# fit-eval's 4000 draws they do, and 32 (125 each) do not.
+_MIN_DRAWS_PER_CHAIN = 250
 
 
 def default_n_chains(n: int, n_samples: int) -> int:
     """The chains the robust sampler runs for n training points and
     n_samples kept draws: the largest C in {16, 8, 4, 2, 1} with
-    C * n <= 20480 that divides n_samples."""
-    fits = (c for c in (16, 8, 4, 2) if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0)
+    C * n <= 20480 that divides n_samples, where 16 also needs at least 250
+    draws per chain."""
+    fits = (c for c in (16, 8, 4, 2)
+            if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0
+            and (c <= 8 or n_samples // c >= _MIN_DRAWS_PER_CHAIN))
     return next(fits, 1)
 
 

@@ -602,12 +602,19 @@ def test_hmc_config_rejects_chains_that_do_not_divide_the_draws(fields):
 
 @pytest.mark.parametrize(
     "n, n_samples, chains",
-    [(100, 2000, 16), (274, 4000, 16), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
+    [(100, 2000, 8), (274, 4000, 16), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
      (274, 49, 1), (2560, 4000, 8), (2561, 4000, 4), (10_240, 4000, 2), (10_241, 4000, 1),
      (1280, 4000, 16), (1281, 4000, 8), (274, 2008, 8)],
 )
 def test_default_n_chains_rule(n, n_samples, chains):
     assert posterior.default_n_chains(n, n_samples) == chains
+
+
+@pytest.mark.parametrize("n_samples, chains", [(4000, 16), (3984, 8), (2000, 8), (8000, 16)])
+def test_default_n_chains_runs_sixteen_only_with_250_draws_per_chain(n_samples, chains):
+    """16 chains only where each keeps at least 250 draws (3984 / 16 = 249),
+    so sweep's 2000 draws stay at 8 chains of 250."""
+    assert posterior.default_n_chains(274, n_samples) == chains
 
 
 # --- HMC, several chains ------------------------------------------------------------
@@ -841,9 +848,12 @@ def _max_split_rhat(draws, chains):
 
 def test_hmc_chains_agree_on_auto_mpg():
     """At fit-eval's default HMC settings (4000 draws, 2000 warmup
-    iterations, cap 32) on the standardized auto-mpg split, the chains,
-    started from draws of the Bayes posterior, agree: max split-R-hat over
-    the coordinates is at most 1.01 on every seed."""
+    iterations, cap 32) on the standardized auto-mpg split, the chains
+    default_n_chains picks (16), started from draws of the Bayes posterior,
+    agree: max split-R-hat over the coordinates is at most 1.01 on every
+    seed. They also pay: 16 chains make at most 0.6 times the calls of 8,
+    from gradient rows within 15% of theirs, since a call of 16 rows costs
+    far less than two calls of 8 there."""
     data = load_csv(AUTO_MPG, "mpg")
     noise, prior, delta = NoiseModel(1.0), IsotropicPrior(1.0 / 9.0), 0.1
     for seed in range(3):
@@ -851,30 +861,8 @@ def test_hmc_chains_agree_on_auto_mpg():
             *split(data, SplitSpec(train_fraction=0.7, seed=seed))
         )
         exact = bayes_posterior(train, noise, prior)
-        cfg = HmcConfig(n_samples=4000, n_warmup=2000, leapfrog_steps=32, seed=seed,
-                        n_chains=posterior.default_n_chains(train.n, 4000))
-        out = hmc_sample(
-            lambda t: robust_log_density_grad(t, train, noise, prior, delta), cfg,
-            exact,
-        )
-        assert out.n_chains == 16
-        assert _max_split_rhat(out.draws, out.n_chains) <= 1.01, seed
-
-
-def test_hmc_sixteen_chains_make_about_half_the_calls_of_eight_on_auto_mpg():
-    """Why default_n_chains goes to 16 chains at n = 274: at fit-eval's
-    default HMC settings on the standardized auto-mpg split, 16 chains make
-    at most 0.6 times the calls of 8, from gradient rows within 15% of
-    theirs. A call of 16 rows costs far less than two calls of 8 there."""
-    data = load_csv(AUTO_MPG, "mpg")
-    noise, prior, delta = NoiseModel(1.0), IsotropicPrior(1.0 / 9.0), 0.1
-    for seed in range(3):
-        train, _ = standardize_fit_transform(
-            *split(data, SplitSpec(train_fraction=0.7, seed=seed))
-        )
-        exact = bayes_posterior(train, noise, prior)
-        calls, rows = {}, {}
-        for chains in (8, 16):
+        calls, rows, outs = {}, {}, {}
+        for chains in (posterior.default_n_chains(train.n, 4000), 8):
             calls[chains] = rows[chains] = 0
 
             def target(t, chains=chains):
@@ -884,7 +872,9 @@ def test_hmc_sixteen_chains_make_about_half_the_calls_of_eight_on_auto_mpg():
 
             cfg = HmcConfig(n_samples=4000, n_warmup=2000, leapfrog_steps=32, seed=seed,
                             n_chains=chains)
-            hmc_sample(target, cfg, exact)
+            outs[chains] = hmc_sample(target, cfg, exact)
+        assert list(outs) == [16, 8]
+        assert _max_split_rhat(outs[16].draws, 16) <= 1.01, seed
         assert calls[16] <= 0.6 * calls[8], (seed, calls)
         assert abs(rows[16] / rows[8] - 1.0) <= 0.15, (seed, rows)
 
