@@ -604,17 +604,10 @@ def test_hmc_config_rejects_chains_that_do_not_divide_the_draws(fields):
     "n, n_samples, chains",
     [(100, 2000, 8), (274, 4000, 16), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
      (274, 49, 1), (2560, 4000, 8), (2561, 4000, 4), (10_240, 4000, 2), (10_241, 4000, 1),
-     (1280, 4000, 16), (1281, 4000, 8), (274, 2008, 8)],
+     (1280, 4000, 16), (1281, 4000, 8), (274, 2008, 8), (274, 3984, 8), (274, 8000, 16)],
 )
 def test_default_n_chains_rule(n, n_samples, chains):
     assert posterior.default_n_chains(n, n_samples) == chains
-
-
-@pytest.mark.parametrize("n_samples, chains", [(4000, 16), (3984, 8), (2000, 8), (8000, 16)])
-def test_default_n_chains_runs_sixteen_only_with_250_draws_per_chain(n_samples, chains):
-    """16 chains only where each keeps at least 250 draws (3984 / 16 = 249),
-    so sweep's 2000 draws stay at 8 chains of 250."""
-    assert posterior.default_n_chains(274, n_samples) == chains
 
 
 # --- HMC, several chains ------------------------------------------------------------
