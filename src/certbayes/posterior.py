@@ -32,15 +32,16 @@ breaks the resonance a fixed leapfrog count has on near-Gaussian targets.
 Each chain carries the log density and gradient of its position, so each
 leapfrog step makes one call.
 
-The maximum length starts at the cap, config.leapfrog_steps, and stays there
-for the first 15% of each chain's warmup iterations, while the chains move
-from their starts into the bulk. From then on a Welford running variance of
-the whitened positions w = L'theta of every chain is kept, and once 20
-positions are in, every warmup iteration sets the maximum to
-min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the largest
-whitened standard deviation: a Gaussian's half period, the length that
-ChEES targets, estimated from all the chains. A warmup too short to collect
-20 positions keeps the cap.
+The maximum length starts at the cap, config.leapfrog_steps. From warmup's
+first iteration a Welford running variance of the whitened positions
+w = L'theta of every chain is kept in Stan's doubling windows (Carpenter et
+al., J. Stat. Softw. 2017): it restarts once the current window holds
+max(20, all earlier windows') positions, so windows hold 20, 20, 40, 80, ...
+positions in whole iterations, and a distant start's travel inflates only
+the early ones. Once a window holds 20, every warmup iteration sets the
+maximum to min(cap, max(1, ceil(pi * s_max / eps))), where s_max is the
+window's largest whitened standard deviation: a Gaussian's half period, the
+length ChEES targets. Until then the last window's length, or the cap, stands.
 
 expected_risk scores a posterior at one test radius or at a sequence of
 them. The residual r = y - x'theta does not depend on the radius dh, and the
@@ -96,9 +97,8 @@ __all__ = [
 _DIVERGENCE_ENERGY = 1000.0
 _MAX_CONSECUTIVE_DIVERGENCES = 25
 _TARGET_ACCEPT = 0.8
-# Share of warmup run at the cap before the whitened positions are recorded,
-# and how many positions the maximum trajectory length is first set from.
-_LENGTH_BURN_IN = 0.15
+# Fewest positions an adaptation window holds and sets the maximum
+# trajectory length from.
 _LENGTH_MIN_DRAWS = 20
 
 
@@ -270,10 +270,10 @@ def hmc_sample(
     one momentum and one uniform per chain, so each chain accepts or rejects
     on its own. Warmup's step size starts from a search on chain 0, and its
     dual averaging follows the chains' mean acceptance. Each iteration runs 1
-    to max_leapfrog leapfrog steps, drawn uniformly; warmup adapts
-    max_leapfrog as the module docstring sets out, from
-    config.leapfrog_steps down, and freezes it with eps. Sampling continues
-    each chain from its own warmup state.
+    to max_leapfrog leapfrog steps, drawn uniformly. max_leapfrog starts at
+    config.leapfrog_steps; warmup sets it from doubling windows of the
+    whitened positions, as the module docstring sets out, and freezes it
+    with eps. Sampling continues each chain from its own warmup state.
 
     Deterministic for a fixed config.seed. The returned SampleSet holds the
     draws chain-major (chain 0's, then chain 1's, ...), max_leapfrog,
@@ -314,12 +314,11 @@ def hmc_sample(
     h_bar = 0.0
     gamma, t0, kappa = 0.05, 10.0, 0.75
 
-    # Trajectory-length state: Welford moments of the whitened positions,
-    # pooled over the chains.
+    # Trajectory-length state: the earlier windows' positions, and Welford
+    # moments of the current window's whitened positions over the chains.
     max_steps = config.leapfrog_steps
     n_warmup = -(-config.n_warmup // chains)
-    burn_in = int(_LENGTH_BURN_IN * n_warmup)
-    w_count, w_mean, w_m2 = 0, np.zeros(dim), np.zeros(dim)
+    w_done, w_count, w_mean, w_m2 = 0, 0, np.zeros(dim), np.zeros(dim)
 
     consecutive = np.zeros(lp.shape, dtype=int)
     divergences = 0
@@ -360,22 +359,23 @@ def hmc_sample(
         eta = m ** (-kappa)
         log_eps_bar = eta * log_eps + (1.0 - eta) * log_eps_bar
         eps = math.exp(log_eps if m < n_warmup else log_eps_bar)
-        if m > burn_in:
-            # Welford's update, summed over this iteration's C positions
-            w = (theta @ chol).reshape(-1, dim)
-            dev = w - w_mean
-            w_count += w.shape[0]
-            w_mean += dev.sum(axis=0) / w_count
-            w_m2 += (dev * (w - w_mean)).sum(axis=0)
-            if w_count >= _LENGTH_MIN_DRAWS:
-                s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
-                half_period = math.pi * s_max / eps
-                # "not <" keeps the cap for an infinite or NaN ratio
-                max_steps = (
-                    max(1, math.ceil(half_period))
-                    if half_period < config.leapfrog_steps
-                    else config.leapfrog_steps
-                )
+        if w_count >= max(_LENGTH_MIN_DRAWS, w_done):
+            w_done, w_count, w_mean, w_m2 = w_done + w_count, 0, np.zeros(dim), np.zeros(dim)
+        # Welford's update, summed over this iteration's C positions
+        w = (theta @ chol).reshape(-1, dim)
+        dev = w - w_mean
+        w_count += w.shape[0]
+        w_mean += dev.sum(axis=0) / w_count
+        w_m2 += (dev * (w - w_mean)).sum(axis=0)
+        if w_count >= _LENGTH_MIN_DRAWS:
+            s_max = math.sqrt(float(w_m2.max()) / (w_count - 1))
+            half_period = math.pi * s_max / eps
+            # "not <" keeps the cap for an infinite or NaN ratio
+            max_steps = (
+                max(1, math.ceil(half_period))
+                if half_period < config.leapfrog_steps
+                else config.leapfrog_steps
+            )
 
     return SampleSet(
         draws=draws.reshape(config.n_samples, dim),

@@ -431,10 +431,11 @@ def test_hmc_rejects_a_reference_of_another_order():
         )
 
 
-def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
-    """Calls of the target per iteration of an HMC run on the 2-d
+def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0, dim=2):
+    """Calls of the target per iteration of an HMC run on the dim-d
     N(0, scale^2 I), and the run: the calls made inside each _leapfrog call,
-    of which the last n_warmup + n_samples are the iterations' trajectories."""
+    of which the last ceil(n_warmup / C) + n_samples / C are the iterations'
+    trajectories, warmup's first."""
     per_trajectory, calls = [], [0]
     leapfrog = posterior._leapfrog
 
@@ -449,8 +450,9 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0):
         return -0.5 * np.sum(t * t, axis=-1) / scale**2, -t / scale**2
 
     monkeypatch.setattr(posterior, "_leapfrog", counted)
-    out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
-    return per_trajectory[-(cfg.n_warmup + cfg.n_samples):], out
+    out = hmc_sample(target, cfg, _at_origin(np.eye(dim)))
+    iterations = -(-cfg.n_warmup // cfg.n_chains) + cfg.n_samples // cfg.n_chains
+    return per_trajectory[-iterations:], out
 
 
 def test_hmc_trajectory_lengths_are_drawn_up_to_the_maximum(monkeypatch):
@@ -524,12 +526,12 @@ def test_hmc_adapted_length_is_the_unit_gaussian_half_period():
         assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
 
 
-def test_hmc_length_burn_in_keeps_a_distant_start_out_of_the_half_period():
+def test_hmc_length_windows_keep_a_distant_start_out_of_the_half_period():
     """Chains started 20 standard deviations from a unit Gaussian's mean
     (reference: identity at the origin) still find its half period pi / eps,
-    within one step, because the first 15% of warmup, run at the cap, carries
-    them into the bulk before the whitened positions are recorded. Without
-    that burn-in the travel inflates s_max: 7-12 steps against 3-4."""
+    within one step: their travel into the bulk inflates s_max only in the
+    early, short windows, and the last window's positions are in the bulk.
+    Pooling every warmup position instead gives 7-12 steps against 3-4."""
     mean = np.array([20.0, 0.0])
 
     def target(t):
@@ -545,21 +547,57 @@ def test_hmc_length_burn_in_keeps_a_distant_start_out_of_the_half_period():
             assert abs(out.max_leapfrog - want) <= 1, (chains, seed, out.max_leapfrog, want)
 
 
+@pytest.mark.parametrize("chains, n_warmup", [(4, 100), (16, 500)])
+def test_hmc_length_windows_find_the_half_period_after_a_short_warmup(chains, n_warmup):
+    """The distant start of the test above, with 25 and 32 warmup iterations
+    per chain. A fixed burn-in of the first 15% of warmup at the cap, 3 or 4
+    iterations here, left the chains travelling when the positions began to
+    count: its gaps were 10, 6, 12, 5, 0 (C = 4) and 0, 0, 1, 1, 4 (C = 16)
+    over seeds 0-4, against at most 1 with the doubling windows."""
+    mean = np.array([20.0, 0.0])
+
+    def target(t):
+        r = t - mean
+        return -0.5 * np.sum(r * r, axis=-1), -r
+
+    for seed in range(5):
+        cfg = HmcConfig(n_samples=48, n_warmup=n_warmup, leapfrog_steps=32, seed=seed,
+                        n_chains=chains)
+        out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
+        want = math.ceil(math.pi / out.step_size)
+        assert abs(out.max_leapfrog - want) <= 1, (seed, out.max_leapfrog, want)
+
+
+def test_hmc_length_windows_leave_the_cap_early_from_a_start_in_the_bulk(monkeypatch):
+    """Chains that start from draws of the target, N(0, I_9), set the length
+    from the first window, after 2 of their 125 warmup iterations at C = 16,
+    so few warmup trajectories run far past the final max_leapfrog (4 on
+    every seed). Over seeds 0-4, the warmup trajectories longer than twice
+    that numbered 1-4 with the doubling windows and 10-20 with a fixed
+    burn-in that ran the first 15% of warmup at the cap."""
+    for seed in range(5):
+        cfg = HmcConfig(n_samples=160, n_warmup=2000, leapfrog_steps=32, seed=seed,
+                        n_chains=16)
+        calls, out = _trajectory_gradient_counts(monkeypatch, cfg, dim=9)
+        long = sum(c > 2 * out.max_leapfrog for c in calls[:cfg.n_warmup // 16])
+        assert long <= 6, (seed, long, out.max_leapfrog)
+
+
 def test_hmc_warmup_shorter_than_the_adaptation_window_keeps_the_cap(monkeypatch):
-    """int(0.15 * 22) = 3 iterations at the cap leave 19 positions, one short
-    of the 20 the length needs; 23 iterations leave exactly 20."""
-    short = HmcConfig(n_samples=300, n_warmup=22, leapfrog_steps=32, seed=1)
+    """One chain records one position per warmup iteration: 19 iterations
+    leave the first window one short of the 20 the length needs; 20 fill it."""
+    short = HmcConfig(n_samples=300, n_warmup=19, leapfrog_steps=32, seed=1)
     calls, out = _trajectory_gradient_counts(monkeypatch, short)
     assert out.max_leapfrog == short.leapfrog_steps
     assert max(calls[short.n_warmup:]) > 16  # sampling still draws up to the cap
-    _, adapted = _trajectory_gradient_counts(monkeypatch, replace(short, n_warmup=23))
+    _, adapted = _trajectory_gradient_counts(monkeypatch, replace(short, n_warmup=20))
     assert adapted.max_leapfrog < short.leapfrog_steps
 
 
 def test_hmc_length_pools_the_positions_of_every_chain():
-    """With 10 warmup iterations per chain, int(0.15 * 10) = 1 at the cap
-    leaves 9 positions per chain: too few for one chain to set the length,
-    enough once 4 chains pool theirs."""
+    """With 10 warmup iterations per chain, each chain records 10
+    positions: too few for one chain to set the length, enough once 4 chains
+    pool theirs."""
     target, unit = _std_normal_target(2)
     one = hmc_sample(target, HmcConfig(n_samples=40, n_warmup=10, seed=1), unit)
     assert one.max_leapfrog == 32
