@@ -62,38 +62,33 @@ def _check_theta(theta, d: int, *, batch: bool = False) -> np.ndarray:
     return th
 
 
-def _sign_plus(z: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) := +1."""
-    return np.where(z >= 0.0, 1.0, -1.0)
-
-
 def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
     """Exact Gaussian NLL, (n/2) log(2 pi sigma^2) + ||Y - X theta||^2 / (2 sigma^2):
     the adversarial NLL at delta = 0."""
     th = _check_theta(theta, data.d)
-    return float(_gaussian_adv_nll_and_residual(th, data, noise, 0.0)[0])
+    return float(_adv_nll(_worst_residual(th, data, 0.0)[1], data, noise))
 
 
-def _gaussian_adv_nll_and_residual(
-    th: np.ndarray, data: Dataset, noise: NoiseModel, delta: float
-) -> tuple:
-    """The value of :func:`gaussian_adv_nll`, the prediction error
-    e = X theta - Y, the grown residuals |e| + delta ||theta||, ||theta||^2
-    and ||theta|| (None at delta = 0), without the per-point signs, for th
-    from :func:`_check_theta`.
-
-    th may also be a (C, d) batch: then e and the grown residuals are
-    (C, n), one row per theta, and the value and both norms are (C,).
-    """
+def _worst_residual(th: np.ndarray, data: Dataset, delta: float) -> tuple:
+    """e = X theta - Y, the grown residuals |e| + delta ||theta||, ||theta||^2
+    and ||theta|| (None at delta = 0) for th from :func:`_check_theta`; for a
+    (C, d) batch, e and grown are (C, n), one row per theta, and both norms (C,)."""
     _check_nonnegative("delta", delta)
     e = th @ data.X.T
     e -= data.Y
     sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
     # at delta = 0, |e| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
     norm = np.sqrt(sq_norm) if delta > 0.0 else None
-    grown = np.abs(e) if norm is None else (np.abs(e).T + delta * norm).T
+    grown = np.abs(e)
+    if norm is not None:
+        grown += (delta * norm)[..., None]
+    return e, grown, sq_norm, norm
+
+
+def _adv_nll(grown: np.ndarray, data: Dataset, noise: NoiseModel):
+    """:func:`gaussian_adv_nll`'s value from grown residuals, squared in place."""
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
-    return const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq, e, grown, sq_norm, norm
+    return const + 0.5 * np.square(grown, out=grown).sum(axis=-1) / noise.sigma_sq
 
 
 def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> AdvLossValue:
@@ -104,8 +99,10 @@ def gaussian_adv_nll(theta, data: Dataset, noise: NoiseModel, delta: float) -> A
     At delta = 0 this reproduces :func:`gaussian_nll` bit for bit.
     """
     th = _check_theta(theta, data.d)
-    value, e, _, _, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    return AdvLossValue(value=float(value), chosen_sign=_sign_plus(e))  # sign of theta'x - y
+    e, grown, _, _ = _worst_residual(th, data, delta)
+    # chosen_sign is the sign of theta'x - y, with sign(0) := +1
+    return AdvLossValue(value=float(_adv_nll(grown, data, noise)),
+                        chosen_sign=np.where(e >= 0.0, 1.0, -1.0))
 
 
 def _point(theta, x, delta: float) -> tuple:
@@ -188,7 +185,7 @@ def adv_loss_sandwich(
     summed and scaled by 1/(2 sigma^2), plus the shared log constant.
     """
     th = _check_theta(theta, data.d)
-    _, e, _, sq_norm, _ = _gaussian_adv_nll_and_residual(th, data, noise, delta)
+    e, _, sq_norm, _ = _worst_residual(th, data, delta)
     # 0 at delta = 0, not 0 * inf = NaN once ||theta||^2 overflows
     m_sq = (delta ** 2) * float(sq_norm) if delta > 0.0 else 0.0
     const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)

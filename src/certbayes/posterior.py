@@ -75,7 +75,7 @@ from typing import Callable, NamedTuple, Sequence, Union
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .adversarial_loss import _check_theta, _gaussian_adv_nll_and_residual
+from .adversarial_loss import _adv_nll, _check_theta, _worst_residual
 from .errors import DivergentTrajectory, NonFiniteDensity
 from .model import Dataset, GaussianPosterior, IsotropicPrior, NoiseModel, SampleSet
 from .model import _check_nonnegative
@@ -128,14 +128,16 @@ class HmcConfig:
 
 
 # Most rows (chains x training points) one batched call of the robust log
-# density may hold. Measured at d = 5 with one BLAS thread, the per-chain
-# cost of a call at C = 4 and 8 fell with C up to 20 480 rows in every run,
-# and from about 24 000 rows it jumped in some runs (C = 8 at n = 3000:
-# 19 to 83 us; at n = 2560: 18.6 us). Below the budget a call is bound by
-# numpy dispatch, not by its rows: at n = 274, d = 9 one took 64-81 us at
-# C = 8, 80-96 us at 16 and 83-138 us at 32 (Xeon, one BLAS thread), so 16
-# chains make about half the calls of 8 for the same gradient rows.
-_CHAIN_ROW_BUDGET = 20_480
+# density may hold. A call keeps two (C, n) arrays alive; past the budget,
+# the allocator hands a call fresh pages, each a minor fault on first touch.
+# Measured at d = 5 with one BLAS thread, in fresh processes: at 33 600 and
+# 40 960 rows, (C, n) = (8, 4200) and (16, 2560), a call took no faults and
+# 160-303 us at (8, 4200), where a kernel that held three took 165 and 208
+# faults and 465-699 us; at 67 200 rows, (16, 4200), a call took 231.
+# Below it a call is bound by numpy dispatch, not by its rows: at n = 274,
+# d = 9 one took 64-81 us at C = 8, 80-96 us at 16 and 83-138 us at 32
+# (Xeon, one BLAS thread), so 16 chains make about half the calls of 8.
+_CHAIN_ROW_BUDGET = 40_960
 
 # Fewest kept draws per chain at which default_n_chains goes past 8 chains.
 # Split-R-hat over short chains follows the draws each chain keeps, not C
@@ -152,8 +154,8 @@ _MIN_DRAWS_PER_CHAIN = 250
 def default_n_chains(n: int, n_samples: int) -> int:
     """The chains the robust sampler runs for n training points and
     n_samples kept draws: the largest C in {16, 8, 4, 2, 1} with
-    C * n <= 20480 that divides n_samples, where 16 also needs at least 250
-    draws per chain."""
+    C * n <= 40960 that divides n_samples, where 16 also needs at least 250
+    draws per chain: 8 chains up to n = 5120 and 16 up to 2560."""
     fits = (c for c in (16, 8, 4, 2)
             if c * n <= _CHAIN_ROW_BUDGET and n_samples % c == 0
             and (c <= 8 or n_samples // c >= _MIN_DRAWS_PER_CHAIN))
@@ -194,17 +196,18 @@ def robust_log_density_grad(
     batch, so the sampler sees a consistent field.
     """
     th = _check_theta(theta, data.d, batch=True)
-    adv_nll, e, grown, sq_norm, norm = _gaussian_adv_nll_and_residual(th, data, noise, delta)
-    # +grown where e >= 0, -grown where e < 0, branch-free, unlike np.where,
-    # whose cost jumps on a (C, n) batch. A tie takes +grown: e = X theta - Y
-    # is -0.0 only where X theta is -0.0, and matmul sums from +0.0.
-    grad_loss = np.copysign(grown, e) @ data.X
+    e, grown, sq_norm, norm = _worst_residual(th, data, delta)
+    # +grown where e >= 0, -grown where e < 0, branch-free and written over e,
+    # so a call holds two (C, n) arrays; np.where's cost jumps on a batch. A
+    # tie takes +grown: e = X theta - Y is -0.0 only where X theta is -0.0,
+    # and matmul sums from +0.0.
+    grad_loss = np.copysign(grown, e, out=e) @ data.X
     if delta > 0.0:
         # delta * sum(grown) / ||theta|| along theta per point; a zero norm
         # divides by 1 instead, so theta = 0 gets 0
         pull = delta * grown.sum(axis=-1) / (norm + (norm == 0.0))
         grad_loss += (th.T * pull).T
-    return (-adv_nll - 0.5 * sq_norm / prior.sigma_p_sq,
+    return (-_adv_nll(grown, data, noise) - 0.5 * sq_norm / prior.sigma_p_sq,
             -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
 
 

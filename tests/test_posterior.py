@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,6 +165,89 @@ def test_fused_gradient_is_the_straight_line_formula_bit_for_bit():
             _, got = robust_log_density_grad(theta, train, noise, prior, delta)
             want = _straight_line_gradient(theta, train, noise, prior, delta)
             assert got.tobytes() == want.tobytes(), (delta, theta)
+
+
+def _three_array_gradient(theta, data, noise, prior, delta):
+    """The value and gradient as computed while a batched call held three
+    (C, n) arrays at once: |e| grown by a double-transposed add, and the
+    value squared into a new array."""
+    th = np.asarray(theta, dtype=float)
+    e = th @ data.X.T
+    e -= data.Y
+    sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
+    norm = np.sqrt(sq_norm) if delta > 0.0 else None
+    grown = np.abs(e) if norm is None else (np.abs(e).T + delta * norm).T
+    const = 0.5 * data.n * math.log(2.0 * math.pi * noise.sigma_sq)
+    adv_nll = const + 0.5 * (grown * grown).sum(axis=-1) / noise.sigma_sq
+    grad_loss = np.copysign(grown, e) @ data.X
+    if delta > 0.0:
+        pull = delta * grown.sum(axis=-1) / (norm + (norm == 0.0))
+        grad_loss += (th.T * pull).T
+    return (-adv_nll - 0.5 * sq_norm / prior.sigma_p_sq,
+            -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
+
+
+def _chain_batch(chains, n, seed):
+    """A synthetic d = 5 problem at the criterion-5 scales and a (chains, 5)
+    batch around its Bayes mean, whose row 1 is theta = 0."""
+    ds, noise, prior = _problem(seed, n=n, d=5, sigma_sq=1.0 / 9.0, sigma_p_sq=0.01)
+    mean = bayes_posterior(ds, noise, prior).mean
+    batch = mean + 0.05 * np.random.default_rng(seed).standard_normal((chains, 5))
+    batch[1] = 0.0
+    return ds, noise, prior, batch
+
+
+@pytest.mark.parametrize("chains, n", [(8, 4200), (16, 2560)])
+def test_batched_call_at_the_row_budget_is_the_three_array_formula_bit_for_bit(chains, n):
+    ds, noise, prior, batch = _chain_batch(chains, n, seed=chains)
+    for delta in (0.0, 0.01, 1.0):
+        got = robust_log_density_grad(batch, ds, noise, prior, delta)
+        want = _three_array_gradient(batch, ds, noise, prior, delta)
+        assert got[0].tobytes() == want[0].tobytes(), delta
+        assert got[1].tobytes() == want[1].tobytes(), delta
+
+
+def test_small_calls_are_the_three_array_formula_bit_for_bit():
+    """(d,) points and batches of 1 to 32 rows, n 1-399, d 1-11, theta
+    scaled from 0 to 1e3, with a theta = 0 row in every batch."""
+    rng = np.random.default_rng(23)
+    for case in range(120):
+        n, d = int(rng.integers(1, 400)), int(rng.integers(1, 12))
+        ds = validate_dataset(rng.standard_normal((n, d)), rng.standard_normal(n))
+        noise, prior = NoiseModel(float(rng.uniform(0.1, 2.0))), IsotropicPrior(0.5)
+        chains = (0, 1, 2, 4, 8, 16, 32)[case % 7]
+        theta = (0.0, 1e-3, 1.0, 1e3)[case % 4] * rng.standard_normal(
+            (chains, d) if chains else d
+        )
+        if chains > 1:
+            theta[case % chains] = 0.0
+        for delta in (0.0, 0.01, 1.0):
+            got = robust_log_density_grad(theta, ds, noise, prior, delta)
+            want = _three_array_gradient(theta, ds, noise, prior, delta)
+            assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+            assert got[1].tobytes() == want[1].tobytes(), (case, delta)
+
+
+@pytest.mark.parametrize("chains, n", [(8, 4200), (16, 2560)])
+def test_batched_call_holds_two_chain_by_point_arrays(chains, n):
+    """One call at the row budget peaks below 2.5 (C, n) float arrays, so it
+    holds the prediction error and the grown residuals and no third array.
+    posterior._CHAIN_ROW_BUDGET rests on this bound: a call that held three
+    took 165-208 minor page faults per call at these sizes."""
+    ds, noise, prior, batch = _chain_batch(chains, n, seed=chains)
+    robust_log_density_grad(batch, ds, noise, prior, 0.01)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        robust_log_density_grad(batch, ds, noise, prior, 0.01)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2.5 * 8 * chains * n
 
 
 def test_grad_delta_zero_reduction():
@@ -640,9 +724,10 @@ def test_hmc_config_rejects_chains_that_do_not_divide_the_draws(fields):
 
 @pytest.mark.parametrize(
     "n, n_samples, chains",
-    [(100, 2000, 8), (274, 4000, 16), (4200, 2000, 4), (274, 50, 2), (40_000, 4000, 1),
-     (274, 49, 1), (2560, 4000, 8), (2561, 4000, 4), (10_240, 4000, 2), (10_241, 4000, 1),
-     (1280, 4000, 16), (1281, 4000, 8), (274, 2008, 8), (274, 3984, 8), (274, 8000, 16)],
+    [(100, 2000, 8), (274, 4000, 16), (4200, 2000, 8), (274, 50, 2), (40_000, 4000, 1),
+     (274, 49, 1), (2560, 4000, 16), (2561, 4000, 8), (5120, 4000, 8), (5121, 4000, 4),
+     (10_240, 4000, 4), (10_241, 4000, 2), (20_480, 4000, 2), (20_481, 4000, 1),
+     (1280, 4000, 16), (1281, 4000, 16), (274, 2008, 8), (274, 3984, 8), (274, 8000, 16)],
 )
 def test_default_n_chains_rule(n, n_samples, chains):
     assert posterior.default_n_chains(n, n_samples) == chains
