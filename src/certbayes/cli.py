@@ -93,22 +93,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class _EnvInt(NamedTuple):
-    """A default read from an environment variable as an integer, 0 if unset."""
-
-    variable: str
-
-    def read(self) -> int:
-        text = os.environ.get(self.variable, "0")
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{self.variable} must be an integer, got {text!r}") from None
-
-
-_ENV_SEED = _EnvInt("CERTBAYES_SEED")
-
-
 def _digest_file(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -459,19 +443,14 @@ def cmd_sweep(resolved: dict) -> int:
 
     rows = [row for cell_rows in results for row in cell_rows]
     rows.sort(key=lambda r: (r["n"], r["seed"], r["theorem"]))
-    fieldnames = [
-        "n", "seed", "theorem", "bound", "cgf_c", "cgf_s_sq", "beta",
-        "empirical_risk", "risk_std_error",
-    ]
     with open(resolved["out"], "w", newline="", encoding="utf-8") as fh:
         public = json.dumps(_public_config(resolved), sort_keys=True)
         fh.write(
             "# config: " + public + " inputs_digest: " + _digest_text(public) + "\n"
         )
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))  # _sweep_cell's order
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return 0
 
 
@@ -480,6 +459,7 @@ def cmd_sweep(resolved: dict) -> int:
 # defaults of each command); the parser and _resolve are built from them.
 
 _REQUIRED = object()  # a default: the command cannot run without the value
+_ENV_SEED = object()  # a default: the integer CERTBAYES_SEED holds, 0 if unset
 
 
 class _Option(NamedTuple):
@@ -497,7 +477,7 @@ class _Option(NamedTuple):
 class _Command(NamedTuple):
     handler: Callable[[dict], int]
     help: str
-    defaults: dict  # option name -> default, _REQUIRED, or an _EnvInt giving it
+    defaults: dict  # option name -> default, _REQUIRED or _ENV_SEED
 
 
 _OPTIONS = {
@@ -590,9 +570,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     """The command's options by precedence: flag > config file > default.
 
     Raises ValueError for a config file that is not a JSON object, an
-    unknown config key, a config value of the wrong type, a value below its
-    option's minimum (naming the flag, config key or environment variable
-    it came from), and a required option left unset.
+    unknown config key, a config value of the wrong type, a CERTBAYES_SEED
+    that is not an integer, a value below its option's minimum (naming the
+    flag, config key or environment variable it came from), and a required
+    option left unset.
     """
     defaults = _COMMANDS[command].defaults
     file_config = {}
@@ -615,8 +596,12 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             source = f"config key {name!r}"
         if value is None:
             value, source = default, "the default"
-            if isinstance(default, _EnvInt):
-                value, source = default.read(), default.variable
+        if value is _ENV_SEED:
+            text, source = os.environ.get("CERTBAYES_SEED", "0"), "CERTBAYES_SEED"
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"{source} must be an integer, got {text!r}") from None
         if value is _REQUIRED:
             raise ValueError(f"{command} requires {_flag(name)}")
         if option.minimum is not None and value < option.minimum:

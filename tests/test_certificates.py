@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from certbayes import (
+    CgfConstants,
     DataDistributionSpec,
     IsotropicPrior,
     NoiseModel,
@@ -79,6 +80,12 @@ def test_cgf_rejects_scale_at_or_above_one():
     for sigma_p_sq, c in ((0.5, "1"), (1.0, "2")):
         with pytest.raises(CgfRangeViolation, match=re.escape(adv.format(c))):
             cgf_adversarial(noise, IsotropicPrior(sigma_p_sq), dist, d=1, delta_test=0.0)
+
+
+@pytest.mark.parametrize("c", [0.0, 1.0, -0.5, 1.5, math.nan])
+def test_cgf_constants_refuse_a_scale_outside_zero_one(c):
+    with pytest.raises(ValueError, match=f"need 0 < c < 1, got c={c}"):
+        CgfConstants(c=c, s_sq=1.0)
 
 
 def test_cgf_adversarial_hand_values():

@@ -494,6 +494,13 @@ def test_standardize_rejects_constant_label():
         standardize_fit_transform(train, test)
 
 
+def test_standardize_rejects_a_test_set_of_another_width():
+    train = validate_dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]))
+    test = validate_dataset(np.array([[1.0]]), np.array([3.0]))
+    with pytest.raises(ValueError, match="train has 2 features but test has 1"):
+        standardize_fit_transform(train, test)
+
+
 def test_standardize_rejects_single_row():
     train = validate_dataset(np.array([[1.0]]), np.array([0.0]))
     test = validate_dataset(np.array([[1.0]]), np.array([0.0]))

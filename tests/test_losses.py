@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from certbayes import (
+    ExponentialFamily,
     Dataset,
     NoiseModel,
     adv_loss_sandwich,
@@ -357,6 +358,19 @@ def test_bregman_zero_at_equal_args(fam):
 
 def test_bregman_gaussian_hand_value():
     assert bregman_divergence(gaussian_family(), 3.0, 1.0) == pytest.approx(2.0)
+
+
+def test_bregman_refuses_a_gradient_that_diverges_where_psi_is_finite():
+    """psi(eta) = -sqrt(1 - eta) is finite at eta = 1, its slope is not."""
+    fam = ExponentialFamily(
+        name="edge",
+        psi=lambda eta: -math.sqrt(1.0 - eta),
+        psi_grad=lambda eta: 0.5 / math.sqrt(1.0 - eta) if eta < 1.0 else math.inf,
+        base_log_measure=lambda y: 0.0,
+    )
+    assert bregman_divergence(fam, 1.0, 0.0) == pytest.approx(0.5)
+    with pytest.raises(DomainViolation, match="gradient of family 'edge' log-normalizer diverges at 1.0"):
+        bregman_divergence(fam, 0.0, 1.0)
 
 
 def test_bregman_nonnegative_probe():

@@ -41,6 +41,13 @@ def test_validate_dataset_row_mismatch():
         validate_dataset(np.ones((3, 2)), np.zeros(4))
 
 
+def test_validate_dataset_refuses_a_y_that_is_no_vector_and_an_x_that_is_no_matrix():
+    with pytest.raises(DimensionMismatch, match=r"Y must be a vector, got shape \(3, 1\)"):
+        validate_dataset(np.ones((3, 2)), np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"X must be a matrix, got shape \(3, 2, 1\)"):
+        validate_dataset(np.ones((3, 2, 1)), np.zeros(3))
+
+
 def test_validate_dataset_nan():
     x = np.ones((3, 2))
     x[1, 0] = np.nan

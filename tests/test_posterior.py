@@ -1201,6 +1201,23 @@ def test_expected_risk_rejects_non_finite_or_negative_radius(bad):
                 expected_risk(posterior, ds, noise, delta_test)
 
 
+def test_expected_risk_rejects_radii_that_are_not_a_sequence():
+    ds, noise, prior = _problem(22)
+    post = bayes_posterior(ds, noise, prior)
+    with pytest.raises(ValueError, match=r"delta_test must be a float or a sequence, got shape \(1, 2\)"):
+        expected_risk(post, ds, noise, [[0.0, 0.1]])
+
+
+def test_expected_risk_on_identical_draws_has_standard_error_zero():
+    """A constant per-draw risk counts as n effective draws, not 0 / 0."""
+    ds, noise, _ = _problem(25)
+    draws = np.tile([0.3, -0.2, 0.1], (8, 1))
+    for n_chains in (1, 2):
+        chain = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0, n_chains=n_chains)
+        for risk in expected_risk(chain, ds, noise, [0.0, 0.1]):
+            assert risk.std_error == 0.0
+
+
 def test_expected_risk_dimension_mismatch_names_both_dimensions():
     ds, noise, prior = _problem(23, d=3)
     test, _, _ = _problem(24, n=20, d=4)
