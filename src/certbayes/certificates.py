@@ -27,9 +27,10 @@ normalizer (Germain et al., NeurIPS 2016). ``_THEOREMS`` holds one row each:
 c < 1, matched budgets, and sigma^2 - 2 n g sigma_p^2 > 0 (automatic for
 RobustAdvGeneral when g <= 0). The d x d and n x n forms of every data term
 are equal; :func:`_gram_terms` factorizes the smaller. G is formed once per
-dataset (``Dataset.gram``) and shared by every certificate on it; each data
-term still forms q = X'Y (d x d form only) and builds, validates and
-factorizes its own k I + a G.
+dataset (``Dataset.gram``), and each distinct (k, a) is factorized once per
+dataset (``Dataset.gram_terms``), for every data term on it. So the five rows
+of ``certify --theorem all`` factorize at most three matrices: I + rG,
+k I + 2rG and k I + rG (k = 1 at delta_train = 0 makes the last I + rG).
 """
 
 from __future__ import annotations
@@ -150,8 +151,12 @@ def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
     which the dataset forms once: the two log-determinants differ by
     (n - d) log k, and when G = X'X the quadratic form converts through
     Y'(k I_n + a X X')^{-1} Y = (Y'Y - a q'(k I_d + a X'X)^{-1} q) / k
-    with q = X'Y, formed on each call: only G is cached.
+    with q = X'Y. The pair is kept in ``data.gram_terms`` under (k, a); a
+    failure is not kept, so it raises again on the next call.
     """
+    kept = data.gram_terms.get((k, a))
+    if kept is not None:
+        return kept
     y, n, d = data.Y, data.n, data.d
     m = SpdMatrix.from_array(k * np.eye(min(n, d)) + a * data.gram)
     if d <= n:
@@ -161,6 +166,7 @@ def _gram_terms(data: Dataset, k: float, a: float) -> tuple[float, float]:
     else:
         logdet_d = spd_logdet(m) + (d - n) * math.log(k)
         quad_n = quad_form_inv(m, y)
+    data.gram_terms[k, a] = logdet_d, quad_n
     return logdet_d, quad_n
 
 

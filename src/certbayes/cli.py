@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -610,8 +611,10 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return resolved
 
 
+@functools.cache
 def build_parser() -> _Parser:
-    """The argparse parser of every command, built from ``_COMMANDS``."""
+    """The argparse parser of every command, built once from ``_COMMANDS``;
+    parsing leaves it unchanged, so every :func:`main` call shares it."""
     parser = _Parser(prog="certbayes", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _COMMANDS.items():

@@ -41,11 +41,11 @@ def _check_positive(name: str, v: float) -> None:
 class Dataset:
     """A feature matrix X (n rows, d columns) with a label vector Y (length n).
 
-    :attr:`gram` is computed on first use and kept for the life of the
-    instance. The cache is sound only because X and Y never change:
-    :func:`validate_dataset`, the only constructor the library uses, stores
-    frozen copies of both, and a copy or unpickled instance is rebuilt
-    through it.
+    :attr:`gram` and :attr:`gram_terms`, the certificates' data terms by
+    (k, a), are kept for the life of the instance. The caches are sound only
+    because X and Y never change: :func:`validate_dataset`, the only
+    constructor the library uses, stores frozen copies of both, and a copy or
+    unpickled instance is rebuilt through it.
     """
 
     X: np.ndarray
@@ -60,7 +60,7 @@ class Dataset:
         return self.X.shape[1]
 
     def __reduce__(self):
-        # Unpickled arrays are writeable; rebuild frozen ones, without the cache.
+        # Unpickled arrays are writeable; rebuild frozen ones, without the caches.
         return validate_dataset, (self.X, self.Y)
 
     @cached_property
@@ -69,6 +69,12 @@ class Dataset:
         XX' (n x n)."""
         x = self.X
         return _freeze(x.T @ x if self.d <= self.n else x @ x.T)
+
+    @cached_property
+    def gram_terms(self) -> dict:
+        """(k, a) -> (log det(k I_d + a X'X), Y'(k I_n + a XX')^{-1} Y), as
+        ``certificates._gram_terms`` computed them."""
+        return {}
 
 
 def validate_dataset(X, Y) -> Dataset:

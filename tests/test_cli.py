@@ -215,6 +215,38 @@ def test_unknown_flag_exits_1(capsys):
     assert rc == 1
 
 
+_CERTIFY_ALL = [
+    "certify", "--n", "30", "--d", "3", "--sigma-p-sq", "0.05", "--sigma-x-sq", "1.0",
+    "--theta-star-norm-sq", "0.5", "--delta", "0.1", "--delta-hat", "0.1",
+]
+_USAGE_ERRORS = [[], ["nope"], ["certify", "--n", "x"], ["sweep", "--bogus", "1"]]
+
+
+def _call(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_parser_serves_every_call_with_unchanged_output(capsys):
+    """``main`` parses with one parser per process: after usage errors on it,
+    a valid run prints what a first call on a fresh parser prints, and each
+    usage error prints the same usage bytes every time."""
+    firsts = []
+    for argv in [_CERTIFY_ALL, *_USAGE_ERRORS]:
+        cli.build_parser.cache_clear()
+        firsts.append(_call(argv, capsys))
+    assert firsts[0][0] == 0 and firsts[0][2] == ""
+    for code, out, err in firsts[1:]:
+        assert code == 1 and out == ""
+        assert err.startswith("usage: certbayes") and "certbayes" in err.splitlines()[-1]
+    parser = cli.build_parser()
+    for _ in range(2):
+        assert [_call(argv, capsys) for argv in _USAGE_ERRORS] == firsts[1:]
+        assert _call(_CERTIFY_ALL, capsys) == firsts[0]
+    assert cli.build_parser() is parser
+
+
 # --- config file -----------------------------------------------------------------
 
 

@@ -155,7 +155,8 @@ def _mismatches(got, want, where="$"):
     if isinstance(want, float) and isinstance(got, (int, float)) and not isinstance(got, bool):
         tol = RTOL * abs(want) if want != 0.0 else RTOL
         close = math.isfinite(got) and abs(got - want) <= tol
-        return [] if close or got == want else [f"{where}: {got!r} != {want!r}"]
+        both_nan = math.isnan(got) and math.isnan(want)
+        return [] if close or got == want or both_nan else [f"{where}: {got!r} != {want!r}"]
     if isinstance(want, dict) and isinstance(got, dict):
         if got.keys() != want.keys():
             return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
@@ -261,6 +262,18 @@ def test_recorder_keeps_every_value_the_comparison_accepts():
         "stdout.reports[2].terms: (none) -> {'kl': 0.5}",
     ]
     assert {**record, "stdout": want["stdout"]} == want
+
+
+def test_a_nan_matches_only_a_recorded_nan():
+    nan = float("nan")
+    assert _mismatches(nan, nan) == []
+    assert _mismatches({"a": [1, nan]}, {"a": [1, nan]}) == []
+    assert _mismatches(nan, 1.0) == ["$: nan != 1.0"]
+    assert _mismatches(1.0, nan) == ["$: 1.0 != nan"]
+    assert _mismatches(math.inf, nan) == ["$: inf != nan"]
+    csv_text = "# config: {}\nn,bound\n10,nan\n"
+    record, moved = _recorded({"stdout": csv_text}, {"stdout": csv_text})
+    assert record == {"stdout": csv_text} and moved == []
 
 
 @pytest.mark.parametrize("name, key", [("certify_all_n300_d5", "stdout"), ("sweep_all", "out")])

@@ -27,7 +27,14 @@ from certbayes import (
     poisson_family,
     validate_dataset,
 )
-from certbayes.errors import DimensionMismatch, DomainViolation, Empty, NonFiniteEntry
+from certbayes.certificates import _gram_terms, neg_log_z_bayes, neg_log_z_robust_upper
+from certbayes.errors import (
+    DimensionMismatch,
+    DomainViolation,
+    Empty,
+    NonFiniteEntry,
+    NotPositiveDefinite,
+)
 
 
 def test_validate_dataset_well_formed():
@@ -120,18 +127,95 @@ def test_gram_statistics_are_read_only_and_kept(n, d):
         gram[0] = 1.0
 
 
+_CERT_INPUTS = (
+    NoiseModel(0.1111111111111111), IsotropicPrior(0.01),
+    DataDistributionSpec(sigma_x_sq=1.0, theta_star_norm_sq=0.5),
+    PerturbationBudget(delta_train=0.01, delta_test=0.01),
+)
+_FIVE_CERTS = (
+    cert_bayes_standard, cert_bayes_adversarial, cert_robust_standard,
+    cert_robust_adversarial_matched, cert_robust_adversarial_general,
+)
+
+
 def test_copied_or_unpickled_dataset_is_frozen_and_drops_the_cache():
     ds = _random_dataset(12, 4)
     gram = ds.gram
+    bound = cert_bayes_standard(ds, *_CERT_INPUTS[:3]).bound_value
+    assert len(ds.gram_terms) == 1
     for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds), copy.copy(ds)):
         assert not (twin.X.flags.writeable or twin.Y.flags.writeable)
         assert "gram" not in vars(twin)
+        assert "gram_terms" not in vars(twin)
         assert twin.gram.tobytes() == gram.tobytes()
         assert not twin.gram.flags.writeable
+        assert cert_bayes_standard(twin, *_CERT_INPUTS[:3]).bound_value == bound
+        assert twin.gram_terms == ds.gram_terms and twin.gram_terms is not ds.gram_terms
+
+
+def _certify_one(cert, ds):
+    noise, prior, dist, budget = _CERT_INPUTS
+    if cert is cert_bayes_standard:
+        return cert(ds, noise, prior, dist)
+    return cert(ds, noise, prior, dist, budget)
+
+
+def _counting_from_array(monkeypatch) -> list:
+    """Record the shape of every matrix ``SpdMatrix.from_array`` is given."""
+    shapes, original = [], SpdMatrix.from_array
+
+    def counted(matrix):
+        shapes.append(np.shape(matrix))
+        return original(matrix)
+
+    monkeypatch.setattr(SpdMatrix, "from_array", staticmethod(counted))
+    return shapes
+
+
+@pytest.mark.parametrize("n, d", _SHAPES)
+def test_kept_terms_give_each_bound_bit_for_bit(n, d):
+    """Every report on a shared dataset, in either order, equals the same
+    certificate run alone on a fresh dataset of the same arrays."""
+    shared = _random_dataset(n, d)
+    alone = [_certify_one(cert, validate_dataset(shared.X, shared.Y)) for cert in _FIVE_CERTS]
+    for order in (_FIVE_CERTS, _FIVE_CERTS[::-1]):
+        ds = validate_dataset(shared.X, shared.Y)
+        got = {cert: _certify_one(cert, ds) for cert in order}
+        for cert, want in zip(_FIVE_CERTS, alone):
+            report = got[cert]
+            assert report.bound_value.hex() == want.bound_value.hex(), cert.__name__
+            assert (report.cgf_c, report.cgf_s_sq, report.diagnostics) == (
+                want.cgf_c, want.cgf_s_sq, want.diagnostics)
+
+
+def test_normalizers_share_the_kept_terms(monkeypatch):
+    shapes = _counting_from_array(monkeypatch)
+    ds = _random_dataset(12, 4)
+    noise, prior, _, _ = _CERT_INPUTS
+    first = (neg_log_z_bayes(ds, noise, prior), neg_log_z_robust_upper(ds, noise, prior, 0.3))
+    cert_bayes_standard(ds, *_CERT_INPUTS[:3])
+    again = (neg_log_z_bayes(ds, noise, prior), neg_log_z_robust_upper(ds, noise, prior, 0.3))
+    assert again == first
+    assert len(shapes) == 2
+    fresh = validate_dataset(ds.X, ds.Y)
+    assert neg_log_z_robust_upper(fresh, noise, prior, 0.3) == first[1]
+
+
+@pytest.mark.parametrize("n, d", [(12, 4), (4, 12)])
+def test_a_failed_factorization_is_not_kept(n, d, monkeypatch):
+    shapes = _counting_from_array(monkeypatch)
+    ds = _random_dataset(n, d)
+    for _ in range(2):
+        with pytest.raises(NotPositiveDefinite):
+            _gram_terms(ds, -1.0, 1e-3)
+    assert len(shapes) == 2
+    assert ds.gram_terms == {}
 
 
 @pytest.mark.parametrize("n, d", _SHAPES)
 def test_five_certificates_form_the_gram_statistics_once(n, d, monkeypatch):
+    """One Gram matrix, and three factorizations for five rows: I + rG,
+    k I + 2rG and k I + rG. Running the five again factorizes nothing."""
     formed = {"gram": 0}
     original = Dataset.gram.func
 
@@ -142,15 +226,16 @@ def test_five_certificates_form_the_gram_statistics_once(n, d, monkeypatch):
     prop = functools.cached_property(counted)
     prop.__set_name__(Dataset, "gram")
     monkeypatch.setattr(Dataset, "gram", prop)
+    shapes = _counting_from_array(monkeypatch)
     ds = _random_dataset(n, d)
-    noise, prior = NoiseModel(0.1111111111111111), IsotropicPrior(0.01)
-    dist = DataDistributionSpec(sigma_x_sq=1.0, theta_star_norm_sq=0.5)
-    budget = PerturbationBudget(delta_train=0.01, delta_test=0.01)
-    cert_bayes_standard(ds, noise, prior, dist)
-    for cert in (cert_bayes_adversarial, cert_robust_standard,
-                 cert_robust_adversarial_matched, cert_robust_adversarial_general):
-        cert(ds, noise, prior, dist, budget)
+    for cert in _FIVE_CERTS:
+        _certify_one(cert, ds)
     assert formed == {"gram": 1}
+    assert shapes == [(min(n, d), min(n, d))] * 3
+    assert len(ds.gram_terms) == 3
+    for cert in _FIVE_CERTS:
+        _certify_one(cert, ds)
+    assert formed == {"gram": 1} and len(shapes) == 3
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])

@@ -1,6 +1,7 @@
-"""The README's library example runs as written against the public API."""
+"""The README's library example and command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
 
 from certbayes import cli
@@ -44,3 +45,21 @@ def test_readme_acceptance_and_cli_fit_the_same_robust_posterior():
         assert fit.draws.tobytes() == example["samples"].draws.tobytes()
         for field in ("step_size", "grad_evals", "n_chains"):
             assert getattr(fit, field) == getattr(example["samples"], field), field
+
+
+def _commands() -> list:
+    """The argv of each ``certbayes`` command in the README's ``sh`` blocks,
+    continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("certbayes ")]
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("CERTBAYES_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    commands = _commands()
+    assert [argv[0] for argv in commands] == ["gen-data", "certify", "fit-eval", "sweep"]
+    for argv in commands:
+        code = cli.main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)
