@@ -9,14 +9,19 @@ save_csv writes the fixed header x1,...,xd,y and formats the rows in blocks
 of _SAVE_BLOCK_ROWS, each with one '%' on a row template; every line, the
 header's too, ends in CRLF, as csv.writer ends lines.
 
-load_csv reads the header with csv.reader and parses the remaining lines with
-np.loadtxt. It keeps that result only when loadtxt raised and warned nothing
-and gave one row per line, each as wide as the header. Otherwise (a blank or
-'#' line, a quoted cell, '1_0', a header-only file, a field longer than the
-csv module's limit, or one of the separators U+001C to U+001F, which loadtxt
-strips and float() does not) it parses the lines again with csv.reader and
-float(), cell by cell. That parser alone raises ParseError and
-NonNumericColumn, with their rows and columns.
+load_csv reads the header with csv.reader. It then streams the body from
+the file: one binary pass counts the lines (ended by LF, CRLF or a bare CR,
+as readlines(newline="") ends them) and records where each piece of about
+_CHUNK_BYTES starts. The rows go straight into X and Y: each piece, cut at a
+line end, is decoded and parsed with np.loadtxt, and kept only when it is
+UTF-8 and loadtxt raised and warned nothing and gave one row per line, each
+as wide as the header. Otherwise (a blank or '#' line, a quoted cell, '1_0',
+a header-only file, a field longer than the csv module's limit, one of the
+separators U+001C to U+001F, which loadtxt strips and float() does not, or
+a header that spans lines, or a pipe, which cannot be read twice) it reads
+the lines again with csv.reader and float(), cell by cell. That parser
+alone raises ParseError and NonNumericColumn, with their rows and columns,
+and the UnicodeDecodeError of a body that is not UTF-8.
 
 Both spend their time converting numbers one at a time in code that holds
 the GIL, so threads would not overlap. A large call is therefore cut into
@@ -28,16 +33,19 @@ the parts in order, so the file is the same byte for byte, and load_csv
 applies every check above to each range and keeps the rows only if every
 range passed, so a file the fast path refuses still reaches the cell-by-cell
 parser whole. A call below 2 * _CELLS_PER_PART cells, or on a machine with
-one usable CPU, starts no process. A child runs only '%' formatting or
-np.loadtxt and one pipe write: no BLAS call and no lock that another thread
-of this process could hold at the fork, so forking a process that has
-OpenBLAS threads is safe here, though Python 3.12 and later warn about such
-forks. A child that cannot start, or ends without sending its range, leaves
-that range to this process, and no child outlives the call.
+one usable CPU, starts no process. A child runs only '%' formatting and one
+pipe write, or reads its own byte range of the file, parses it with
+np.loadtxt into its copy of X and Y and writes its X rows and then its Y
+rows to the pipe: no BLAS call and no lock that another thread of this
+process could hold at the fork, so forking a process that has OpenBLAS
+threads is safe here, though Python 3.12 and later warn about such forks. A
+child that cannot start, or ends without sending its range, leaves that
+range to this process, and no child outlives the call.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import csv
 import math
@@ -56,7 +64,7 @@ from .errors import (
     TooFewRows,
     ZeroVarianceColumn,
 )
-from .model import Dataset, _check_nonnegative, _check_positive, validate_dataset
+from .model import Dataset, _check_nonnegative, _check_positive, _own_dataset
 
 __all__ = [
     "SyntheticSpec",
@@ -120,9 +128,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         theta_star = math.sqrt(spec.theta_star_norm_sq) * direction / np.linalg.norm(direction)
     else:
         theta_star = np.zeros(spec.d)
-    x = math.sqrt(spec.sigma_x_sq) * rng.standard_normal((spec.n, spec.d))
+    x = rng.standard_normal((spec.n, spec.d))
+    x *= math.sqrt(spec.sigma_x_sq)
     y = x @ theta_star + math.sqrt(spec.sigma_sq) * rng.standard_normal(spec.n)
-    return validate_dataset(x, y), theta_star
+    return _own_dataset(x, y), theta_star
 
 
 def _parse_cell(text: str) -> Optional[float]:
@@ -132,20 +141,21 @@ def _parse_cell(text: str) -> Optional[float]:
         return None
 
 
-# float() rejects these separators inside a cell; np.loadtxt strips them as
-# white space.
-_LOADTXT_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+# Line breaks of str.splitlines() that csv.reader does not break lines at.
+# float() also rejects the four separators \x1c-\x1f inside a cell, which
+# np.loadtxt strips as white space.
+_NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
-def _parse_fast(lines: list, width: int) -> Optional[np.ndarray]:
-    """The body lines as a (len(lines), width) array, or None unless
-    np.loadtxt parsed every line into exactly the cells that csv.reader and
-    float() would give."""
+def _parse_fast(text: str, width: int) -> Optional[np.ndarray]:
+    """The lines of a piece of the body as a (lines, width) array, or None
+    unless np.loadtxt parsed every line into exactly the cells that
+    csv.reader and float() would give."""
+    if any(ch in text for ch in _NOT_LINE_ENDS):
+        return None
+    lines = text.splitlines(keepends=True)
     if max(map(len, lines), default=0) > csv.field_size_limit():
         return None  # csv.reader raises on such a field
-    body = "".join(lines)
-    if any(ch in body for ch in _LOADTXT_ONLY_SPACES):
-        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -158,12 +168,69 @@ def _parse_fast(lines: list, width: int) -> Optional[np.ndarray]:
     return values if values.shape == (len(lines), width) else None
 
 
+# Bytes read at a time; a piece of the file is cut at its last line end.
+_CHUNK_BYTES = 1 << 20
+
+
+def _pieces(fh, size=math.inf):
+    """The next `size` bytes of the binary file fh, or all that are left, in
+    pieces of about _CHUNK_BYTES. Each piece but the last ends at a line end:
+    LF, CRLF or a bare CR, as readlines(newline="") ends lines. So no piece
+    splits a line, nor a CRLF."""
+    while size > 0:
+        piece = fh.read(min(size, _CHUNK_BYTES))
+        if not piece:
+            return
+        while len(piece) < size:
+            # A CR that ends the piece may be the first half of a CRLF.
+            cut = max(piece.rfind(b"\n"), piece.rfind(b"\r", 0, -1)) + 1
+            if cut:
+                fh.seek(cut - len(piece), os.SEEK_CUR)
+                piece = piece[:cut]
+                break
+            more = fh.read(min(size - len(piece), _CHUNK_BYTES))
+            if not more:
+                break
+            piece += more
+        size -= len(piece)
+        yield piece
+
+
+def _line_table(fh) -> list:
+    """(first line, byte offset) of each piece of the binary file fh, then
+    (number of lines, file size): one pass that counts lines.
+
+    bytes.splitlines() breaks lines only at LF, CRLF and CR, and no piece
+    but the last ends inside a line."""
+    table, line, offset = [], 0, 0
+    for piece in _pieces(fh):
+        table.append((line, offset))
+        line += len(piece.splitlines())
+        offset += len(piece)
+    table.append((line, offset))
+    return table
+
+
+def _line_offset(fh, table: list, line: int) -> int:
+    """The byte offset of a line of fh, counted from 0, or the file size for
+    the line after the last: found in the one piece of _line_table that
+    holds it."""
+    i = bisect.bisect_right(table, (line, math.inf)) - 1
+    first, offset = table[i]
+    if line > first:
+        fh.seek(offset)
+        piece = fh.read(table[i + 1][1] - offset)
+        offset += sum(map(len, piece.splitlines(keepends=True)[: line - first]))
+    return offset
+
+
 # Cells per part: a call gets a second part from 2 * _CELLS_PER_PART cells.
 _CELLS_PER_PART = 100_000
 
 
 def _send(sender, work, start: int, stop: int) -> None:
-    sender.send_bytes(work(start, stop))
+    for part in work(start, stop):
+        sender.send_bytes(part)
 
 
 @contextlib.contextmanager
@@ -172,11 +239,11 @@ def _row_ranges(rows: int, width: int, work):
     (start, stop, connection).
 
     The first range has connection None: the caller runs it. Each other
-    range runs work(start, stop) in a forked child, which sends the
-    bytes-like result through a pipe that the connection reads. Where the
-    child did not start, or ended without sending, reading raises EOFError,
-    and the caller runs that range too. On exit every child is ended and
-    reaped, whether or not its bytes were read.
+    range runs work(start, stop) in a forked child, which sends each of the
+    bytes-like objects it returns through a pipe that the connection reads.
+    Where the child did not start, or ended without sending, reading raises
+    EOFError, and the caller runs that range too. On exit every child is
+    ended and reaped, whether or not its bytes were read.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, rows * width // _CELLS_PER_PART, rows))
@@ -207,30 +274,58 @@ def _row_ranges(rows: int, width: int, work):
                 receiver.close()
 
 
-def _parse_parts(lines: list, width: int) -> Optional[np.ndarray]:
-    """_parse_fast over the row ranges of _row_ranges: the rows of every
-    range, or None if any range fails."""
+def _parse_range(path, table: list, start: int, stop: int, x: np.ndarray,
+                 y: np.ndarray, target: int) -> bool:
+    """Parse body rows start to stop of the file into x and y, its target
+    column into y and the others into x, with _parse_fast on each piece of
+    the range; False if a piece is not UTF-8 or _parse_fast refuses it."""
+    with open(path, "rb") as fh:
+        # Line 0 is the header.
+        first = _line_offset(fh, table, start + 1)
+        size = _line_offset(fh, table, stop + 1) - first
+        fh.seek(first)
+        row = 0
+        for piece in _pieces(fh, size):
+            try:
+                values = _parse_fast(piece.decode("utf-8"), x.shape[1] + 1)
+            except UnicodeDecodeError:
+                return False
+            if values is None or len(values) > len(y) - row:
+                return False
+            rows = slice(row, row + len(values))
+            x[rows, :target] = values[:, :target]
+            x[rows, target:] = values[:, target + 1:]
+            y[rows] = values[:, target]
+            row += len(values)
+    return row == len(y)
+
+
+def _parse_parts(path, width: int, target: int):
+    """The body of the file as (X, Y), parsed range by range over the row
+    ranges of _row_ranges, or None if any range fails."""
+    with open(path, "rb") as fh:
+        table = _line_table(fh)
+    rows = table[-1][0] - 1
+    x, y = np.empty((rows, width - 1)), np.empty(rows)
 
     def parse(start, stop):
-        values = _parse_fast(lines[start:stop], width)
-        return b"" if values is None else values
+        xs, ys = x[start:stop], y[start:stop]
+        return (xs, ys) if _parse_range(path, table, start, stop, xs, ys, target) else (b"",)
 
-    values = np.empty((len(lines), width))
-    with _row_ranges(len(lines), width, parse) as ranges:
+    with _row_ranges(rows, width, parse) as ranges:
         for start, stop, receiver in ranges:
             if receiver is not None:
-                rows = memoryview(values[start:stop]).cast("B")
+                xs, ys = (memoryview(a[start:stop]).cast("B") for a in (x, y))
                 try:
-                    if receiver.recv_bytes_into(rows) < rows.nbytes:
+                    if receiver.recv_bytes_into(xs) < xs.nbytes:
                         return None  # the child's range failed
+                    receiver.recv_bytes_into(ys)
                     continue
                 except EOFError:  # no child sent this range
                     pass
-            part = _parse_fast(lines[start:stop], width)
-            if part is None:
+            if not _parse_range(path, table, start, stop, x[start:stop], y[start:stop], target):
                 return None
-            values[start:stop] = part
-    return values
+    return x, y
 
 
 def _parse_rows(rows: list, header: list) -> np.ndarray:
@@ -275,6 +370,25 @@ def _parse_rows(rows: list, header: list) -> np.ndarray:
     return values
 
 
+def _target_index(header: list, target_column: Union[str, int]) -> int:
+    """The header index of the target column; raises MissingTarget."""
+    if isinstance(target_column, (bool, np.bool_)):
+        raise MissingTarget(
+            f"target column {target_column!r} is neither a name nor an index"
+        )
+    if isinstance(target_column, numbers.Integral):
+        if not 0 <= target_column < len(header):
+            raise MissingTarget(
+                f"target index {target_column} out of range for {len(header)} columns"
+            )
+        return int(target_column)
+    if target_column not in header:
+        raise MissingTarget(
+            f"target column {target_column!r} not in header {header}"
+        )
+    return header.index(target_column)
+
+
 def load_csv(path, target_column: Union[str, int]) -> Dataset:
     """Load a delimited numeric table; features are all non-target columns in
     file order.
@@ -295,37 +409,26 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ParseError(f"{path}: file is empty", row=1) from None
+        try:
+            target = _target_index(header, target_column)
+        except MissingTarget:
+            target = None  # raised below, after csv.reader's own errors
+        # The body's first byte is known only after a one-line header, and a
+        # pipe cannot be read again. A file of one column has no feature, so
+        # it can only raise: Empty, or the cell-by-cell parser's errors.
+        if target is not None and len(header) > 1 and reader.line_num == 1 and fh.seekable():
+            parsed = _parse_parts(path, len(header), target)
+            if parsed is not None:
+                return _own_dataset(*parsed)
         lines = fh.readlines()
-    values = _parse_parts(lines, len(header))
     # csv.reader's own errors come before MissingTarget, as they always have.
-    rows = list(csv.reader(lines)) if values is None else None
-
-    header = [h.strip() for h in header]
-    if isinstance(target_column, (bool, np.bool_)):
-        raise MissingTarget(
-            f"target column {target_column!r} is neither a name nor an index"
-        )
-    if isinstance(target_column, numbers.Integral):
-        if not 0 <= target_column < len(header):
-            raise MissingTarget(
-                f"target index {target_column} out of range for {len(header)} columns"
-            )
-        target_idx = int(target_column)
-    else:
-        if target_column not in header:
-            raise MissingTarget(
-                f"target column {target_column!r} not in header {header}"
-            )
-        target_idx = header.index(target_column)
-
-    if values is None:
-        values = _parse_rows(rows, header)
-    y = values[:, target_idx]
-    x = np.delete(values, target_idx, axis=1)
-    return validate_dataset(x, y)
+    rows = list(csv.reader(lines))
+    target = _target_index(header, target_column)
+    values = _parse_rows(rows, header)
+    return _own_dataset(np.delete(values, target, axis=1), values[:, target].copy())
 
 
 # Rows formatted per write in save_csv.
@@ -348,7 +451,7 @@ def save_csv(data: Dataset, path) -> None:
     bit-identically via load_csv."""
     header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"]) + "\r\n"
     with open(path, "wb") as fh, _row_ranges(
-        data.n, data.d + 1, lambda start, stop: b"".join(_format_rows(data, start, stop))
+        data.n, data.d + 1, lambda start, stop: [b"".join(_format_rows(data, start, stop))]
     ) as ranges:
         fh.write(header.encode("ascii"))
         for start, stop, receiver in ranges:
@@ -392,10 +495,10 @@ def standardize_fit_transform(
     if y_scale <= tol * max(1.0, abs(y_mean)):
         raise ZeroVarianceColumn("label column is constant in the training split")
 
-    train_std = validate_dataset(
+    train_std = _own_dataset(
         (train.X - f_mean) / f_scale, (train.Y - y_mean) / y_scale
     )
-    test_std = validate_dataset(
+    test_std = _own_dataset(
         (test.X - f_mean) / f_scale, (test.Y - y_mean) / y_scale
     )
     return train_std, test_std
@@ -417,6 +520,6 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         )
     perm = np.random.default_rng(spec.seed).permutation(data.n)
     train_idx, test_idx = perm[:n_train], perm[n_train:]
-    train = validate_dataset(data.X[train_idx], data.Y[train_idx])
-    test = validate_dataset(data.X[test_idx], data.Y[test_idx])
+    train = _own_dataset(data.X[train_idx], data.Y[train_idx])
+    test = _own_dataset(data.X[test_idx], data.Y[test_idx])
     return train, test

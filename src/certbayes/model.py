@@ -43,9 +43,13 @@ class Dataset:
 
     :attr:`gram` and :attr:`gram_terms`, the certificates' data terms by
     (k, a), are kept for the life of the instance. The caches are sound only
-    because X and Y never change: :func:`validate_dataset`, the only
-    constructor the library uses, stores frozen copies of both, and a copy or
-    unpickled instance is rebuilt through it.
+    because X and Y never change. Every instance the library makes holds
+    frozen arrays that nothing else can write: :func:`validate_dataset`
+    freezes copies of a caller's arrays, and ``_own_dataset`` freezes in
+    place the arrays that the library has just made (a parsed file, a
+    generated or standardized dataset, the rows of a split), to which no
+    other reference is left. A copy or unpickled instance is rebuilt through
+    :func:`validate_dataset`.
     """
 
     X: np.ndarray
@@ -78,7 +82,11 @@ class Dataset:
 
 
 def validate_dataset(X, Y) -> Dataset:
-    """Validate raw arrays and wrap them in a :class:`Dataset`.
+    """Validate raw arrays and wrap copies of them in a :class:`Dataset`.
+
+    The copies are what make the dataset's caches sound for a caller's
+    arrays: the caller may still hold X and Y, or a writeable view of them,
+    and write to it later.
 
     Raises
     ------
@@ -90,7 +98,17 @@ def validate_dataset(X, Y) -> Dataset:
         if any entry is NaN or infinite.
     """
     x = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(Y, dtype=float)
+    return _own_dataset(x.copy(), np.asarray(Y, dtype=float).copy())
+
+
+def _own_dataset(x: np.ndarray, y: np.ndarray) -> Dataset:
+    """:func:`validate_dataset` for float arrays that the library has just
+    made and that nothing else holds: the same checks, then x and y frozen in
+    place, not copied.
+
+    Freezing in place is as sound as the copy there, because no reference
+    or view that could write to the arrays outlives the call that made them.
+    """
     if y.ndim != 1:
         raise DimensionMismatch(f"Y must be a vector, got shape {y.shape}")
     if x.ndim != 2:
@@ -105,7 +123,7 @@ def validate_dataset(X, Y) -> Dataset:
         raise NonFiniteEntry("X contains NaN or Inf")
     if not np.all(np.isfinite(y)):
         raise NonFiniteEntry("Y contains NaN or Inf")
-    return Dataset(X=_freeze(x.copy()), Y=_freeze(y.copy()))
+    return Dataset(X=_freeze(x), Y=_freeze(y))
 
 
 @dataclass(frozen=True)

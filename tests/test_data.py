@@ -1,7 +1,10 @@
 import csv
+import itertools
 import multiprocessing
 import os
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -436,6 +439,138 @@ def test_a_range_whose_child_fails_runs_here(fault, tmp_path, monkeypatch):
     assert cut.read_bytes() == one.read_bytes()
     assert _outcome(cut) == loaded
     assert multiprocessing.active_children() == []
+
+
+def _cell_outcome(path):
+    """_outcome with the NumPy fast path turned off."""
+    with mock.patch.object(data_pipeline, "_parse_fast", return_value=None):
+        return _outcome(path)
+
+
+def _no_cell_parser(*args):
+    raise AssertionError("the cell-by-cell parser read the file")
+
+
+# Bodies that pieces of a few bytes cut between a CR and its LF, after a
+# bare CR, and inside a last line that has no line end.
+_CUT_FILES = {
+    "crlf": "x,y\r\n" + "1,2\r\n-3.5,4e1\r\n" * 6,
+    "cr": "x,y\r" + "1,2\r-3.5,4e1\r" * 6,
+    "no_last_line_end": "x,y\n" + "1,2\n-3.5,4e1\n" * 6 + "5,6",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_CUT_FILES))
+def test_load_csv_streams_pieces_cut_anywhere(name, parts, chunk, tmp_path, monkeypatch,
+                                              started):
+    p = tmp_path / "cut.csv"
+    p.write_bytes(_CUT_FILES[name].encode("ascii"))
+    one, cells = _outcome(p), _cell_outcome(p)
+    assert one == cells and one[0] in ((12, 1), (13, 1))
+    _cut(monkeypatch, parts)
+    monkeypatch.setattr(data_pipeline, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(data_pipeline, "_parse_rows", _no_cell_parser)
+    assert _outcome(p) == one
+    assert len(started) == parts - 1
+
+
+# Files that the streamed parser hands to the cell-by-cell parser whole, or
+# that raise, with the outcome each gives.
+_GOOD_BODY = b"1,2\n" * 12
+_CUT_FALLBACKS = {
+    "not_utf8_in_last_range": (b"x,y\n" + _GOOD_BODY + b"3,\xff4\n", UnicodeDecodeError),
+    "header_over_two_lines": (b'"x\nz",y\n' + _GOOD_BODY,
+                              ((12, 1), np.ones((12, 1)).tobytes(), np.full(12, 2.0).tobytes())),
+    "header_only": (b"x,y\n", Empty),
+}
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_CUT_FALLBACKS))
+def test_load_csv_in_pieces_keeps_the_one_part_outcome(name, parts, tmp_path, monkeypatch):
+    body, want = _CUT_FALLBACKS[name]
+    p = tmp_path / "fallback.csv"
+    p.write_bytes(body)
+    one = _outcome(p)
+    assert one == _cell_outcome(p)
+    assert one[0] is want if isinstance(want, type) else one == want
+    _cut(monkeypatch, parts)
+    monkeypatch.setattr(data_pipeline, "_CHUNK_BYTES", 3)
+    assert _outcome(p) == one
+
+
+def test_load_csv_reads_a_pipe_once(tmp_path):
+    """A pipe cannot be read twice, so the cell-by-cell parser reads it."""
+    p, fifo = tmp_path / "t.csv", tmp_path / "t.pipe"
+    save_csv(_parts_table(), p)
+    os.mkfifo(fifo)
+    got = []
+    # a daemon, so that a reader stuck on opening the pipe again fails the test
+    reader = threading.Thread(target=lambda: got.append(_outcome(fifo)), daemon=True)
+    reader.start()
+    fifo.write_bytes(p.read_bytes())  # fits in the pipe's buffer
+    reader.join(timeout=30)
+    assert got == [_outcome(p)]
+
+
+# --- memory -------------------------------------------------------------------------
+
+
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak, in bytes, of what it allocated."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak
+
+
+def test_load_csv_holds_its_arrays_and_one_piece(tmp_path, monkeypatch):
+    """In one part, load_csv parses into the X and Y it returns and holds
+    beside them only the piece it is reading: its bytes and text, their lines
+    and loadtxt's rows, about 4 * _CHUNK_BYTES here. Reading every line
+    first and copying the parsed table twice took 8.0 times the arrays."""
+    data, _ = generate_synthetic(SyntheticSpec(
+        n=30_000, d=10, sigma_x_sq=1.0, sigma_sq=0.5, theta_star_norm_sq=1.0, seed=8))
+    p = tmp_path / "t.csv"
+    save_csv(data, p)
+    monkeypatch.setattr(data_pipeline.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    got, peak = _traced_peak(lambda: load_csv(p, "y"))
+    assert got.X.tobytes() == data.X.tobytes() and got.Y.tobytes() == data.Y.tobytes()
+    assert peak < got.X.nbytes + got.Y.nbytes + 6 * data_pipeline._CHUNK_BYTES
+
+
+def test_generate_synthetic_holds_one_feature_matrix():
+    """generate_synthetic scales its draws in place and keeps them, so it
+    peaks below 1.5 feature matrices: 2.2 when it scaled into a new array
+    and the dataset copied that."""
+    spec = SyntheticSpec(n=20_000, d=10, sigma_x_sq=2.0, sigma_sq=0.5,
+                         theta_star_norm_sq=1.0, seed=8)
+    (data, _), peak = _traced_peak(lambda: generate_synthetic(spec))
+    assert peak < 1.5 * data.X.nbytes
+
+
+def test_library_datasets_hold_frozen_arrays_of_their_own():
+    """The datasets the library makes from arrays it has just made are
+    frozen in place, and share no memory with their source."""
+    data, _ = generate_synthetic(SyntheticSpec(
+        n=40, d=3, sigma_x_sq=1.0, sigma_sq=0.5, theta_star_norm_sq=1.0, seed=2))
+    train, test = split(data, SplitSpec(0.75, seed=3))
+    made = [data, train, test, *standardize_fit_transform(train, test)]
+    for ds in made:
+        assert not ds.X.flags.writeable and not ds.Y.flags.writeable
+        assert ds.X.flags.c_contiguous and ds.Y.flags.c_contiguous
+    for a, b in itertools.combinations(made, 2):
+        assert not np.shares_memory(a.X, b.X) and not np.shares_memory(a.Y, b.Y)
 
 
 # --- standardization ----------------------------------------------------------------
