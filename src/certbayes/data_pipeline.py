@@ -29,18 +29,22 @@ contiguous row ranges, one part per usable CPU and at most one per
 _CELLS_PER_PART cells (_row_ranges). This process runs the first range and
 a child forked with multiprocessing's "fork" context runs each other range,
 sending its bytes back through a pipe: save_csv writes the header and then
-the parts in order, so the file is the same byte for byte, and load_csv
+the parts in order, so the file is the same byte for byte (a child formats
+its whole range, so it need not wait on the pipe while this process formats
+the first, and then sends it block by block, never joined), and load_csv
 applies every check above to each range and keeps the rows only if every
 range passed, so a file the fast path refuses still reaches the cell-by-cell
 parser whole. A call below 2 * _CELLS_PER_PART cells, or on a machine with
-one usable CPU, starts no process. A child runs only '%' formatting and one
-pipe write, or reads its own byte range of the file, parses it with
+one usable CPU, starts no process. A child runs only '%' formatting and a
+pipe write per block, or reads its own byte range of the file, parses it with
 np.loadtxt into its copy of X and Y and writes its X rows and then its Y
 rows to the pipe: no BLAS call and no lock that another thread of this
 process could hold at the fork, so forking a process that has OpenBLAS
 threads is safe here, though Python 3.12 and later warn about such forks. A
 child that cannot start, or ends without sending its range, leaves that
-range to this process, and no child outlives the call.
+range to this process, and a save_csv child that ends inside its range
+leaves the rows from the first block not received; no child outlives the
+call.
 """
 
 from __future__ import annotations
@@ -451,16 +455,17 @@ def save_csv(data: Dataset, path) -> None:
     bit-identically via load_csv."""
     header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"]) + "\r\n"
     with open(path, "wb") as fh, _row_ranges(
-        data.n, data.d + 1, lambda start, stop: [b"".join(_format_rows(data, start, stop))]
+        data.n, data.d + 1, lambda start, stop: list(_format_rows(data, start, stop))
     ) as ranges:
         fh.write(header.encode("ascii"))
         for start, stop, receiver in ranges:
-            if receiver is not None:
+            while receiver is not None and start < stop:
                 try:
-                    fh.write(receiver.recv_bytes())
-                    continue
-                except EOFError:  # no child sent this range
-                    pass
+                    block = receiver.recv_bytes()
+                except (EOFError, OSError):  # the child ended before this block
+                    break
+                fh.write(block)
+                start += _SAVE_BLOCK_ROWS
             fh.writelines(_format_rows(data, start, stop))
 
 

@@ -46,18 +46,30 @@ length ChEES targets. Until then the last window's length, or the cap, stands.
 expected_risk scores a posterior at one test radius or at a sequence of
 them. The residual r = y - x'theta does not depend on the radius dh, and the
 loss (|r| + dh ||theta||)^2 / (2 sigma^2) + log(2 pi sigma^2)/2 expands into
-non-negative terms of mean |r| and mean r^2, so one residual pass per set of
-draws serves every radius.
+non-negative terms of mean |r| and mean r^2, so one set of the two means per
+set of draws serves every radius.
 
-That pass works in blocks of about 2^17 residuals (1 MB, _BLOCK_CELLS), so
-a block stays in one core's L2 cache between the GEMM that writes it and the
-square-sum, abs and sum passes that read it. Every block holds at least 2
-draws, unless there is only one: numpy computes a 1-row product with gemv,
-not gemm, and gemv's last bits can differ. The blocks are cut into
-contiguous parts, one per usable CPU (os.sched_getaffinity) with at least 2
-blocks each, so a call below 4 blocks' worth of residuals runs in the
-caller alone. The caller runs the first part and a thread runs each other
-one. Threads, not forked processes: numpy releases the GIL in matmul,
+Both means are taken around the draws' mean c. With r_bar = y - X c and
+D_j = theta_j - c, a residual is r_bar_i - x_i'D_j. So mean r^2 is, for
+every draw, a quadratic form of [D_j, 1] in the (d+1) x (d+1) Gram matrix
+of [X, -r_bar], with no pass over the residuals; centring keeps the sum of
+r_bar^2 a direct sum, so the form does not cancel. A test point with
+|r_bar_i| > ||x_i|| max_j ||D_j|| keeps the sign of r_bar_i under every
+draw (Cauchy-Schwarz), so its |r| is linear in D_j, and the sum over those
+points is one (d+1)-vector dotted with [D_j, 1]. The identities are exact,
+and only the other points go through a residual pass. On sweep's draws at
+2000 x 1e4 test points and d = 5, that is 12-13% of the points at n = 4200
+and 63-64% at n = 100; on auto-mpg, all of them.
+
+That pass works in blocks of about 2^17 of those residuals (1 MB,
+_BLOCK_CELLS), so a block stays in one core's L2 cache between the GEMM
+that writes it and the abs and sum passes that read it. Every block holds
+at least 2 draws, unless there is only one: numpy computes a 1-row product
+with gemv, not gemm, and gemv's last bits can differ. The blocks are cut
+into contiguous parts, one per usable CPU (os.sched_getaffinity) with at
+least 2 blocks each, so a call below 4 blocks' worth of residuals runs in
+the caller alone. The caller runs the first part and a thread runs each
+other one. Threads, not forked processes: numpy releases the GIL in matmul,
 einsum and abs, so the parts overlap, and they read the draws and the test
 set and write their own slices of the outputs with no copy or pipe. A
 draw's means come from the same arithmetic in any block and part, so the
@@ -437,10 +449,12 @@ def _effective_sample_size(series: np.ndarray, n_chains: int = 1) -> float:
 
 
 # Residuals per block: 2^17 doubles, 1 MB, stay in one core's L2 cache
-# between the GEMM that writes a block and the passes that read it. At 2000
-# draws x 1e4 test points, d = 5 and one BLAS thread, on a Xeon with 2 MiB
-# of L2 per core, a call on one CPU took 87-115 ms in blocks of 2^22 and
-# 36-47 ms in blocks of 2^17 (27-31 ms on two CPUs), in alternating runs.
+# between the GEMM that writes a block and the passes that read it. On the
+# draws of sweep's n = 100 cell (2000 x 1e4 test points, 64% of them through
+# the pass), d = 5 and one BLAS thread, on a Xeon with 2 MiB of L2 per
+# core, a call on one CPU took 22-39 ms (median 23.5) in blocks of 2^22 and
+# 12.8-20 ms (median 13.1) in blocks of 2^17, and 13.1-21 ms on two CPUs,
+# in alternating runs.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -450,27 +464,39 @@ def _residual_moments(
     """Mean |r| and mean r^2 over the test set, one pair per draw, where
     r = y - x'theta.
 
-    One GEMM per block of draws, [theta, -1] [X, Y]', writes -r into its
-    part's one-block buffer, and the abs and both row sums work in that
-    buffer, so no draws x test array is formed. The blocks and the parts are
-    cut as the module docstring sets out; every thread that ran a part has
-    ended when the call returns.
+    With c the draws' mean, v = [theta - c, 1] and w = [x, -(y - x'c)],
+    every residual is -v'w. So the sum of r^2 over the test set is v'Gv,
+    with G the Gram matrix of the rows w, and the sum of |r| over the points
+    whose sign cannot change is -v'u, with u their rows w summed, each signed
+    by its residual at c. One GEMM per block of draws, v [w_pass]', writes
+    -r at the other points into its part's one-block buffer, and the abs and
+    row sum work in that buffer, so no draws x test array is formed. The
+    blocks and the parts are cut over those points as the module docstring
+    sets out; every thread that ran a part has ended when the call returns.
     """
     n, m = testset.n, draws.shape[0]
-    xy = np.column_stack((testset.X, testset.Y))
-    aug = np.column_stack((draws, np.full(m, -1.0)))
-    m1, m2 = np.empty(m), np.empty(m)
-    blocks = max(1, min(m // 2, m * n // _BLOCK_CELLS))
+    center = draws.mean(axis=0)
+    spread = draws - center
+    v = np.column_stack((spread, np.ones(m)))
+    w = np.column_stack((testset.X, testset.X @ center - testset.Y))
+    m2 = np.einsum("ij,ij->i", v @ (w.T @ w), v)
+    # Where |y - x'c| > ||x|| max_j ||theta_j - c||, -r = v'w has the sign
+    # of w's last entry under every draw (Cauchy-Schwarz).
+    reach = np.linalg.norm(testset.X, axis=1) * np.linalg.norm(spread, axis=1).max()
+    fixed = np.abs(w[:, -1]) > reach
+    m1 = v @ (np.sign(w[:, -1]) * fixed @ w)
+    w_pass = w[~fixed]
+    cols = w_pass.shape[0]
+    blocks = max(1, min(m // 2, m * cols // _BLOCK_CELLS))
     bounds = [m * b // blocks for b in range(blocks + 1)]
 
     def run(first: int, last: int) -> None:
-        buf = np.empty((-(-m // blocks), n))
+        buf = np.empty((-(-m // blocks), cols))
         for start, stop in zip(bounds[first:last], bounds[first + 1 : last + 1]):
             r = buf[: stop - start]
-            np.matmul(aug[start:stop], xy.T, out=r)
-            np.einsum("ij,ij->i", r, r, out=m2[start:stop])
+            np.matmul(v[start:stop], w_pass.T, out=r)
             np.abs(r, out=r)
-            np.einsum("ij->i", r, out=m1[start:stop])
+            m1[start:stop] += np.einsum("ij->i", r)
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = max(1, min(cpus, blocks // 2))

@@ -441,6 +441,38 @@ def test_a_range_whose_child_fails_runs_here(fault, tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _one_block_then(end):
+    """A _send that sends its range's first block and then ends(sender)."""
+
+    def send(sender, work, start, stop):
+        sender.send_bytes(next(iter(work(start, stop))))
+        end(sender)
+
+    return send
+
+
+@pytest.mark.parametrize("end", ["after_one_block", "inside_the_second_block"])
+def test_a_save_child_that_ends_mid_range_leaves_the_rest_here(end, tmp_path, monkeypatch,
+                                                               started):
+    """In blocks of 2 rows, each of 3 ranges of the 13 rows is 2 or 3
+    blocks; a child that sends only its first one, whole, or half of its
+    second too, leaves the rest of its range to this process."""
+    ds = _parts_table()
+    one, cut = tmp_path / "one.csv", tmp_path / "cut.csv"
+    save_csv(ds, one)
+    monkeypatch.setattr(data_pipeline, "_SAVE_BLOCK_ROWS", 2)
+    _cut(monkeypatch, 3)
+    if end == "after_one_block":
+        ending = _one_block_then(lambda sender: None)
+    else:  # a 4-byte length header promising 100 bytes, then 10 of them
+        ending = _one_block_then(
+            lambda sender: os.write(sender.fileno(), (100).to_bytes(4, "big") + b"x" * 10))
+    monkeypatch.setattr(data_pipeline, "_send", ending)
+    save_csv(ds, cut)
+    assert len(started) == 2
+    assert cut.read_bytes() == one.read_bytes()
+
+
 def _cell_outcome(path):
     """_outcome with the NumPy fast path turned off."""
     with mock.patch.object(data_pipeline, "_parse_fast", return_value=None):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from certbayes import (
     GaussianPosterior,
@@ -17,9 +19,11 @@ from certbayes import (
     SampleSet,
     SplitSpec,
     SpdMatrix,
+    SyntheticSpec,
     bayes_posterior,
     expected_risk,
     gaussian_adv_nll,
+    generate_synthetic,
     hmc_sample,
     load_csv,
     robust_log_density_grad,
@@ -29,6 +33,7 @@ from certbayes import (
 )
 from certbayes import posterior
 from certbayes.errors import DimensionMismatch, DivergentTrajectory, NonFiniteDensity
+from certbayes.model import _own_dataset
 from certbayes.posterior import _effective_sample_size
 
 from oracles import central_difference_gradient
@@ -1049,17 +1054,121 @@ def _per_draw_reference(draws, test, noise, dh):
 
 
 def test_expected_risk_matches_straight_line_reference_across_chunks():
-    """5000 test points and 1000 iid draws make 38 blocks of 26 or 27 draws
-    (5 000 000 residuals in blocks of about 2^17), run in one part per
-    usable CPU, at most 19."""
+    """Of 5000 test points, the 982 whose residual can change sign across
+    1000 iid draws make 7 blocks of 142 or 143 draws (982 000 residuals in
+    blocks of about 2^17), run in one part per usable CPU, at most 3."""
     test, noise, _ = _problem(20, n=5000, d=3, sigma_sq=0.3)
     rng = np.random.default_rng(21)
     draws = 0.5 + 0.1 * rng.standard_normal((1000, 3))
+    assert _pass_columns(draws, test) == 982
     ss = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
     for dh in (0.0, 0.05, 2.0):
         got = expected_risk(ss, test, noise, dh)
         ref = _per_draw_reference(draws, test, noise, dh)
         assert got.value == pytest.approx(ref.mean(), rel=1e-12)
+
+
+def _straight_line_moments(draws, test):
+    """Mean |r| and mean r^2 over the test points, one draw at a time, with
+    r = y - x'theta."""
+    m1, m2 = [], []
+    for theta in draws:
+        r = test.Y - test.X @ theta
+        m1.append(np.mean(np.abs(r)))
+        m2.append(np.mean(r * r))
+    return np.array(m1), np.array(m2)
+
+
+def _pass_columns(draws, test):
+    """The test points whose residual can change sign across the draws:
+    |y - x'c| <= ||x|| max_j ||theta_j - c||, with c the draws' mean. Only
+    these go through _residual_moments' block pass."""
+    center = draws.mean(axis=0)
+    reach = np.linalg.norm(test.X, axis=1) * np.linalg.norm(draws - center, axis=1).max()
+    return int(np.sum(np.abs(test.Y - test.X @ center) <= reach))
+
+
+def _recording_matmul(monkeypatch):
+    """Record the (rows, columns) of every np.matmul call: the GEMMs of
+    _residual_moments' block pass, whose other products use @."""
+    shapes = []
+    matmul = np.matmul
+
+    def recording(a, b, **kwargs):
+        shapes.append((a.shape[0], b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    return shapes
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 40), n=st.integers(3, 30),
+       d=st.integers(1, 8), spread=st.sampled_from([0.0, 1e-12, 1e-3, 0.1, 1.0, 1e3]),
+       sigma_sq=st.floats(1e-3, 10.0), zero_at_center=st.booleans())
+@example(seed=1, m=1, n=10, d=3, spread=0.1, sigma_sq=1.0, zero_at_center=False)
+@example(seed=2, m=6, n=10, d=3, spread=0.0, sigma_sq=1.0, zero_at_center=False)
+@example(seed=3, m=20, n=25, d=4, spread=1e-12, sigma_sq=1e-3, zero_at_center=False)
+@example(seed=4, m=20, n=25, d=4, spread=1e3, sigma_sq=1.0, zero_at_center=False)
+@example(seed=5, m=20, n=25, d=4, spread=0.1, sigma_sq=0.5, zero_at_center=True)
+@example(seed=6, m=30, n=3, d=8, spread=1.0, sigma_sq=1e-3, zero_at_center=False)
+def test_residual_moments_match_a_per_draw_reference(seed, m, n, d, spread, sigma_sq,
+                                                     zero_at_center):
+    """The closed forms over the draws' mean c agree with the straight-line
+    moments at one draw, at identical draws, at draws so tight that every
+    point keeps its sign and so wide that none does, at a point whose
+    residual at c is exactly 0, and at d > n; the labels carry noise of
+    variance at least 1e-3, so no draw fits them all."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    theta = rng.standard_normal(d)
+    y = x @ theta + math.sqrt(sigma_sq) * rng.standard_normal(n)
+    z = rng.standard_normal((m, d))
+    draws = theta + spread * (z - z.mean(axis=0))
+    center = draws.mean(axis=0)
+    if zero_at_center:
+        y[0] = (x @ center)[0]
+    test = _own_dataset(x, y)  # x itself, so X @ c is the product taken above
+    if zero_at_center:
+        assert (test.Y - test.X @ center)[0] == 0.0
+    cols = _pass_columns(draws, test)
+    if spread == 1e-12:
+        assert cols == int(zero_at_center)
+    if spread == 1e3 and m > 1:
+        assert cols == n
+    with pytest.MonkeyPatch.context() as patch:
+        shapes = _recording_matmul(patch)
+        got = posterior._residual_moments(draws, test)
+    assert {c for _, c in shapes} == {cols}
+    for found, want in zip(got, _straight_line_moments(draws, test)):
+        np.testing.assert_allclose(found, want, rtol=1e-12, atol=0.0)
+
+
+def test_residual_moments_pass_only_the_points_whose_sign_can_change(monkeypatch):
+    """The block pass takes the test points whose residual can change sign
+    across the draws, and no others. 2000 Bayes draws at n = 4200, d = 5
+    (sweep's larger cell) leave at most 20% of 2000 test points to it; 4000
+    Bayes draws on the standardized auto-mpg split leave all 118."""
+    shapes = _recording_matmul(monkeypatch)
+    ds, _ = generate_synthetic(SyntheticSpec(n=6200, d=5, sigma_x_sq=1.0, sigma_sq=1.0,
+                                             theta_star_norm_sq=1.0, seed=32))
+    train = validate_dataset(ds.X[:4200], ds.Y[:4200])
+    test = validate_dataset(ds.X[4200:], ds.Y[4200:])
+    draws = bayes_posterior(train, NoiseModel(1.0), IsotropicPrior(1.0)).sample(
+        2000, np.random.default_rng(33))
+    got = posterior._residual_moments(draws, test)
+    assert shapes and {c for _, c in shapes} == {_pass_columns(draws, test)}
+    assert 0 < shapes[0][1] <= 0.2 * test.n
+    for found, want in zip(got, _straight_line_moments(draws, test)):
+        np.testing.assert_allclose(found, want, rtol=1e-12, atol=0.0)
+
+    shapes.clear()
+    train, test = standardize_fit_transform(
+        *split(load_csv(AUTO_MPG, "mpg"), SplitSpec(train_fraction=0.7, seed=0)))
+    draws = bayes_posterior(train, NoiseModel(1.0), IsotropicPrior(1.0 / 9.0)).sample(
+        4000, np.random.default_rng(34))
+    posterior._residual_moments(draws, test)
+    assert shapes and {c for _, c in shapes} == {test.n}
 
 
 def _cut_risk(monkeypatch, cpus, block_cells):
@@ -1088,16 +1197,18 @@ def _moments_leaving_no_thread(draws, test):
 
 @pytest.mark.parametrize("parts", [2, 3])
 def test_residual_moments_in_parts_match_one_block_bit_for_bit(parts, monkeypatch):
-    """37 draws x 50 test points are one block at the real block size; in
-    blocks of 200 residuals they are 9 blocks of 4 or 5 draws, in `parts`
-    parts."""
+    """37 draws x 50 test points, of which 9 go through the pass, are one
+    block at the real block size; in blocks of 4 x 9 residuals they are 9
+    blocks of 4 or 5 draws, in `parts` parts."""
     test, _, _ = _problem(25, n=50, d=3)
     draws = 0.5 + 0.1 * np.random.default_rng(26).standard_normal((37, 3))
+    cols = _pass_columns(draws, test)
+    assert cols == 9
     one = _moments_leaving_no_thread(draws, test)
-    handed = _cut_risk(monkeypatch, 1, 4 * test.n)
+    handed = _cut_risk(monkeypatch, 1, 4 * cols)
     assert all(np.array_equal(a, b) for a, b in zip(_moments_leaving_no_thread(draws, test), one))
     assert handed == []
-    handed = _cut_risk(monkeypatch, parts, 4 * test.n)
+    handed = _cut_risk(monkeypatch, parts, 4 * cols)
     cut = _moments_leaving_no_thread(draws, test)
     assert len(handed) == parts - 1
     assert all(np.array_equal(a, b) for a, b in zip(cut, one))
@@ -1105,21 +1216,17 @@ def test_residual_moments_in_parts_match_one_block_bit_for_bit(parts, monkeypatc
 
 @pytest.mark.parametrize("m", [1, 2, 3, 17])
 def test_expected_risk_runs_no_one_draw_block_but_a_lone_draw(m, monkeypatch):
-    """In blocks of about 4 draws on 2 CPUs: 1, 2 and 3 draws are one block,
-    and 17, one past a multiple of 4, are blocks of 4, 4, 4 and 5 in 2
-    parts. numpy's product of a 1-row block takes another path (gemv), whose
-    last bits can differ."""
+    """In blocks of about 4 draws' residuals at the points that go through
+    the pass, on 2 CPUs: 1, 2 and 3 draws are one block, and 17, one past a
+    multiple of 4, are blocks of 4, 4, 4 and 5 in 2 parts. numpy's product
+    of a 1-row block takes another path (gemv), whose last bits can
+    differ."""
     test, noise, _ = _problem(27, n=50, d=3, sigma_sq=0.3)
     draws = 0.5 + 0.1 * np.random.default_rng(28).standard_normal((m, 3))
-    handed = _cut_risk(monkeypatch, 2, 4 * test.n)
-    rows = []
-    matmul = np.matmul
-
-    def recording(a, b, **kwargs):
-        rows.append(a.shape[0])
-        return matmul(a, b, **kwargs)
-
-    monkeypatch.setattr(np, "matmul", recording)
+    cols = _pass_columns(draws, test)
+    assert (cols == 0) == (m == 1)  # a lone draw's every residual keeps its sign
+    handed = _cut_risk(monkeypatch, 2, 4 * max(cols, 1))
+    shapes = _recording_matmul(monkeypatch)
     ss = SampleSet(draws=draws, accept_rate=1.0, step_size=1.0)
     for dh in (0.0, 2.0):
         before = threading.active_count()
@@ -1127,17 +1234,20 @@ def test_expected_risk_runs_no_one_draw_block_but_a_lone_draw(m, monkeypatch):
         assert threading.active_count() == before
         assert got.value == pytest.approx(_per_draw_reference(draws, test, noise, dh).mean(),
                                           rel=1e-12)
+    rows = [r for r, _ in shapes]
     assert sorted(rows) == sorted(2 * ([1] if m == 1 else [m] if m < 4 else [4, 4, 4, 5]))
     assert len(handed) == (2 if m == 17 else 0)  # one part handed on per call
 
 
 @pytest.mark.parametrize("m, n, parts", [(4000, 118, 1), (511, 1024, 1), (512, 1024, 2)])
 def test_residual_moments_second_part_starts_at_four_blocks(m, n, parts, monkeypatch):
-    """A part holds at least 2 blocks of 2^17 residuals: auto-mpg's 4000
-    draws x 118 test points (3.6 blocks) and 511 x 1024 run in the caller,
-    512 x 1024 (4 blocks) in 2 parts."""
+    """A part holds at least 2 blocks of 2^17 residuals at the points that
+    go through the pass, here all of them: auto-mpg's 4000 draws x 118 test
+    points (3.6 blocks) and 511 x 1024 run in the caller, 512 x 1024 (4
+    blocks) in 2 parts."""
     test, _, _ = _problem(29, n=n, d=3)
-    draws = np.random.default_rng(30).standard_normal((m, 3))
+    draws = 2.0 * np.random.default_rng(30).standard_normal((m, 3))
+    assert _pass_columns(draws, test) == n
     handed = _cut_risk(monkeypatch, 2, posterior._BLOCK_CELLS)
     _moments_leaving_no_thread(draws, test)
     assert len(handed) == parts - 1
