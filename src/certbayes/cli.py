@@ -193,15 +193,19 @@ def _fit_and_score(
     started from draws of the Bayes posterior, with the chains
     default_n_chains picks for the training size, only if it has radii.
     Returns the risks keyed by (posterior, radius) and the robust draws, or
-    None. hmc_sample and expected_risk are called through
-    this module's names so that callers can rebind them: the benchmark
-    captures draw sets through ``cli.hmc_sample``, and tests record calls.
+    None. hmc_sample, expected_risk and robust_log_density_grad are called
+    through this module's names so that callers can rebind them: the
+    benchmark captures draw sets through ``cli.hmc_sample`` and times each
+    gradient call through ``cli.robust_log_density_grad``, and tests record
+    calls.
     """
     exact = bayes_posterior(train, noise, prior)
     posteriors = {"bayes": exact}
     if radii["robust"]:
         posteriors["robust"] = hmc_sample(
-            lambda th: robust_log_density_grad(th, train, noise, prior, delta),
+            lambda th, value=True: robust_log_density_grad(
+                th, train, noise, prior, delta, value
+            ),
             HmcConfig(
                 n_samples=resolved["hmc_samples"],
                 n_warmup=resolved["hmc_warmup"],

@@ -30,7 +30,10 @@ stays xi'xi/2. A is formed once per run; on a Gaussian target whose
 precision is M the dynamics are isotropic. The random length (Neal, 2011)
 breaks the resonance a fixed leapfrog count has on near-Gaussian targets.
 Each chain carries the log density and gradient of its position, so each
-leapfrog step makes one call.
+leapfrog step makes one call, value_and_grad(theta, value=True). The
+density enters only the energy error at a trajectory's end, so every other
+step passes value=False, and a target may then return None in its place,
+as robust_log_density_grad does.
 
 The maximum length starts at the cap, config.leapfrog_steps. From warmup's
 first iteration a Welford running variance of the whitened positions
@@ -191,11 +194,13 @@ def bayes_posterior(
 
 
 def robust_log_density_grad(
-    theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float
-) -> tuple[Union[float, np.ndarray], np.ndarray]:
+    theta, data: Dataset, noise: NoiseModel, prior: IsotropicPrior, delta: float,
+    value: bool = True,
+) -> tuple[Union[float, np.ndarray, None], np.ndarray]:
     """Unnormalized log density of the robust posterior at theta,
     -adv_nll(theta) - ||theta||^2 / (2 sigma_p^2), and its gradient, both
-    from one residual.
+    from one residual. With value=False the density is not computed and
+    None stands in its place; the gradient is the same, bit for bit.
 
     theta is one point, shape (d,), which gives a float and a (d,) gradient,
     or a batch of C points, shape (C, d), which gives a (C,) array and a
@@ -217,23 +222,26 @@ def robust_log_density_grad(
     if delta > 0.0:
         # delta * sum(grown) / ||theta|| along theta per point; a zero norm
         # divides by 1 instead, so theta = 0 gets 0
-        pull = delta * grown.sum(axis=-1) / (norm + (norm == 0.0))
-        grad_loss += (th.T * pull).T
-    return (-_adv_nll(grown, data, noise) - 0.5 * sq_norm / prior.sigma_p_sq,
-            -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq)
+        pull = delta * np.add.reduce(grown, axis=-1) / (norm + (norm == 0.0))
+        grad_loss += th * pull[..., None]
+    grad = -grad_loss / noise.sigma_sq - th / prior.sigma_p_sq
+    if not value:
+        return None, grad
+    return -_adv_nll(grown, data, noise) - 0.5 * sq_norm / prior.sigma_p_sq, grad
 
 
 def _leapfrog(theta, xi, g, eps, n_steps, value_and_grad, a):
     """Leapfrog with whitened momentum xi, theta velocity A xi and start
-    gradient g = A'grad; n_steps calls. Returns the end's theta, xi, lp, g.
-    A (d,) state is one chain and a (C, d) state C chains, one per row."""
+    gradient g = A'grad; n_steps calls, of which only the last asks for the
+    log density. Returns the end's theta, xi, lp, g. A (d,) state is one
+    chain and a (C, d) state C chains, one per row."""
     xi = xi + 0.5 * eps * g
-    for step in range(n_steps):
+    for _ in range(n_steps - 1):
         theta = theta + eps * (xi @ a.T)
-        lp, grad = value_and_grad(theta)
-        g = grad @ a
-        if step < n_steps - 1:
-            xi = xi + eps * g
+        xi = xi + eps * (value_and_grad(theta, value=False)[1] @ a)
+    theta = theta + eps * (xi @ a.T)
+    lp, grad = value_and_grad(theta)
+    g = grad @ a
     xi = xi + 0.5 * eps * g
     return theta, xi, lp, g
 
@@ -257,7 +265,7 @@ def _find_reasonable_epsilon(theta, lp0, g0, value_and_grad, a, rng) -> tuple[fl
 
 
 def hmc_sample(
-    value_and_grad: Callable[[np.ndarray], tuple],
+    value_and_grad: Callable[..., tuple],
     config: HmcConfig,
     reference: GaussianPosterior,
 ) -> SampleSet:
@@ -265,12 +273,15 @@ def hmc_sample(
     during warmup by dual averaging and the maximum trajectory length by the
     whitened half period.
 
-    value_and_grad(theta) returns the log density and its gradient, as
-    robust_log_density_grad does: for theta of shape (d,), which one chain
-    and the step-size search pass, a float and a (d,) array, and for theta of
-    shape (C, d), which C > 1 chains pass, a (C,) and a (C, d) array, one row
-    per chain. Each chain carries both for its position, so each leapfrog
-    step makes one call, and a rejection none.
+    value_and_grad(theta, value=True) returns the log density and its
+    gradient, as robust_log_density_grad does: for theta of shape (d,), which
+    one chain and the step-size search pass, a float and a (d,) array, and
+    for theta of shape (C, d), which C > 1 chains pass, a (C,) and a (C, d)
+    array, one row per chain. Each chain carries both for its position, so
+    each leapfrog step makes one call, and a rejection none. Only a
+    trajectory's last call, the chains' starts and the step-size search read
+    the density; every other call passes value=False, and the target may
+    then return None, or a density that is ignored, with the gradient.
 
     reference is a Gaussian approximation of the target, N(mu, M^{-1}) with
     M = LL'. Its precision M is the mass matrix, its order is the dimension
@@ -335,7 +346,7 @@ def hmc_sample(
     n_warmup = -(-config.n_warmup // chains)
     w_done, w_count, w_mean, w_m2 = 0, 0, np.zeros(dim), np.zeros(dim)
 
-    consecutive = np.zeros(lp.shape, dtype=int)
+    consecutive = 0  # each chain's divergences in a row; 0 while none diverges
     divergences = 0
     draws = np.empty((chains, config.n_samples // chains, dim))
     alpha_sum = np.zeros(lp.shape)
@@ -350,23 +361,28 @@ def hmc_sample(
         log_ratio = np.where(log_ratio < math.inf, log_ratio, -math.inf)
 
         diverged = log_ratio < -_DIVERGENCE_ENERGY
-        consecutive = (consecutive + 1) * diverged
-        if consecutive.max() >= _MAX_CONSECUTIVE_DIVERGENCES:
-            raise DivergentTrajectory(
-                f"{int(consecutive.max())} consecutive divergent trajectories "
-                f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
-            )
+        if diverged.any():
+            consecutive = (consecutive + 1) * diverged
+            if consecutive.max() >= _MAX_CONSECUTIVE_DIVERGENCES:
+                raise DivergentTrajectory(
+                    f"{int(consecutive.max())} consecutive divergent trajectories "
+                    f"(energy error > {_DIVERGENCE_ENERGY:g}) at step size {eps:g}"
+                )
+            if m > n_warmup:
+                divergences += int(diverged.sum())
+        else:
+            consecutive = 0  # every chain's count restarts
 
         alpha = np.exp(np.minimum(log_ratio, 0.0))
         accept = rng.uniform(size=lp.shape) < alpha
-        np.copyto(theta, theta_prop, where=accept[..., None])
-        np.copyto(g, g_prop, where=accept[..., None])
+        rows = accept[..., None]
+        np.copyto(theta, theta_prop, where=rows)
+        np.copyto(g, g_prop, where=rows)
         np.copyto(lp, lp_prop, where=accept)
 
         if m > n_warmup:
             draws[:, m - n_warmup - 1] = theta
             alpha_sum += alpha
-            divergences += int(diverged.sum())
             continue
         frac = 1.0 / (m + t0)
         h_bar = (1.0 - frac) * h_bar + frac * (_TARGET_ACCEPT - float(alpha.sum()) / chains)

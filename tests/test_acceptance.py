@@ -74,7 +74,7 @@ def _robust_hmc(train, noise, prior, delta, n_samples, n_warmup, leapfrog, seed)
     default_n_chains picks."""
     exact = bayes_posterior(train, noise, prior)
     return hmc_sample(
-        lambda th: robust_log_density_grad(th, train, noise, prior, delta),
+        lambda th, value=True: robust_log_density_grad(th, train, noise, prior, delta, value),
         HmcConfig(
             n_samples=n_samples, n_warmup=n_warmup,
             leapfrog_steps=leapfrog, seed=seed,
@@ -425,7 +425,7 @@ def test_criterion_7_hmc_recovers_closed_form_posterior():
     precision = post.precision.entries
     cov = np.linalg.inv(precision)
 
-    def logp_and_grad(th):
+    def logp_and_grad(th, value=True):
         r = th - post.mean
         pr = r @ precision  # precision is symmetric
         return -0.5 * np.sum(r * pr, axis=-1), -pr

@@ -2,7 +2,7 @@ import concurrent.futures
 import math
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +144,42 @@ def test_grad_rejects_theta_of_the_wrong_length():
             robust_log_density_grad(theta, ds, noise, prior, 0.1)
 
 
+def test_grad_without_the_value_is_the_same_gradient():
+    """value=False gives None for the log density and the gradient a
+    value=True call gives, bit for bit: for a point and a batch, at
+    delta = 0 and delta > 0, and at theta = 0, where the delta term pulls
+    with 0."""
+    ds, noise, prior = _problem(12, n=40, d=3)
+    rng = np.random.default_rng(12)
+    batch = rng.standard_normal((4, ds.d))
+    batch[2] = 0.0
+    for theta in (rng.standard_normal(ds.d), np.zeros(ds.d), batch):
+        for delta in (0.0, 0.1, 1.0):
+            _, want = robust_log_density_grad(theta, ds, noise, prior, delta)
+            skipped, got = robust_log_density_grad(theta, ds, noise, prior, delta, value=False)
+            assert skipped is None
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), (theta, delta)
+
+
+def test_grad_without_the_value_checks_theta_and_delta_alike():
+    """value=False refuses a theta of the wrong shape and a bad delta with
+    the errors and messages of a value=True call."""
+    ds, noise, prior = _problem(9, n=20, d=3)
+    for theta, delta, error in (
+        (np.zeros(ds.d + 1), 0.1, DimensionMismatch),
+        (np.zeros((2, 4, ds.d)), 0.1, DimensionMismatch),
+        (np.ones(ds.d), math.nan, ValueError),
+        (np.ones(ds.d), -0.1, ValueError),
+        (np.ones((2, ds.d)), math.inf, ValueError),
+    ):
+        messages = []
+        for value in (True, False):
+            with pytest.raises(error) as raised:
+                robust_log_density_grad(theta, ds, noise, prior, delta, value=value)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
+
+
 def _straight_line_gradient(theta, data, noise, prior, delta):
     """The gradient as it was computed before the log density joined it."""
     th = np.asarray(theta, dtype=float)
@@ -236,23 +272,25 @@ def test_small_calls_are_the_three_array_formula_bit_for_bit():
 @pytest.mark.parametrize("chains, n", [(8, 4200), (16, 2560)])
 def test_batched_call_holds_two_chain_by_point_arrays(chains, n):
     """One call at the row budget peaks below 2.5 (C, n) float arrays, so it
-    holds the prediction error and the grown residuals and no third array.
+    holds the prediction error and the grown residuals and no third array,
+    with the log density and without it.
     posterior._CHAIN_ROW_BUDGET rests on this bound: a call that held three
     took 165-208 minor page faults per call at these sizes."""
     ds, noise, prior, batch = _chain_batch(chains, n, seed=chains)
-    robust_log_density_grad(batch, ds, noise, prior, 0.01)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        robust_log_density_grad(batch, ds, noise, prior, 0.01)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
+    for value in (True, False):
+        robust_log_density_grad(batch, ds, noise, prior, 0.01, value)
+        started = not tracemalloc.is_tracing()
         if started:
-            tracemalloc.stop()
-    assert peak < 2.5 * 8 * chains * n
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            robust_log_density_grad(batch, ds, noise, prior, 0.01, value)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 2.5 * 8 * chains * n, value
 
 
 def test_grad_delta_zero_reduction():
@@ -373,7 +411,7 @@ def _at_origin(precision):
 def _std_normal_target(dim):
     """N(0, I) in dim dimensions, for theta of shape (d,) or (C, d), and
     itself as the reference: identity mass, starts around the origin."""
-    return lambda t: (-0.5 * np.sum(t * t, axis=-1), -t), _at_origin(np.eye(dim))
+    return lambda t, value=True: (-0.5 * np.sum(t * t, axis=-1), -t), _at_origin(np.eye(dim))
 
 
 def test_hmc_standard_normal_moments():
@@ -405,7 +443,7 @@ def test_hmc_deterministic():
 def test_hmc_rejects_nonfinite_origin():
     with pytest.raises(NonFiniteDensity):
         hmc_sample(
-            lambda t: (-math.inf, np.zeros_like(t)),
+            lambda t, value=True: (-math.inf, np.zeros_like(t)),
             HmcConfig(n_samples=10, n_warmup=10, seed=0),
             _at_origin(np.eye(2)),
         )
@@ -419,7 +457,7 @@ def _finite_only_at_the_starts():
     search ends on here, and is small enough that no energy overflows."""
     starts, shapes = [], []
 
-    def target(t):
+    def target(t, value=True):
         shapes.append(t.shape)
         if not starts:
             starts.append(t.reshape(-1, t.shape[-1]).copy())
@@ -452,7 +490,7 @@ def test_hmc_mass_matrix_recovers_ill_conditioned_gaussian():
     assert np.linalg.cond(precision) >= 1e3
     cov = np.linalg.inv(precision)
 
-    def target(t):
+    def target(t, value=True):
         r = t - mean
         pr = r @ precision  # precision is symmetric
         return -0.5 * np.sum(r * pr, axis=-1), -pr
@@ -477,7 +515,7 @@ def test_hmc_evaluates_its_start_point_once():
     for chains in (1, 2):
         calls = []
 
-        def target(t):
+        def target(t, value=True):
             calls.append(t.copy())
             return -0.5 * np.sum(t * t, axis=-1), -t
 
@@ -496,7 +534,7 @@ def test_hmc_evaluates_each_position_once():
     precision = np.diag([1.0, 4.0, 25.0])
     seen = []
 
-    def target(t):
+    def target(t, value=True):
         seen.append(t.tobytes())
         return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
 
@@ -515,7 +553,7 @@ def test_hmc_rejects_a_reference_of_another_order():
     ds, noise, prior = _problem(9, n=20, d=3)
     with pytest.raises(DimensionMismatch):
         hmc_sample(
-            lambda t: robust_log_density_grad(t, ds, noise, prior, 0.1),
+            lambda t, value=True: robust_log_density_grad(t, ds, noise, prior, 0.1, value),
             HmcConfig(n_samples=10, n_warmup=10), _at_origin(np.eye(2)),
         )
 
@@ -534,7 +572,7 @@ def _trajectory_gradient_counts(monkeypatch, cfg, scale=1.0, dim=2):
         per_trajectory.append(calls[0] - before)
         return out
 
-    def target(t):
+    def target(t, value=True):
         calls[0] += 1
         return -0.5 * np.sum(t * t, axis=-1) / scale**2, -t / scale**2
 
@@ -588,7 +626,10 @@ def test_hmc_replay_gives_identical_draws_step_size_and_length():
     cfg = HmcConfig(n_samples=400, n_warmup=300, leapfrog_steps=32, seed=11)
     a, b = (
         hmc_sample(
-            lambda t: (-0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)), cfg,
+            lambda t, value=True: (
+                -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
+            ),
+            cfg,
             _at_origin(np.diag([1.0, 4.0, 16.0])),
         )
         for _ in range(2)
@@ -623,7 +664,7 @@ def test_hmc_length_windows_keep_a_distant_start_out_of_the_half_period():
     Pooling every warmup position instead gives 7-12 steps against 3-4."""
     mean = np.array([20.0, 0.0])
 
-    def target(t):
+    def target(t, value=True):
         r = t - mean
         return -0.5 * np.sum(r * r, axis=-1), -r
 
@@ -645,7 +686,7 @@ def test_hmc_length_windows_find_the_half_period_after_a_short_warmup(chains, n_
     over seeds 0-4, against at most 1 with the doubling windows."""
     mean = np.array([20.0, 0.0])
 
-    def target(t):
+    def target(t, value=True):
         r = t - mean
         return -0.5 * np.sum(r * r, axis=-1), -r
 
@@ -700,9 +741,9 @@ def test_hmc_grad_evals_counts_every_gradient_call():
     ds, noise, prior = _problem(15, n=40, d=3)
     calls = [0]
 
-    def target(t):
+    def target(t, value=True):
         calls[0] += 1
-        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+        return robust_log_density_grad(t, ds, noise, prior, 0.3, value)
 
     for cfg in (
         HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6),
@@ -765,7 +806,7 @@ def test_hmc_chains_replay_and_share_the_warmup():
     from all of them."""
     precision = np.diag([1.0, 4.0, 25.0])
 
-    def target(t):
+    def target(t, value=True):
         return -0.5 * np.sum(t * (t @ precision), axis=-1), -(t @ precision)
 
     for c in (4, 1, 8):
@@ -854,10 +895,10 @@ def test_hmc_chains_grad_evals_counts_rows():
     ds, noise, prior = _problem(15, n=40, d=3)
     rows, calls = [0], [0]
 
-    def target(t):
+    def target(t, value=True):
         rows[0] += 1 if t.ndim == 1 else t.shape[0]
         calls[0] += 1
-        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+        return robust_log_density_grad(t, ds, noise, prior, 0.3, value)
 
     cfg = HmcConfig(n_samples=200, n_warmup=150, leapfrog_steps=12, seed=6, n_chains=4)
     bayes = bayes_posterior(ds, noise, prior)
@@ -871,9 +912,9 @@ def test_hmc_one_chain_never_sees_a_batch():
     ds, noise, prior = _problem(16, n=40, d=3)
     shapes = set()
 
-    def target(t):
+    def target(t, value=True):
         shapes.add(t.shape)
-        return robust_log_density_grad(t, ds, noise, prior, 0.3)
+        return robust_log_density_grad(t, ds, noise, prior, 0.3, value)
 
     cfg = HmcConfig(n_samples=100, n_warmup=50, leapfrog_steps=8, seed=7)
     bayes = bayes_posterior(ds, noise, prior)
@@ -889,7 +930,7 @@ def test_hmc_chains_start_at_draws_of_the_center_and_mass():
     of the reference N(mu, M^{-1}), M = LL'."""
     calls = []
 
-    def target(t):
+    def target(t, value=True):
         calls.append(t.copy())
         return -0.5 * np.sum(t * t, axis=-1), -t
 
@@ -906,7 +947,7 @@ def test_hmc_chains_start_at_draws_of_the_center_and_mass():
 
 def test_hmc_rejects_a_nonfinite_start():
     """One start outside the support refuses the run, before any trajectory."""
-    def target(t):
+    def target(t, value=True):
         return np.where(t[..., 0] < 10.0, -0.5 * np.sum(t * t, axis=-1), -np.inf), -t
 
     cfg = HmcConfig(n_samples=40, n_warmup=20, seed=0, n_chains=4)
@@ -920,7 +961,7 @@ def test_hmc_each_chain_runs_its_share_of_the_warmup(n_warmup, chains, monkeypat
     n_warmup < C, and grad_evals is the rows the target saw."""
     rows = [0]
 
-    def target(t):
+    def target(t, value=True):
         rows[0] += 1 if t.ndim == 1 else t.shape[0]
         return -0.5 * np.sum(t * t, axis=-1), -t
 
@@ -942,7 +983,7 @@ def test_hmc_divergences_count_the_divergent_sampling_transitions(chains, monkey
     poisoned = {4: {0, 3}, 13: {0, 2}, 17: {1}, 25: {0, 1, 2, 3}}  # iteration -> chains
     current = [set()]
 
-    def target(t):
+    def target(t, value=True):
         rows = np.arange(t.shape[0]) if t.ndim == 2 else 0
         hit = np.isin(rows, sorted(current[0]))
         return np.where(hit, -np.inf, -0.5 * np.sum(t * t, axis=-1)), -t
@@ -952,6 +993,91 @@ def test_hmc_divergences_count_the_divergent_sampling_transitions(chains, monkey
     out = hmc_sample(target, cfg, _at_origin(np.eye(2)))
     want = {1: 2, 4: 7}[chains]  # iterations 13, 17 and 25; 4 is warmup
     assert out.divergences == want
+
+
+@pytest.mark.parametrize("chains", [1, 16])
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_hmc_asks_for_the_log_density_only_where_it_reads_it(delta, chains, monkeypatch):
+    """Each trajectory asks for the log density at its last call alone, and
+    besides them only the chains' starts do, in the first call; the
+    step-size search's one-step trajectories are among them. Skipping the
+    density at every other call leaves every field of the run bit for bit
+    that of a target that always computes it."""
+    ds, noise, prior = _problem(17, n=40, d=3)
+    bayes = bayes_posterior(ds, noise, prior)
+    cfg = HmcConfig(n_samples=160, n_warmup=160, leapfrog_steps=8, seed=3, n_chains=chains)
+    full = hmc_sample(
+        lambda t, value=True: robust_log_density_grad(t, ds, noise, prior, delta), cfg, bayes
+    )
+    flags, trajectories = [], []
+    leapfrog = posterior._leapfrog
+
+    def target(t, value=True):
+        flags.append(value)
+        return robust_log_density_grad(t, ds, noise, prior, delta, value)
+
+    def recorded(*args):
+        first = len(flags)
+        out = leapfrog(*args)
+        trajectories.append(flags[first:])
+        return out
+
+    monkeypatch.setattr(posterior, "_leapfrog", recorded)
+    skipped = hmc_sample(target, cfg, bayes)
+    assert flags[0] is True and len(flags) == 1 + sum(map(len, trajectories))
+    assert all(f == [False] * (len(f) - 1) + [True] for f in trajectories)
+    assert flags.count(True) == 1 + len(trajectories) < len(flags)
+    assert skipped.draws.tobytes() == full.draws.tobytes()
+    for field in fields(SampleSet):
+        if field.name != "draws":
+            assert getattr(skipped, field.name) == getattr(full, field.name), field.name
+
+
+@pytest.mark.parametrize("chains", [1, 4])
+def test_hmc_consecutive_divergences_restart_after_a_good_trajectory(chains, monkeypatch):
+    """A chain's count of divergences in a row restarts when one of its
+    trajectories does not diverge, whether another chain diverges on that
+    iteration or none does: 24, one good trajectory, then 24 more never raise, and
+    divergences still counts every divergent sampling transition (those of
+    iterations 10 on). 25 in a row raise on the 25th."""
+    def poisoned(spans):
+        """The unit Gaussian, whose log density is -inf, so that the
+        trajectory diverges, for the chains each span of iterations names,
+        and the list of the iterations run."""
+        plan, first = {}, 0
+        for length, which in spans:
+            plan.update(dict.fromkeys(range(first, first + length), which))
+            first += length
+        current = [set()]
+
+        def target(t, value=True):
+            rows = np.arange(t.shape[0]) if t.ndim == 2 else 0
+            hit = np.isin(rows, sorted(current[0]))
+            return np.where(hit, -np.inf, -0.5 * np.sum(t * t, axis=-1)), -t
+
+        def before(i):
+            current[0] = plan.get(i, set())
+
+        return target, _record_iterations(monkeypatch, before)
+
+    if chains == 1:
+        # 0-23 diverge, 24 does not (no chain diverges), 25-48 diverge
+        target, _ = poisoned([(24, {0}), (1, set()), (24, {0})])
+        want = 14 + 24
+    else:
+        # chains 0 and 3 diverge on 0-23, only chain 1 on 24, chains 0 and 3
+        # again on 25-48 and chain 1 on 25-47, none on 49, all on 50-73
+        target, _ = poisoned([(24, {0, 3}), (1, {1}), (23, {0, 1, 3}), (1, {0, 3}),
+                              (1, set()), (24, {0, 1, 2, 3})])
+        want = 2 * 14 + 1 + 2 * 24 + 23 + 4 * 24
+    cfg = HmcConfig(n_samples=80 * chains, n_warmup=10 * chains, seed=2, n_chains=chains)
+    assert hmc_sample(target, cfg, _at_origin(np.eye(2))).divergences == want
+
+    monkeypatch.undo()
+    target, iterations = poisoned([(25, {chains - 1})])
+    with pytest.raises(DivergentTrajectory, match="25 consecutive"):
+        hmc_sample(target, cfg, _at_origin(np.eye(2)))
+    assert len(iterations) == 25
 
 
 def _max_split_rhat(draws, chains):
@@ -986,10 +1112,10 @@ def test_hmc_chains_agree_on_auto_mpg():
         for chains in (posterior.default_n_chains(train.n, 4000), 8):
             calls[chains] = rows[chains] = 0
 
-            def target(t, chains=chains):
+            def target(t, value=True, chains=chains):
                 calls[chains] += 1
                 rows[chains] += t.shape[0] if t.ndim == 2 else 1
-                return robust_log_density_grad(t, train, noise, prior, delta)
+                return robust_log_density_grad(t, train, noise, prior, delta, value)
 
             cfg = HmcConfig(n_samples=4000, n_warmup=2000, leapfrog_steps=32, seed=seed,
                             n_chains=chains)
