@@ -62,6 +62,12 @@ def _check_theta(theta, d: int, *, batch: bool = False) -> np.ndarray:
     return th
 
 
+def _sq_rows(a, b=None):
+    """a'b row by row, a'a without b: a float for (d,) and (C,) for (C, d)."""
+    b = a if b is None else b
+    return a @ b if a.ndim == 1 else np.einsum("ij,ij->i", a, b)
+
+
 def gaussian_nll(theta, data: Dataset, noise: NoiseModel) -> float:
     """Exact Gaussian NLL, (n/2) log(2 pi sigma^2) + ||Y - X theta||^2 / (2 sigma^2):
     the adversarial NLL at delta = 0."""
@@ -76,7 +82,7 @@ def _worst_residual(th: np.ndarray, data: Dataset, delta: float) -> tuple:
     _check_nonnegative("delta", delta)
     e = th @ data.X.T
     e -= data.Y
-    sq_norm = th @ th if th.ndim == 1 else np.einsum("ij,ij->i", th, th)
+    sq_norm = _sq_rows(th)
     # at delta = 0, |e| itself: 0 * sqrt(sq_norm) is NaN once ||theta||^2 overflows
     norm = np.sqrt(sq_norm) if delta > 0.0 else None
     grown = np.abs(e)

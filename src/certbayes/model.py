@@ -16,8 +16,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, DomainViolation, Empty, NonFiniteEntry
-from .numerics import SpdMatrix
+from .errors import (
+    DimensionMismatch, DomainViolation, Empty, NonFiniteEntry, NotPositiveDefinite,
+)
+from .numerics import SpdMatrix, spd_solve
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -41,15 +43,17 @@ def _check_positive(name: str, v: float) -> None:
 class Dataset:
     """A feature matrix X (n rows, d columns) with a label vector Y (length n).
 
-    :attr:`gram` and :attr:`gram_terms`, the certificates' data terms by
-    (k, a), are kept for the life of the instance. The caches are sound only
-    because X and Y never change. Every instance the library makes holds
-    frozen arrays that nothing else can write: :func:`validate_dataset`
-    freezes copies of a caller's arrays, and ``_own_dataset`` freezes in
-    place the arrays that the library has just made (a parsed file, a
-    generated or standardized dataset, the rows of a split), to which no
-    other reference is left. A copy or unpickled instance is rebuilt through
-    :func:`validate_dataset`.
+    :attr:`gram`, :attr:`gram_terms`, the certificates' data terms by
+    (k, a), and :attr:`sign_screen`, the robust gradient's
+    :class:`SignScreen`, are kept for the life of the instance, each built
+    on first use. The caches are sound only because X and Y never change.
+    Every instance the library makes holds frozen arrays that nothing else
+    can write: :func:`validate_dataset` freezes copies of a caller's
+    arrays, and ``_own_dataset`` freezes in place the arrays that the
+    library has just made (a parsed file, a generated or standardized
+    dataset, the rows of a split), to which no other reference is left. A
+    copy or unpickled instance is rebuilt through :func:`validate_dataset`,
+    without the caches.
     """
 
     X: np.ndarray
@@ -79,6 +83,72 @@ class Dataset:
         """(k, a) -> (log det(k I_d + a X'X), Y'(k I_n + a XX')^{-1} Y), as
         ``certificates._gram_terms`` computed them."""
         return {}
+
+    @cached_property
+    def sign_screen(self) -> "SignScreen | None":
+        """The residual-sign screen of the robust gradient, built from
+        :attr:`gram` on first use. None where d > n or X'X does not
+        factorize, and where a column lies within about 1e-4 radians of the
+        span of the columns before it (a Cholesky pivot below 1e-8 of its
+        diagonal entry), which leaves the least-squares center to rounding."""
+        if self.d > self.n:
+            return None
+        try:
+            gram = SpdMatrix.from_array(self.gram)
+        except NotPositiveDefinite:
+            return None
+        if np.any(np.diag(gram.chol_lower) ** 2 <= 1e-8 * np.diag(gram.entries)):
+            return None
+        return SignScreen.build(self.X, self.Y, spd_solve(gram, self.X.T @ self.Y))
+
+
+@dataclass(frozen=True, eq=False)
+class SignScreen:
+    """What the robust gradient needs to skip the training points whose
+    residual e_i = x_i'theta - y_i keeps its sign, read-only.
+
+    With c the least-squares center and e(c) its residuals, e_i keeps the
+    sign s_i of e_i(c) (+1 at a tie) at every theta with
+    ||theta - c|| < q_i = |e_i(c)| / ||x_i|| (Cauchy-Schwarz), and at every
+    theta where x_i = 0, whose q_i is inf. The points are held sorted by q:
+    x and y their rows, sign their s_i, and abs_tail[k] and sx_tail[k] the
+    sums of |e_i(c)| and of s_i x_i over the points from the k-th on, so
+    one searchsorted on q finds the points a call may skip and the tails
+    sum over them. hx = X'e(c) and sq_sum = sum e_i(c)^2 close the sums
+    over all points.
+    """
+
+    center: np.ndarray
+    q: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    sign: np.ndarray
+    hx: np.ndarray
+    sq_sum: float
+    abs_tail: np.ndarray
+    sx_tail: np.ndarray
+
+    @staticmethod
+    def build(x: np.ndarray, y: np.ndarray, center: np.ndarray) -> "SignScreen":
+        resid = x @ center - y
+        norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+        q = np.divide(np.abs(resid), norms, out=np.full(len(y), np.inf), where=norms > 0.0)
+        order = np.argsort(q, kind="stable")
+        sign = np.where(resid[order] >= 0.0, 1.0, -1.0)
+        xs = x[order]
+
+        def tail(terms):
+            # suffix sums, the k-th over terms[k:], accumulated in extended
+            # precision so the long tails carry no running rounding
+            sums = np.cumsum(terms[::-1], axis=0, dtype=np.longdouble)[::-1]
+            return _freeze(np.concatenate((sums, np.zeros_like(sums[:1]))).astype(float))
+
+        return SignScreen(
+            center=_freeze(center), q=_freeze(q[order]), x=_freeze(xs),
+            y=_freeze(y[order]), sign=_freeze(sign), hx=_freeze(x.T @ resid),
+            sq_sum=float(resid @ resid), abs_tail=tail(np.abs(resid[order])),
+            sx_tail=tail(sign[:, None] * xs),
+        )
 
 
 def validate_dataset(X, Y) -> Dataset:

@@ -143,14 +143,23 @@ def test_copied_or_unpickled_dataset_is_frozen_and_drops_the_cache():
     gram = ds.gram
     bound = cert_bayes_standard(ds, *_CERT_INPUTS[:3]).bound_value
     assert len(ds.gram_terms) == 1
+    screen = ds.sign_screen
     for twin in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds), copy.copy(ds)):
         assert not (twin.X.flags.writeable or twin.Y.flags.writeable)
         assert "gram" not in vars(twin)
         assert "gram_terms" not in vars(twin)
+        assert "sign_screen" not in vars(twin)
         assert twin.gram.tobytes() == gram.tobytes()
         assert not twin.gram.flags.writeable
         assert cert_bayes_standard(twin, *_CERT_INPUTS[:3]).bound_value == bound
         assert twin.gram_terms == ds.gram_terms and twin.gram_terms is not ds.gram_terms
+        rebuilt = twin.sign_screen
+        assert rebuilt is not screen
+        for name, kept in vars(screen).items():
+            again = getattr(rebuilt, name)
+            assert np.asarray(again).tobytes() == np.asarray(kept).tobytes(), name
+            if isinstance(kept, np.ndarray):
+                assert not (kept.flags.writeable or again.flags.writeable), name
 
 
 def _certify_one(cert, ds):

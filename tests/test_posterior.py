@@ -293,6 +293,208 @@ def test_batched_call_holds_two_chain_by_point_arrays(chains, n):
         assert peak < 2.5 * 8 * chains * n, value
 
 
+# --- sign screen ----------------------------------------------------------------
+# Tolerances of a screened call against the three-array formula, fixed before
+# any run: the value relative to itself, each gradient row relative to its
+# largest entry.
+_SCREEN_VALUE_RTOL = 1e-12
+_SCREEN_GRAD_RTOL = 1e-12
+
+
+def _screen_result(theta, ds, noise, prior, delta, value=True):
+    """What the sign screen gives at theta, or None where it does not run."""
+    th = np.asarray(theta, dtype=float)
+    return posterior._screened_density_grad(th, ds, noise, prior, delta, value)
+
+
+def _skipped(theta, screen):
+    """How many points, the last in the screen's order, a call at theta skips."""
+    dev = np.atleast_2d(theta) - screen.center
+    reach = math.sqrt(np.max(np.einsum("ij,ij->i", dev, dev)))
+    return len(screen.q) - int(np.searchsorted(screen.q, reach, side="right"))
+
+
+def _assert_rows_close(got, want):
+    values, wanted = np.atleast_1d(got[0]), np.atleast_1d(want[0])
+    assert np.all(np.abs(values - wanted) <= _SCREEN_VALUE_RTOL * np.abs(wanted)), (values, wanted)
+    grads, wanted = np.atleast_2d(got[1]), np.atleast_2d(want[1])
+    scale = np.abs(wanted).max(axis=1, keepdims=True)
+    assert np.all(np.abs(grads - wanted) <= _SCREEN_GRAD_RTOL * scale), (grads, wanted)
+
+
+def _assert_skipped_signs_hold(theta, screen):
+    """Every skipped point's residual x'theta - y has the screen's sign s_i
+    (+1 at a tie) on every row."""
+    first = len(screen.q) - _skipped(theta, screen)
+    resid = np.atleast_2d(theta) @ screen.x[first:].T - screen.y[first:]
+    assert np.array_equal(np.where(resid >= 0.0, 1.0, -1.0), np.broadcast_to(
+        screen.sign[first:], resid.shape))
+
+
+def _screen_problem(seed, n, d):
+    """A criterion-5-like problem, y = x'beta / 2 + noise of variance 1/9."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = 0.5 * x @ rng.standard_normal(d) + rng.standard_normal(n) / 3.0
+    return validate_dataset(x, y), NoiseModel(1.0 / 9.0), IsotropicPrior(0.01)
+
+
+def _check_against_three_array(theta, ds, noise, prior, delta):
+    """The call at theta: the screen's result within the tolerances above,
+    with its skipped signs and its value=False gradient bit for bit, or,
+    where the screen does not run, the three-array formula bit for bit.
+    Returns whether the screen ran."""
+    got = robust_log_density_grad(theta, ds, noise, prior, delta)
+    want = _three_array_gradient(theta, ds, noise, prior, delta)
+    screened = _screen_result(theta, ds, noise, prior, delta)
+    if screened is None:
+        assert np.asarray(got[0]).tobytes() == np.asarray(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        return False
+    assert np.shape(got[0]) == np.shape(want[0]) and got[1].shape == want[1].shape
+    assert np.asarray(got[0]).tobytes() == np.asarray(screened[0]).tobytes()
+    assert got[1].tobytes() == screened[1].tobytes()
+    _assert_rows_close(got, want)
+    _assert_skipped_signs_hold(theta, ds.sign_screen)
+    skipped, grad = robust_log_density_grad(theta, ds, noise, prior, delta, value=False)
+    assert skipped is None and grad.tobytes() == got[1].tobytes()
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(posterior._SCREEN_MIN_SKIPPED, 5000),
+    d=st.integers(1, 11),
+    chains=st.sampled_from([1, 2, 4, 8, 16]),
+    point=st.booleans(),
+    delta=st.sampled_from([0.0, 0.01, 0.3, 1.0]),
+    scale=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0]),
+)
+def test_screened_calls_match_the_three_array_formula(seed, n, d, chains, point, delta, scale):
+    """Around the least-squares center, at scales where the screen runs and
+    where it falls back; chains = 1 is also a (d,) point."""
+    ds, noise, prior = _screen_problem(seed, n, d)
+    shape = (d,) if chains == 1 and point else (chains, d)
+    theta = ds.sign_screen.center + scale * np.random.default_rng(seed).standard_normal(shape)
+    _check_against_three_array(theta, ds, noise, prior, delta)
+
+
+def test_the_screen_runs_near_its_center_and_falls_back_far_from_it():
+    """The property test's scales take both branches: at n = 4200, d = 5
+    the screen runs within 1e-2 of the center and skips at least the floor,
+    and falls back from 1.0 on, where too few points keep their sign."""
+    ds, noise, prior = _screen_problem(5, 4200, 5)
+    rng = np.random.default_rng(5)
+    for scale, runs in ((0.0, True), (1e-3, True), (1e-2, True), (1.0, False), (10.0, False)):
+        for shape in ((5,), (8, 5)):
+            theta = ds.sign_screen.center + scale * rng.standard_normal(shape)
+            assert (_skipped(theta, ds.sign_screen) >= posterior._SCREEN_MIN_SKIPPED) == runs
+            for delta in (0.0, 0.01, 1.0):
+                assert _check_against_three_array(theta, ds, noise, prior, delta) == runs
+
+
+def test_a_screened_call_holds_no_chain_by_point_array():
+    """At (8, 4200) near the center, where the sampler spends its calls, a
+    screened call peaks below one (C, n) float array, with the log density
+    and without it."""
+    ds, noise, prior = _screen_problem(8, 4200, 5)
+    batch = ds.sign_screen.center + 0.01 * np.random.default_rng(8).standard_normal((8, 5))
+    for value in (True, False):
+        assert _screen_result(batch, ds, noise, prior, 0.01, value) is not None
+        robust_log_density_grad(batch, ds, noise, prior, 0.01, value)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            robust_log_density_grad(batch, ds, noise, prior, 0.01, value)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 8 * batch.shape[0] * ds.n, value
+
+
+def test_a_dataset_below_the_floor_builds_no_screen():
+    ds, noise, prior = _screen_problem(3, posterior._SCREEN_MIN_SKIPPED - 1, 3)
+    for delta in (0.0, 0.3):
+        robust_log_density_grad(np.full((4, 3), 0.1), ds, noise, prior, delta)
+    assert "sign_screen" not in vars(ds)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_with_zero_feature_rows():
+    """A zero row keeps its residual -y under every theta: with y != 0 the
+    screen skips it under its sign, and with y = 0 its residual is +0.0, a
+    tie, which takes +1; neither divides 0 by 0."""
+    ds, noise, prior = _screen_problem(11, 3000, 4)
+    x, y = ds.X.copy(), ds.Y.copy()
+    x[:40] = 0.0
+    y[:20] = 0.0
+    ds = validate_dataset(x, y)
+    screen = ds.sign_screen
+    zero = np.all(screen.x == 0.0, axis=1)
+    assert zero.sum() == 40 and np.all(np.isinf(screen.q[zero]))
+    assert np.all(screen.sign[zero & (screen.y == 0.0)] == 1.0)
+    assert np.all(screen.sign[zero & (screen.y != 0.0)] == -np.sign(screen.y[zero & (screen.y != 0.0)]))
+    rng = np.random.default_rng(11)
+    for shape in ((4,), (8, 4)):
+        theta = screen.center + 0.01 * rng.standard_normal(shape)
+        for delta in (0.0, 0.01, 1.0):
+            assert _check_against_three_array(theta, ds, noise, prior, delta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_screen_with_a_zero_residual_at_the_center_and_duplicate_rows():
+    """x = 1 and y = 3 + k for k in -3..3, 4096 points: the center is 3
+    exactly, so the points with y = 3 have e(c) = +0.0, q = 0 and sign +1 and
+    are never skipped, while every point is one of 7 duplicate rows."""
+    y = 3.0 + np.append(np.tile(np.arange(-3.0, 4.0), 585), 0.0)
+    assert y.shape == (4096,) and y.sum() == 3.0 * 4096
+    ds, noise, prior = validate_dataset(np.ones((4096, 1)), y), NoiseModel(1.0), IsotropicPrior(1.0)
+    screen = ds.sign_screen
+    assert screen.center.tolist() == [3.0]
+    tie = screen.y == 3.0
+    assert np.all(screen.q[tie] == 0.0) and np.all(screen.sign[tie] == 1.0)
+    for theta in (np.array([3.0]), np.array([3.2]), np.array([[3.0], [2.7], [3.5]])):
+        assert _skipped(theta, screen) == 4096 - tie.sum()  # every |y - 3| >= 1 > reach
+        for delta in (0.0, 0.01, 1.0):
+            assert _check_against_three_array(theta, ds, noise, prior, delta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_no_screen_for_collinear_columns_or_more_features_than_points():
+    """X'X does not factorize when a column is twice another, and d > n has
+    no d x d Gram to factorize: neither dataset has a screen, and a call
+    near where a screen's center would be is the full path bit for bit."""
+    ds, noise, prior = _screen_problem(12, 2000, 3)
+    x = np.column_stack((ds.X, 2.0 * ds.X[:, 0]))
+    collinear = validate_dataset(x, ds.Y)
+    rng = np.random.default_rng(12)
+    wide = validate_dataset(rng.standard_normal((1300, 1400)), rng.standard_normal(1300))
+    for data in (collinear, wide):
+        assert data.sign_screen is None
+        for shape in ((data.d,), (4, data.d)):
+            theta = 0.01 * rng.standard_normal(shape)
+            for delta in (0.0, 0.01, 1.0):
+                assert not _check_against_three_array(theta, data, noise, prior, delta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_theta_zero_row_or_delta_zero_near_the_center():
+    """A batch with a theta = 0 row takes the full path bit for bit, at
+    delta = 0 and delta > 0, and delta = 0 near the center is screened."""
+    ds, noise, prior = _screen_problem(13, 4200, 5)
+    batch = ds.sign_screen.center + 0.01 * np.random.default_rng(13).standard_normal((8, 5))
+    assert _check_against_three_array(batch, ds, noise, prior, 0.0)
+    batch[3] = 0.0
+    for delta in (0.0, 0.01, 1.0):
+        assert not _check_against_three_array(batch, ds, noise, prior, delta)
+    assert not _check_against_three_array(np.zeros(5), ds, noise, prior, 0.3)
+
+
 def test_grad_delta_zero_reduction():
     ds, noise, prior = _problem(6)
     theta = np.random.default_rng(0).standard_normal(ds.d)
@@ -325,21 +527,26 @@ def test_grad_at_zero_residual_takes_sign_plus_one():
 
 
 def test_grad_matches_finite_differences():
-    ds, noise, prior = _problem(8, n=20, d=4)
+    """At n = 20 around the origin, and at n = 1500 near the sign screen's
+    center, where the screen evaluates both the density and the gradient."""
+    small, screened = _problem(8, n=20, d=4), _problem(8, n=1500, d=4)
     rng = np.random.default_rng(1)
-    for delta in (0.0, 0.25, 1.0):
-        checked = 0
-        while checked < 25:
-            theta = rng.standard_normal(ds.d)
-            r = ds.Y - ds.X @ theta
-            if np.min(np.abs(r)) < 1e-3 or np.linalg.norm(theta) < 1e-2:
-                continue  # too close to a kink for finite differences
-            _, got = robust_log_density_grad(theta, ds, noise, prior, delta)
-            fd = central_difference_gradient(
-                lambda t: robust_log_density_grad(t, ds, noise, prior, delta)[0], theta
-            )
-            np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
-            checked += 1
+    cases = ((small, 0.0, 1.0, 25), (screened, screened[0].sign_screen.center, 0.02, 5))
+    for (ds, noise, prior), around, spread, count in cases:
+        for delta in (0.0, 0.25, 1.0):
+            checked = 0
+            while checked < count:
+                theta = around + spread * rng.standard_normal(ds.d)
+                r = ds.Y - ds.X @ theta
+                if np.min(np.abs(r)) < 1e-3 or np.linalg.norm(theta) < 1e-2:
+                    continue  # too close to a kink for finite differences
+                assert (_screen_result(theta, ds, noise, prior, delta) is None) == (ds is small[0])
+                _, got = robust_log_density_grad(theta, ds, noise, prior, delta)
+                fd = central_difference_gradient(
+                    lambda t: robust_log_density_grad(t, ds, noise, prior, delta)[0], theta
+                )
+                np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-6)
+                checked += 1
 
 
 def _batch_away_from_kinks(ds, rng, rows):
@@ -353,19 +560,24 @@ def _batch_away_from_kinks(ds, rng, rows):
 
 
 def test_batched_call_rows_equal_single_calls():
-    ds, noise, prior = _problem(21, n=40, d=4)
+    """At n = 40 with a theta = 0 row, and at n = 3000 near the sign
+    screen's center, where the screen evaluates the batch and each row."""
+    small, screened = _problem(21, n=40, d=4), _problem(21, n=3000, d=4)
     rng = np.random.default_rng(2)
-    thetas = np.vstack([np.zeros(ds.d), rng.standard_normal((5, ds.d))])
-    for delta in (0.0, 0.4):
-        for batch in (thetas, thetas[:1], thetas[1:2]):
-            values, grads = robust_log_density_grad(batch, ds, noise, prior, delta)
-            assert values.shape == (batch.shape[0],) and grads.shape == batch.shape
-            for theta, value, grad in zip(batch, values, grads):
-                want_value, want_grad = robust_log_density_grad(theta, ds, noise, prior, delta)
-                assert value == pytest.approx(want_value, rel=1e-12)
-                np.testing.assert_allclose(
-                    grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max()
-                )
+    thetas = np.vstack([np.zeros(small[0].d), rng.standard_normal((5, small[0].d))])
+    near = screened[0].sign_screen.center + 0.01 * rng.standard_normal((6, screened[0].d))
+    for (ds, noise, prior), batches in ((small, thetas), (screened, near)):
+        for delta in (0.0, 0.4):
+            for batch in (batches, batches[:1], batches[1:2]):
+                assert (_screen_result(batch, ds, noise, prior, delta) is None) == (ds is small[0])
+                values, grads = robust_log_density_grad(batch, ds, noise, prior, delta)
+                assert values.shape == (batch.shape[0],) and grads.shape == batch.shape
+                for theta, value, grad in zip(batch, values, grads):
+                    want_value, want_grad = robust_log_density_grad(theta, ds, noise, prior, delta)
+                    assert value == pytest.approx(want_value, rel=1e-12)
+                    np.testing.assert_allclose(
+                        grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max()
+                    )
 
 
 def test_batched_call_gives_theta_zero_the_zero_norm_selection():
