@@ -6,8 +6,19 @@ write/read round trip is bit-identical for finite doubles. Rows with missing
 fields are rejected rather than imputed.
 
 save_csv writes the fixed header x1,...,xd,y and formats the rows in blocks
-of _SAVE_BLOCK_ROWS, each with one '%' on a row template; every line, the
-header's too, ends in CRLF, as csv.writer ends lines.
+of _SAVE_BLOCK_ROWS; every line, the header's too, ends in CRLF, as
+csv.writer ends lines. A block's text is the bytes that '%.17g' % x gives
+for each cell, made by one numpy kernel (_fast_cells) for every cell with
+1e-11 <= |x| < 1e16: it takes the 17-digit significand from one product
+|x| * 10**p in the x87 long double, where 10**p is exact for p <= 27, and
+that product lies within 2**-8 of the exact one, so rint gives the digits
+that Python's correctly rounded '%' gives unless the product lies that
+close to a half. Such near-ties, which include exact ties such as
+100000000000000.125 that '%' rounds half to even, and every cell out of that
+range, zero, inf and nan among them, go through '%' one at a time; so does
+every cell where numpy's long double is not the x87 type
+(_EXTENDED_PRECISION). The digits then go into their cell's bytes by one
+gather from a table of '%g' layouts, and the pad bytes are dropped.
 
 load_csv reads the header with csv.reader. It then streams the body from
 the file: one binary pass counts the lines (ended by LF, CRLF or a bare CR,
@@ -23,8 +34,9 @@ the lines again with csv.reader and float(), cell by cell. That parser
 alone raises ParseError and NonNumericColumn, with their rows and columns,
 and the UnicodeDecodeError of a body that is not UTF-8.
 
-Both spend their time converting numbers one at a time in code that holds
-the GIL, so threads would not overlap. A large call is therefore cut into
+Both spend their time converting numbers in code that holds the GIL: numpy
+loops over blocks of a few MB, or one number at a time in np.loadtxt. So
+threads would not overlap. A large call is therefore cut into
 contiguous row ranges, one part per usable CPU and at most one per
 _CELLS_PER_PART cells (_row_ranges). This process runs the first range and
 a child forked with multiprocessing's "fork" context runs each other range,
@@ -35,8 +47,8 @@ the first, and then sends it block by block, never joined), and load_csv
 applies every check above to each range and keeps the rows only if every
 range passed, so a file the fast path refuses still reaches the cell-by-cell
 parser whole. A call below 2 * _CELLS_PER_PART cells, or on a machine with
-one usable CPU, starts no process. A child runs only '%' formatting and a
-pipe write per block, or reads its own byte range of the file, parses it with
+one usable CPU, starts no process. A child runs only numpy's and '%'
+formatting and a pipe write per block, or reads its own byte range of the file, parses it with
 np.loadtxt into its copy of X and Y and writes its X rows and then its Y
 rows to the pipe: no BLAS call and no lock that another thread of this
 process could hold at the fork, so forking a process that has OpenBLAS
@@ -52,6 +64,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import csv
+import functools
 import math
 import numbers
 import os
@@ -438,21 +451,150 @@ def load_csv(path, target_column: Union[str, int]) -> Dataset:
 # Rows formatted per write in save_csv.
 _SAVE_BLOCK_ROWS = 4096
 
+# Cells formatted at a time, which bounds _fast_cells' arrays: a block of
+# 4096 rows of up to 16 columns goes in one piece.
+_FORMAT_CELLS = 1 << 16
+
+# Bytes that a cell takes before its pad bytes go: the longest '%.17g'
+# text, -2.2250738585072014e-308, and a CRLF.
+_CELL_BYTES = 26
+
+# An x87 extended long double, whose 64-bit significand holds 10**27 exactly
+# (5**27 < 2**63): _fast_cells' products rest on it.
+_EXTENDED_PRECISION = np.finfo(np.longdouble).nmant == 63
+
+# The bytes after a cell's 17 digits in its source row; '\0' pads.
+_CONSTANT_BYTES = b"-.e+,\r\n0123456789\0\0\0"
+
+
+def _const(text: str) -> list:
+    """The source bytes of constant text: constant byte c is byte 20 + c of
+    a cell's source row, after its 20 digit bytes."""
+    return [20 + _CONSTANT_BYTES.index(ch) for ch in text.encode("ascii")]
+
+
+def _layout(k: int, digits: int) -> list:
+    """The source bytes of '%.17g''s text, sign and separator aside, for a
+    positive number with decimal exponent k and `digits` significant digits:
+    digit i is byte 3 + i of its source row."""
+    if k < -4 or k >= 17:  # %g's exponent notation, at precision 17
+        point = _const(".") + [3 + i for i in range(1, digits)] if digits > 1 else []
+        return [3] + point + _const("e%+03d" % k)
+    if k < 0:
+        return _const("0." + "0" * (-k - 1)) + [3 + i for i in range(digits)]
+    point = _const(".") + [3 + i for i in range(k + 1, digits)] if digits > k + 1 else []
+    return [3 + i for i in range(k + 1)] + point
+
+
+@functools.cache
+def _format_tables():
+    """(layouts, 10**p for p in 0..27, the 4 ASCII digits of each 0..9999 as
+    one uint32, the trailing zeros of each 0..9999, the constant bytes as
+    uint32), built on the first call, in a few ms.
+
+    Row (((k + 11) * 17 + digits - 1) * 2 + negative) * 2 + last of the
+    layouts holds, for k in -11..16, the source bytes of a whole cell:
+    sign, _layout, then ',' or, after a row's last cell, a CRLF, padded to
+    _CELL_BYTES with a '\0' byte."""
+    bodies = [_layout(k, digits) for k in range(-11, 17) for digits in range(1, 18)]
+    signs, ends, pad = ([], _const("-")), (_const(","), _const("\r\n")), _const("\0")
+    layouts = np.array([(sign + body + end + pad * _CELL_BYTES)[:_CELL_BYTES]
+                        for body in bodies for sign in signs for end in ends], dtype=np.intp)
+    powers = np.ones(28, dtype=np.longdouble)
+    for p in range(1, 28):
+        powers[p] = powers[p - 1] * 10  # exact: 10**p = 5**p * 2**p, 5**27 < 2**63
+    text = np.frombuffer("".join("%04d" % i for i in range(10_000)).encode("ascii"),
+                         dtype=np.uint8)
+    zeros = np.cumprod(text.reshape(-1, 4)[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+    return (layouts, powers, text.view(np.uint32), zeros,
+            np.frombuffer(_CONSTANT_BYTES, dtype=np.uint32))
+
+
+def _fast_cells(x: np.ndarray, last: np.ndarray):
+    """(cells, fast): for each float64 x[i] with 1e-11 <= |x[i]| < 1e16,
+    cells[i] is '%.17g' % x[i] then ',' or, where last[i], a CRLF, padded
+    with '\0' to _CELL_BYTES; fast[i] is False for the other cells, whose
+    bytes are left to '%', and for a few near-ties in range.
+
+    With k = floor(log10 |x|) in -11..15 and p = 16 - k <= 27, 10**p is an
+    exact long double, so s = |x| * 10**p lies in [1e16, 1e17) and within
+    2**-8 (half an ulp below 2**57) of the exact product. Unless s is that
+    close to a half, rint(s) is the correctly rounded 17-digit significand
+    that '%.17g' prints. It is below 10**17: the largest double below each
+    power of ten from 1e-10 to 1e16 has 17 digits that are not all 9s."""
+    layouts, powers, quads, zeros, constants = _format_tables()
+    size = np.abs(x)
+    fast = (size >= 1e-11) & (size < 1e16)
+    size[~fast] = 1.0  # so that log10 and the casts below see no zero, inf or nan
+    k = np.clip(np.floor(np.log10(size)), -11, 15).astype(np.int64)
+    size = size.astype(np.longdouble)
+    s = size * powers[16 - k]
+    # log10 may be one off next to a power of ten; a cell off by more goes to '%'.
+    off = np.flatnonzero((s < 1e16) | (s >= 1e17))
+    if off.size:
+        k[off] += np.where(s[off] < 1e16, -1, 1)
+        fast[off] &= (k[off] >= -11) & (k[off] <= 15)
+        s[off] = size[off] * powers[16 - np.clip(k[off], -11, 15)]
+        fast[off] &= (s[off] >= 1e16) & (s[off] < 1e17)
+    rounded = np.rint(s)
+    fast &= np.abs((s - rounded).astype(np.float64)) < 0.5 - 2.0 ** -8
+    significand = rounded.astype(np.int64)
+    fast &= significand < 10 ** 17  # no double in range rounds up to 10**(k + 1)
+    # Its 17 digits in five groups: 1, then four of 4.
+    rest = significand % 10 ** 16
+    groups = (significand // 10 ** 16, rest // 10 ** 12, rest // 10 ** 8 % 10 ** 4,
+              rest // 10 ** 4 % 10 ** 4, rest % 10 ** 4)
+    trailing = np.full(x.size, 16)
+    for j in range(1, 5):  # the last group that is not 0 counts
+        trailing = np.where(groups[j], 16 - 4 * j + zeros[groups[j]], trailing)
+    source = np.empty((x.size, 10), dtype=np.uint32)
+    for j, group in enumerate(groups):
+        source[:, j] = quads[group]
+    source[:, 5:] = constants
+    key = (((k + 11) * 17 + 16 - trailing) * 2 + (x < 0)) * 2 + last
+    key[~fast] = 0
+    index = layouts.take(key, axis=0)
+    index += np.arange(0, 40 * x.size, 40)[:, None]
+    return source.view(np.uint8).take(index), fast
+
+
+def _format_cells(block: np.ndarray) -> bytes:
+    """The CSV lines of a (rows, width) block of float64 cells: each cell as
+    '%.17g' % x writes it, then ',' or, after a row's last cell, a CRLF."""
+    rows, width = block.shape
+    if not _EXTENDED_PRECISION:  # every cell through '%'
+        row = ",".join(["%.17g"] * width) + "\r\n"
+        return (row * rows % tuple(block.ravel().tolist())).encode("ascii")
+    x = block.ravel()
+    last = np.arange(x.size) % width == width - 1
+    cells, fast = _fast_cells(x, last)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ["%.17g%s" % (v, "\r\n" if end else ",")
+                 for v, end in zip(x[slow].tolist(), last[slow].tolist())]
+        cells[slow] = np.array(texts, dtype=f"S{_CELL_BYTES}").view(np.uint8).reshape(
+            slow.size, _CELL_BYTES)
+    return cells.tobytes().translate(None, b"\0")
+
 
 def _format_rows(data: Dataset, start: int, stop: int):
     """The CSV lines of rows start to stop, as bytes, one block of
-    _SAVE_BLOCK_ROWS rows at a time."""
-    # The rows as csv.writer would write them: no numeral needs quoting.
-    row = ",".join(["%.17g"] * (data.d + 1)) + "\r\n"
+    _SAVE_BLOCK_ROWS rows at a time, formatted in pieces of whole rows of
+    at most _FORMAT_CELLS cells, or one row."""
+    piece = max(1, _FORMAT_CELLS // (data.d + 1))
     for lo in range(start, stop, _SAVE_BLOCK_ROWS):
         hi = min(lo + _SAVE_BLOCK_ROWS, stop)
         block = np.column_stack((data.X[lo:hi], data.Y[lo:hi]))
-        yield (row * len(block) % tuple(block.ravel().tolist())).encode("ascii")
+        yield b"".join(_format_cells(block[i:i + piece]) for i in range(0, len(block), piece))
 
 
 def save_csv(data: Dataset, path) -> None:
-    """Write a dataset as CSV under the header x1,...,xd,y; values round-trip
-    bit-identically via load_csv."""
+    """Write a dataset as CSV under the header x1,...,xd,y, each value as
+    '%.17g' writes it and each line ended by CRLF; values round-trip
+    bit-identically via load_csv.
+
+    The file is the same byte for byte whether the rows are formatted by
+    the numpy kernel or by '%' alone, and in one part or in several."""
     header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"]) + "\r\n"
     with open(path, "wb") as fh, _row_ranges(
         data.n, data.d + 1, lambda start, stop: list(_format_rows(data, start, stop))

@@ -2,6 +2,8 @@ import csv
 import itertools
 import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -300,6 +302,103 @@ def test_load_csv_fast_path_matches_cell_parser(data, width, final_end):
     assert fast == cells
 
 
+# --- save_csv's '%.17g' kernel ---------------------------------------------------
+
+
+def _percent(block):
+    """The oracle: each cell as '%.17g' % x writes it, then ',' or, after a
+    row's last cell, CRLF."""
+    return "".join(
+        ",".join("%.17g" % v for v in row) + "\r\n" for row in block.tolist()
+    ).encode("ascii")
+
+
+def _formatted(block, extended):
+    """_format_cells' bytes, with the long double check as `extended`."""
+    if extended and not data_pipeline._EXTENDED_PRECISION:
+        pytest.skip("numpy's long double is not the x87 type here")
+    with mock.patch.object(data_pipeline, "_EXTENDED_PRECISION", extended):
+        return data_pipeline._format_cells(block)
+
+
+def _hard_to_print():
+    """About 2e5 doubles on which a '%.17g' shortcut can go wrong, in and
+    out of the kernel's range 1e-11 <= |x| < 1e16, half of them negative."""
+    rng = np.random.default_rng(31)
+    powers = 10.0 ** np.arange(-16, 22)
+    # j + (2i + 1) / 2**m: among them exact ties of the 17th digit, such as
+    # 100000000000000.125, which '%' rounds half to even.
+    ties = (10.0 ** rng.integers(11, 16, 20_000) * rng.uniform(1, 2, 20_000)).round()
+    ties += (2 * rng.integers(0, 2 ** 9, 20_000) + 1) / 2.0 ** rng.integers(1, 11, 20_000)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-14, 20, 80_000),
+        rng.integers(1, 2 ** 30, 30_000) / 2.0 ** rng.integers(0, 60, 30_000),
+        rng.integers(0, 2 ** 53 + 1, 30_000, dtype=np.int64).astype(np.float64),
+        np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+        rng.integers(-(10 ** 9), 10 ** 9, 30_000) / 1000.0,
+        ties, [100000000000000.125, 1e-11, 1e16, 0.1, 0.5, 1.0, 123.0],
+        rng.uniform(0, 2.2250738585072014e-308, 5_000),
+        [0.0, 5e-324, np.inf, np.nan, 1.7976931348623157e308],
+    ])
+    values[rng.random(values.size) < 0.5] *= -1.0
+    return np.append(values, [-0.0, -np.inf])
+
+
+@pytest.mark.parametrize("extended", [True, False])
+def test_format_cells_writes_the_percent_bytes(extended):
+    values = _hard_to_print()
+    block = values[: values.size // 7 * 7].reshape(-1, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as CI runs with -W error::RuntimeWarning
+        got = _formatted(block, extended)
+    assert got == _percent(block)
+
+
+def test_the_kernel_takes_the_cells_in_range_but_near_ties():
+    if not data_pipeline._EXTENDED_PRECISION:
+        pytest.skip("numpy's long double is not the x87 type here")
+    values = _hard_to_print()
+    size = np.abs(values)
+    in_range = (size >= 1e-11) & (size < 1e16)
+    _, fast = data_pipeline._fast_cells(values, np.zeros(values.size, bool))
+    assert not fast[~in_range].any()
+    assert fast[in_range].mean() > 0.9
+    tie = np.array([100000000000000.125, -100000000000000.375, 1.5e-11])
+    assert data_pipeline._fast_cells(tie, np.zeros(3, bool))[1].tolist() == [False, False, True]
+
+
+_DOUBLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-11, 1e16),
+    st.floats(-1e16, -1e-11),
+    st.integers(-(2 ** 53), 2 ** 53).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 6), width=st.integers(1, 5),
+       extended=st.booleans())
+def test_format_cells_matches_percent_on_any_finite_double(data, rows, width, extended):
+    cells = data.draw(st.lists(_DOUBLE, min_size=rows * width, max_size=rows * width))
+    block = np.array(cells, dtype=np.float64).reshape(rows, width)
+    assert _formatted(block, extended) == _percent(block)
+
+
+def test_importing_certbayes_builds_no_format_table():
+    """The layout table costs milliseconds; a process that saves no CSV
+    should not pay for it."""
+    package_root = str(Path(data_pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in [package_root, env.get("PYTHONPATH")] if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import certbayes, certbayes.cli; from certbayes import "
+         "data_pipeline; print(data_pipeline._format_tables.cache_info().currsize)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
 # --- row ranges in forked children ------------------------------------------------
 
 
@@ -350,6 +449,18 @@ def test_save_csv_in_parts_writes_the_one_part_bytes(parts, tmp_path, monkeypatc
         for row in np.column_stack((ds.X, ds.Y)).tolist()
     )
     assert cut.read_bytes() == one.read_bytes() == oracle.encode("ascii")
+
+
+@pytest.mark.parametrize("cells", [1, 9])
+def test_save_csv_in_pieces_of_whole_rows_writes_the_same_bytes(cells, tmp_path, monkeypatch):
+    """A block goes to the kernel in pieces of whole rows of at most
+    _FORMAT_CELLS cells, and of one row where a row is wider."""
+    ds = _parts_table()
+    one, cut = tmp_path / "one.csv", tmp_path / "cut.csv"
+    save_csv(ds, one)
+    monkeypatch.setattr(data_pipeline, "_FORMAT_CELLS", cells)
+    save_csv(ds, cut)
+    assert cut.read_bytes() == one.read_bytes()
 
 
 @pytest.mark.parametrize("parts", [2, 3])

@@ -1450,6 +1450,7 @@ def _recording_matmul(monkeypatch):
 @example(seed=4, m=20, n=25, d=4, spread=1e3, sigma_sq=1.0, zero_at_center=False)
 @example(seed=5, m=20, n=25, d=4, spread=0.1, sigma_sq=0.5, zero_at_center=True)
 @example(seed=6, m=30, n=3, d=8, spread=1.0, sigma_sq=1e-3, zero_at_center=False)
+@example(seed=21, m=2, n=14, d=1, spread=1000.0, sigma_sq=1.0, zero_at_center=False)
 def test_residual_moments_match_a_per_draw_reference(seed, m, n, d, spread, sigma_sq,
                                                      zero_at_center):
     """The closed forms over the draws' mean c agree with the straight-line
@@ -1472,7 +1473,9 @@ def test_residual_moments_match_a_per_draw_reference(seed, m, n, d, spread, sigm
     cols = _pass_columns(draws, test)
     if spread == 1e-12:
         assert cols == int(zero_at_center)
-    if spread == 1e3 and m > 1:
+    # Draws that nearly coincide leave a small centred spread at any factor.
+    radius = np.linalg.norm(draws - center, axis=1).max()
+    if radius * np.linalg.norm(x, axis=1).min() >= np.abs(y - x @ center).max():
         assert cols == n
     with pytest.MonkeyPatch.context() as patch:
         shapes = _recording_matmul(patch)
