@@ -20,54 +20,55 @@ every cell where numpy's long double is not the x87 type
 (_EXTENDED_PRECISION). The digits then go into their cell's bytes by one
 gather from a table of '%g' layouts, and the pad bytes are dropped.
 
-load_csv reads the header with csv.reader. It then streams the body from
-the file: one binary pass counts the lines (ended by LF, CRLF or a bare CR,
-as readlines(newline="") ends them) and records where each piece of about
-_CHUNK_BYTES starts. The rows go straight into X and Y: each piece, cut at a
-line end, is decoded and parsed with np.loadtxt, and kept only when it is
-UTF-8 and loadtxt raised and warned nothing and gave one row per line, each
-as wide as the header. Otherwise (a blank or '#' line, a quoted cell, '1_0',
-a header-only file, a field longer than the csv module's limit, one of the
-separators U+001C to U+001F, which loadtxt strips and float() does not, or
-a header that spans lines, or a pipe, which cannot be read twice) it reads
+load_csv reads the header with csv.reader, then streams the body from the
+file in byte ranges, each cut moved forward to the next line start (after
+an LF, a CRLF or a bare CR, as readlines(newline="") ends lines). A range's
+lines are counted as bytes.splitlines() counts them, and its rows go
+straight into X and Y: each piece of about _CHUNK_BYTES, cut at a line end,
+is decoded and parsed with np.loadtxt, and kept only when it is UTF-8 and
+loadtxt raised and warned nothing and gave one row per line, each as wide
+as the header. Otherwise (a blank or '#' line, a quoted cell, '1_0', a
+header-only file, a field longer than the csv module's limit, one of the
+separators U+001C to U+001F, which loadtxt strips and float() does not, a
+header that spans lines, or a pipe, which cannot be read twice) it reads
 the lines again with csv.reader and float(), cell by cell. That parser
 alone raises ParseError and NonNumericColumn, with their rows and columns,
 and the UnicodeDecodeError of a body that is not UTF-8.
 
 Both spend their time converting numbers in code that holds the GIL: numpy
 loops over blocks of a few MB, or one number at a time in np.loadtxt. So
-threads would not overlap. A large call is therefore cut into
-contiguous row ranges, one part per usable CPU and at most one per
-_CELLS_PER_PART cells (_row_ranges). This process runs the first range and
-a child forked with multiprocessing's "fork" context runs each other range,
-sending its bytes back through a pipe: save_csv writes the header and then
-the parts in order, so the file is the same byte for byte (a child formats
-its whole range, so it need not wait on the pipe while this process formats
-the first, and then sends it block by block, never joined), and load_csv
-applies every check above to each range and keeps the rows only if every
-range passed, so a file the fast path refuses still reaches the cell-by-cell
-parser whole. A call below 2 * _CELLS_PER_PART cells, or on a machine with
-one usable CPU, starts no process. A child runs only numpy's and '%'
-formatting and a pipe write per block, or reads its own byte range of the file, parses it with
-np.loadtxt into its copy of X and Y and writes its X rows and then its Y
-rows to the pipe: no BLAS call and no lock that another thread of this
-process could hold at the fork, so forking a process that has OpenBLAS
-threads is safe here, though Python 3.12 and later warn about such forks. A
-child that cannot start, or ends without sending its range, leaves that
-range to this process, and a save_csv child that ends inside its range
-leaves the rows from the first block not received; no child outlives the
-call.
+threads would not overlap. A large call is therefore cut into contiguous
+ranges, one part per usable CPU, at the caller's cut points (_row_ranges):
+rows for save_csv, at most one part per _CELLS_PER_PART cells, and bytes
+for load_csv, at least two _CHUNK_BYTES pieces per part. This process runs
+the first range and a child forked with multiprocessing's "fork" context
+runs each other range, sending its bytes back through a pipe. save_csv
+writes the header and then the parts in order, so the file is the same byte
+for byte (a child formats its whole range, so it need not wait on the pipe
+while this process formats the first, and then sends it block by block,
+never joined). A load_csv child sends its range's line count, then its X
+and its Y rows, so this process makes X and Y once, parses its own range
+into them and receives the others into place; a range that fails a check
+above sends no rows, and the file goes to the cell-by-cell parser whole. A
+child runs only numpy's and '%' formatting and a pipe write per block, or
+np.loadtxt on its own byte range: no BLAS call and no lock that another
+thread of this process could hold at the fork, so forking a process that
+has OpenBLAS threads is safe here, though Python 3.12 and later warn about
+such forks. A child that cannot start, or ends before its count or its
+range, leaves that range to this process, and a save_csv child that ends
+inside its range leaves the rows from the first block not received; no
+child outlives the call.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import csv
 import functools
 import math
 import numbers
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -213,36 +214,29 @@ def _pieces(fh, size=math.inf):
         yield piece
 
 
-def _line_table(fh) -> list:
-    """(first line, byte offset) of each piece of the binary file fh, then
-    (number of lines, file size): one pass that counts lines.
-
-    bytes.splitlines() breaks lines only at LF, CRLF and CR, and no piece
-    but the last ends inside a line."""
-    table, line, offset = [], 0, 0
-    for piece in _pieces(fh):
-        table.append((line, offset))
-        line += len(piece.splitlines())
-        offset += len(piece)
-    table.append((line, offset))
-    return table
+def _line_start(fh, offset: int) -> int:
+    """The first line start at or after byte `offset` >= 1 of the binary
+    file fh, or its size: where the line that holds byte offset - 1 ends."""
+    fh.seek(offset - 1)
+    return offset - 1 + re.match(rb"[^\r\n]*(\r\n?|\n)?", next(_pieces(fh), b"")).end()
 
 
-def _line_offset(fh, table: list, line: int) -> int:
-    """The byte offset of a line of fh, counted from 0, or the file size for
-    the line after the last: found in the one piece of _line_table that
-    holds it."""
-    i = bisect.bisect_right(table, (line, math.inf)) - 1
-    first, offset = table[i]
-    if line > first:
-        fh.seek(offset)
-        piece = fh.read(table[i + 1][1] - offset)
-        offset += sum(map(len, piece.splitlines(keepends=True)[: line - first]))
-    return offset
+def _lines(path, start: int, stop: int) -> int:
+    """The lines in bytes start to stop of the file, cut at line starts:
+    bytes.splitlines() breaks lines only at LF, CRLF and CR."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return sum(len(piece.splitlines()) for piece in _pieces(fh, stop - start))
 
 
-# Cells per part: a call gets a second part from 2 * _CELLS_PER_PART cells.
+# Cells per part: save_csv gets a second part from 2 * _CELLS_PER_PART cells.
 _CELLS_PER_PART = 100_000
+
+
+def _parts(most: int) -> int:
+    """One part per usable CPU, but no more than `most`, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, most))
 
 
 def _send(sender, work, start: int, stop: int) -> None:
@@ -251,21 +245,17 @@ def _send(sender, work, start: int, stop: int) -> None:
 
 
 @contextlib.contextmanager
-def _row_ranges(rows: int, width: int, work):
-    """range(rows) cut into contiguous ranges, one per part, as a list of
-    (start, stop, connection).
+def _row_ranges(bounds: list, work):
+    """The ranges between the cut points `bounds`, as (start, stop, connection).
 
     The first range has connection None: the caller runs it. Each other
     range runs work(start, stop) in a forked child, which sends each of the
-    bytes-like objects it returns through a pipe that the connection reads.
+    bytes-like objects it yields through a pipe that the connection reads.
     Where the child did not start, or ended without sending, reading raises
     EOFError, and the caller runs that range too. On exit every child is
     ended and reaped, whether or not its bytes were read.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = max(1, min(cpus, rows * width // _CELLS_PER_PART, rows))
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    ranges, children = [(0, bounds[1], None)], []
+    ranges, children = [(bounds[0], bounds[1], None)], []
     try:
         for start, stop in zip(bounds[1:], bounds[2:]):
             import multiprocessing  # here, so that a call in one part does not load it
@@ -291,18 +281,15 @@ def _row_ranges(rows: int, width: int, work):
                 receiver.close()
 
 
-def _parse_range(path, table: list, start: int, stop: int, x: np.ndarray,
-                 y: np.ndarray, target: int) -> bool:
-    """Parse body rows start to stop of the file into x and y, its target
-    column into y and the others into x, with _parse_fast on each piece of
-    the range; False if a piece is not UTF-8 or _parse_fast refuses it."""
+def _parse_range(path, start: int, stop: int, x: np.ndarray, y: np.ndarray,
+                 target: int) -> bool:
+    """Parse the lines in bytes start to stop of the file into x and y, its
+    target column into y and the others into x, with _parse_fast on each
+    piece; False if a piece is not UTF-8 or _parse_fast refuses it."""
     with open(path, "rb") as fh:
-        # Line 0 is the header.
-        first = _line_offset(fh, table, start + 1)
-        size = _line_offset(fh, table, stop + 1) - first
-        fh.seek(first)
+        fh.seek(start)
         row = 0
-        for piece in _pieces(fh, size):
+        for piece in _pieces(fh, stop - start):
             try:
                 values = _parse_fast(piece.decode("utf-8"), x.shape[1] + 1)
             except UnicodeDecodeError:
@@ -318,21 +305,31 @@ def _parse_range(path, table: list, start: int, stop: int, x: np.ndarray,
 
 
 def _parse_parts(path, width: int, target: int):
-    """The body of the file as (X, Y), parsed range by range over the row
-    ranges of _row_ranges, or None if any range fails."""
+    """The body of the file as (X, Y), parsed in byte ranges, or None if any range fails."""
     with open(path, "rb") as fh:
-        table = _line_table(fh)
-    rows = table[-1][0] - 1
-    x, y = np.empty((rows, width - 1)), np.empty(rows)
+        body, size = _line_start(fh, 1), os.fstat(fh.fileno()).st_size
+        parts = _parts((size - body) // (2 * _CHUNK_BYTES))
+        inner = {_line_start(fh, body + (size - body) * k // parts) for k in range(1, parts)}
+        cuts = [body, *sorted(inner - {size}), size]  # no child gets an empty range
 
     def parse(start, stop):
-        xs, ys = x[start:stop], y[start:stop]
-        return (xs, ys) if _parse_range(path, table, start, stop, xs, ys, target) else (b"",)
+        rows = _lines(path, start, stop)
+        yield rows.to_bytes(8, "little")
+        xs, ys = np.empty((rows, width - 1)), np.empty(rows)
+        yield from (xs, ys) if _parse_range(path, start, stop, xs, ys, target) else (b"",)
 
-    with _row_ranges(rows, width, parse) as ranges:
-        for start, stop, receiver in ranges:
+    with _row_ranges(cuts, parse) as ranges:
+        rows = [_lines(path, cuts[0], cuts[1])]
+        for start, stop, receiver in ranges[1:]:
+            try:
+                rows.append(int.from_bytes(receiver.recv_bytes(), "little"))
+            except EOFError:  # no child counted this range
+                rows.append(_lines(path, start, stop))
+        ends = np.cumsum([0, *rows])
+        x, y = np.empty((ends[-1], width - 1)), np.empty(ends[-1])
+        for (start, stop, receiver), lo, hi in zip(ranges, ends, ends[1:]):
             if receiver is not None:
-                xs, ys = (memoryview(a[start:stop]).cast("B") for a in (x, y))
+                xs, ys = (memoryview(a[lo:hi]).cast("B") for a in (x, y))
                 try:
                     if receiver.recv_bytes_into(xs) < xs.nbytes:
                         return None  # the child's range failed
@@ -340,7 +337,7 @@ def _parse_parts(path, width: int, target: int):
                     continue
                 except EOFError:  # no child sent this range
                     pass
-            if not _parse_range(path, table, start, stop, x[start:stop], y[start:stop], target):
+            if not _parse_range(path, start, stop, x[lo:hi], y[lo:hi], target):
                 return None
     return x, y
 
@@ -596,8 +593,10 @@ def save_csv(data: Dataset, path) -> None:
     The file is the same byte for byte whether the rows are formatted by
     the numpy kernel or by '%' alone, and in one part or in several."""
     header = ",".join([f"x{j + 1}" for j in range(data.d)] + ["y"]) + "\r\n"
+    parts = _parts(min(data.n * (data.d + 1) // _CELLS_PER_PART, data.n))
+    bounds = [data.n * k // parts for k in range(parts + 1)]
     with open(path, "wb") as fh, _row_ranges(
-        data.n, data.d + 1, lambda start, stop: list(_format_rows(data, start, stop))
+        bounds, lambda start, stop: list(_format_rows(data, start, stop))
     ) as ranges:
         fh.write(header.encode("ascii"))
         for start, stop, receiver in ranges:

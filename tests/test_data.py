@@ -418,11 +418,13 @@ def started(monkeypatch):
 
 
 def _cut(monkeypatch, parts):
-    """Cut save_csv and load_csv calls into `parts` row ranges, whatever the
-    machine, from as few as `parts` rows."""
+    """Cut save_csv calls into `parts` row ranges from as few as `parts`
+    rows, and load_csv calls into `parts` byte ranges from a body of as few
+    as 2 * `parts` bytes, whatever the machine."""
     monkeypatch.setattr(data_pipeline.os, "sched_getaffinity", lambda pid: set(range(parts)),
                         raising=False)
     monkeypatch.setattr(data_pipeline, "_CELLS_PER_PART", 1)
+    monkeypatch.setattr(data_pipeline, "_CHUNK_BYTES", 1)
 
 
 def _parts_table():
@@ -499,13 +501,14 @@ def test_load_csv_in_parts_gives_the_one_part_outcome(defect, parts, tmp_path,
     assert len(started) == parts - 1
 
 
-def _in_this_process_only(monkeypatch, name, effect):
-    """Make data_pipeline.<name> call effect() first, in this process alone:
-    a forked child runs the real function."""
+def _first_in(monkeypatch, name, effect, here=True):
+    """Make data_pipeline.<name> call effect() first, in this process alone
+    or, unless `here`, in forked children alone: the others run the real
+    function."""
     real, parent = getattr(data_pipeline, name), os.getpid()
 
     def patched(*args):
-        if os.getpid() == parent:
+        if (os.getpid() == parent) == here:
             effect()
         return real(*args)
 
@@ -521,11 +524,11 @@ def test_a_failing_range_here_leaves_no_child(tmp_path, monkeypatch, started):
     p = tmp_path / "t.csv"
     save_csv(ds, p)
     _cut(monkeypatch, 3)
-    _in_this_process_only(monkeypatch, "_parse_fast", _raise_here)
+    _first_in(monkeypatch, "_parse_fast", _raise_here)
     with pytest.raises(RuntimeError, match="range failed"):
         load_csv(p, "y")
     assert multiprocessing.active_children() == []
-    _in_this_process_only(monkeypatch, "_format_rows", _raise_here)
+    _first_in(monkeypatch, "_format_rows", _raise_here)
     with pytest.raises(RuntimeError, match="range failed"):
         save_csv(ds, tmp_path / "u.csv")
     assert len(started) == 4
@@ -535,8 +538,15 @@ def _unstartable(process):
     raise OSError("cannot fork")
 
 
-@pytest.mark.parametrize("fault", ["cannot_start", "ends_without_sending"])
+def _end_child():
+    os._exit(0)
+
+
+@pytest.mark.parametrize("fault", ["cannot_start", "ends_without_sending",
+                                   "ends_before_its_count", "ends_after_its_count"])
 def test_a_range_whose_child_fails_runs_here(fault, tmp_path, monkeypatch):
+    """A load_csv child that ends before its count leaves its range to be
+    counted and parsed here; one that ends after it, to be parsed here."""
     ds = _parts_table()
     one, cut = tmp_path / "one.csv", tmp_path / "cut.csv"
     save_csv(ds, one)
@@ -544,8 +554,11 @@ def test_a_range_whose_child_fails_runs_here(fault, tmp_path, monkeypatch):
     _cut(monkeypatch, 3)
     if fault == "cannot_start":
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", _unstartable)
-    else:
+    elif fault == "ends_without_sending":
         monkeypatch.setattr(data_pipeline, "_send", lambda *args: None)
+    else:
+        _first_in(monkeypatch, "_lines" if fault == "ends_before_its_count" else "_parse_range",
+                  _end_child, here=False)
     save_csv(ds, cut)
     assert cut.read_bytes() == one.read_bytes()
     assert _outcome(cut) == loaded
@@ -602,17 +615,54 @@ _CUT_FILES = {
     "no_last_line_end": "x,y\n" + "1,2\n-3.5,4e1\n" * 6 + "5,6",
 }
 
+# Byte offsets of a _CUT_FILES text at which to cut its body in two: at the
+# header's end, which leaves this process an empty range; two bytes after
+# the first row's last digit, so inside a CRLF where lines end in one; and
+# at the last byte, inside the last line or its line end, which moves the
+# cut to the file's end and so leaves one part.
+_CUT_AT = {
+    "after_header": lambda text: text.index("1"),
+    "inside_a_crlf": lambda text: text.index("2") + 2,
+    "at_the_last_byte": lambda text: len(text) - 1,
+}
+
+
+def _cut_at(monkeypatch, text, offset) -> int:
+    """Cut load_csv's body in two at a byte offset of the text, checking
+    that the real _line_start moves the cut to the next line start that
+    str.splitlines gives. Returns the parts: 1 where the cut moves to the
+    file's end."""
+    real = data_pipeline._line_start
+    starts = itertools.accumulate(map(len, text.splitlines(keepends=True)))
+    cut = min(s for s in starts if s >= offset)
+
+    def line_start(fh, at):
+        if at == 1:  # the header's end
+            return real(fh, at)
+        assert real(fh, offset) == cut
+        return cut
+
+    monkeypatch.setattr(data_pipeline, "_line_start", line_start)
+    return 2 if cut < len(text) else 1
+
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
-@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("parts", [1, 2, 3, *sorted(_CUT_AT)])
 @pytest.mark.parametrize("name", sorted(_CUT_FILES))
 def test_load_csv_streams_pieces_cut_anywhere(name, parts, chunk, tmp_path, monkeypatch,
                                               started):
+    """In `parts` byte ranges, or in two cut at a byte offset of _CUT_AT,
+    and in pieces of `chunk` bytes, load_csv reads the one-part arrays."""
+    text = _CUT_FILES[name]
     p = tmp_path / "cut.csv"
-    p.write_bytes(_CUT_FILES[name].encode("ascii"))
+    p.write_bytes(text.encode("ascii"))
     one, cells = _outcome(p), _cell_outcome(p)
     assert one == cells and one[0] in ((12, 1), (13, 1))
-    _cut(monkeypatch, parts)
+    if parts in _CUT_AT:
+        _cut(monkeypatch, 2)
+        parts = _cut_at(monkeypatch, text, _CUT_AT[parts](text))
+    else:
+        _cut(monkeypatch, parts)
     monkeypatch.setattr(data_pipeline, "_CHUNK_BYTES", chunk)
     monkeypatch.setattr(data_pipeline, "_parse_rows", _no_cell_parser)
     assert _outcome(p) == one
